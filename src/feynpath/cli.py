@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -448,15 +447,8 @@ def _cmd_verify(args) -> int:
     out_dir = args.output_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    def one(i):
-        return run_check(config, i, config.checks[i], overrides, out_dir)
-
     try:
-        if args.parallel:
-            with ThreadPoolExecutor() as pool:
-                outcomes = list(pool.map(one, indices))
-        else:
-            outcomes = [one(i) for i in indices]
+        outcomes = [run_check(config, i, config.checks[i], overrides, out_dir) for i in indices]
     except (ConfigError, FeynpathError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -550,7 +542,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--output-dir")
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument(
+        "--parallel",
+        action="store_true",
+        help="accepted for compatibility; checks run one after another, and "
+        "each check already spreads its path blocks over every usable CPU",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("report", help="summarize a ledger CSV")

@@ -65,11 +65,13 @@ class MCReport:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Two coupled estimates and their sigma-distance."""
+    """Two coupled estimates and their sigma-distance: sigma_ratio is
+    discrepancy / diff_se, the standard error of the per-path LHS - RHS."""
 
     lhs: MCReport
     rhs: MCReport
     discrepancy: float
+    diff_se: float
     sigma_ratio: float
     threshold: float
 
@@ -82,6 +84,7 @@ class IdentityReport:
             "lhs": self.lhs.to_dict(),
             "rhs": self.rhs.to_dict(),
             "discrepancy": self.discrepancy,
+            "diff_se": self.diff_se,
             "sigma_ratio": self.sigma_ratio,
             "threshold": self.threshold,
             "pass": self.passed,
@@ -101,10 +104,7 @@ def _mean_se(vals: np.ndarray):
 def _pwz_columns(elements, profile, grid: TimeGrid, n: int, seed: int) -> np.ndarray:
     """U[i, j] = stochastic integral of elements[j] along path i, streamed."""
     dens = np.column_stack([left_density(e, grid) for e in elements])
-    out = np.empty((n, dens.shape[1]))
-    for p0, inc in stream_increments(profile, grid, n, seed):
-        out[p0 : p0 + inc.shape[0]] = inc @ dens
-    return out
+    return np.concatenate([c for _, c in stream_increments(profile, grid, n, seed, onto=dens)])
 
 
 def _functional_profile(F: FunctionalSpec):
@@ -184,8 +184,8 @@ def _identity_report(lhs_vals, rhs_vals, n, grid, seed, threshold, t0, assumptio
     else:
         sigma = discrepancy / diff_se
     return IdentityReport(
-        lhs=lhs, rhs=rhs, discrepancy=discrepancy, sigma_ratio=float(sigma),
-        threshold=threshold,
+        lhs=lhs, rhs=rhs, discrepancy=discrepancy, diff_se=diff_se,
+        sigma_ratio=float(sigma), threshold=threshold,
     )
 
 

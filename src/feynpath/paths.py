@@ -16,12 +16,17 @@ Randomness is counter-based: path rows are organized in fixed blocks of
 ``CHUNK_PATHS`` and block ``j`` of a run draws from an independent Philox
 stream keyed by (seed, j).  Ensembles are therefore bit-identical for a
 given (seed, grid, n_paths) regardless of scheduling, and the first n
-rows do not change when more paths are requested.
+rows do not change when more paths are requested.  The same keying lets
+the projected stream run its blocks on a thread pool with results that
+do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,9 @@ from .measure import ProfilePair
 
 DEFAULT_GRID_N = 1024
 CHUNK_PATHS = 4096
+# Rows filled and projected at a time by the projected stream; divides
+# CHUNK_PATHS, so each worker's scratch is _SUB_ROWS x N doubles.
+_SUB_ROWS = 256
 
 _BINARY_MAGIC = b"GBMPENS1"
 
@@ -146,29 +154,90 @@ def increment_moments(profile: ProfilePair, grid: TimeGrid):
     return da, db
 
 
-def stream_increments(profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int):
+def stream_increments(
+    profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int, onto=None
+):
     """Yield (first_path_index, increments) chunks of the path ensemble.
 
     The yielded array is an internal buffer reused between chunks; copy it
     if it must outlive the iteration.  Chunk boundaries are fixed at
     CHUNK_PATHS, so values never depend on how the consumer batches work.
+
+    With ``onto``, an (N, c) matrix of left densities, the chunks are
+    (first_path_index, columns) instead: the increments projected onto
+    the c columns, computed straight from the normals as
+    ``z @ (sqrt(db) * onto) + da @ onto`` without building the increments.
+    The blocks then run on a thread pool with one worker per usable CPU,
+    and the columns are fresh arrays, bit-identical for any worker count.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     _check_seed(seed)
     da, db = increment_moments(profile, grid)
     sdb = np.sqrt(db)
+    if onto is not None:
+        yield from _projected_blocks(da, sdb, onto, n_paths, seed)
+        return
     n_steps = grid.N
     z = np.empty((min(CHUNK_PATHS, n_paths), n_steps))
     inc = np.empty_like(z)
     for block, p0 in enumerate(range(0, n_paths, CHUNK_PATHS)):
         rows = min(CHUNK_PATHS, n_paths - p0)
-        key = np.array([seed, block], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        gen.standard_normal(out=z[:rows])
+        _block_generator(seed, block).standard_normal(out=z[:rows])
         np.multiply(z[:rows], sdb[None, :], out=inc[:rows])
         np.add(inc[:rows], da[None, :], out=inc[:rows])
         yield p0, inc[:rows]
+
+
+def _block_generator(seed, block):
+    key = np.array([seed, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _projected_blocks(da, sdb, onto, n_paths, seed, workers=None):
+    """Yield (p0, columns) per block, in block order.
+
+    Each block's Philox stream fills a per-worker _SUB_ROWS x N scratch
+    buffer one sub-block at a time; numpy continues the stream across the
+    fills, so the normals equal those of one whole-block fill.  Workers
+    run numpy only, and a block's arithmetic does not depend on which
+    worker runs it, so any ``workers`` gives the same bits.
+    """
+    onto = np.asarray(onto, dtype=float)
+    if onto.ndim != 2 or onto.shape[0] != sdb.size:
+        raise ValueError("onto must be an (N, c) matrix over the grid intervals")
+    scaled = sdb[:, None] * onto
+    shift = da @ onto
+    starts = range(0, n_paths, CHUNK_PATHS)
+    sub = min(_SUB_ROWS, n_paths)
+    scratch = threading.local()
+
+    def project(block):
+        p0 = starts[block]
+        rows = min(CHUNK_PATHS, n_paths - p0)
+        z = getattr(scratch, "z", None)
+        if z is None:
+            z = scratch.z = np.empty((sub, sdb.size))
+        gen = _block_generator(seed, block)
+        cols = np.empty((rows, onto.shape[1]))
+        for r0 in range(0, rows, sub):
+            r1 = min(r0 + sub, rows)
+            gen.standard_normal(out=z[: r1 - r0])
+            np.matmul(z[: r1 - r0], scaled, out=cols[r0:r1])
+        cols += shift
+        return p0, cols
+
+    if workers is None:
+        workers = _usable_cpus()
+    workers = max(1, min(workers, len(starts)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(project, range(len(starts)))
 
 
 def sample_gbmp_paths(

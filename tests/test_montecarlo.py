@@ -217,6 +217,16 @@ def test_report_serialization(ctx):
     assert "integrability" in back["lhs"]["assumptions"][0]
 
 
+def test_sigma_ratio_recomputes_from_diff_se(ctx):
+    profile, theta, k1, k2, grid = ctx
+    F = Monomial(MonomialSpec(theta, (k1, k2)))
+    report = verify_parts(F, theta, k1, k2, 2.0, 2000, 83, grid=grid)
+    assert report.diff_se > 0.0
+    assert report.discrepancy / report.diff_se == report.sigma_ratio
+    d = json.loads(json.dumps(report.to_dict()))
+    assert d["discrepancy"] / d["diff_se"] == d["sigma_ratio"]
+
+
 def test_ledger_round_trip(tmp_path, ctx):
     profile, theta, k1, k2, grid = ctx
     F = Monomial(MonomialSpec(theta, (k1,)))

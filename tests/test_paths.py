@@ -23,6 +23,8 @@ from feynpath import (
     z_shift_path,
 )
 
+from feynpath.paths import CHUNK_PATHS, _projected_blocks, increment_moments
+
 from conftest import pp, random_poly, random_nonvanishing_poly
 
 
@@ -73,6 +75,40 @@ def test_streaming_matches_materialized(standard, grid256):
     for p0, inc in stream_increments(standard, grid256, 20, 5):
         rebuilt[p0 : p0 + inc.shape[0], 1:] = np.cumsum(inc, axis=1)
     assert np.array_equal(ens.values, rebuilt)
+
+
+def _density_columns(grid):
+    t = grid.nodes[:-1]
+    return np.column_stack([np.ones_like(t), t, np.cos(3.0 * t)])
+
+
+@pytest.mark.parametrize("n", [1, 2 * CHUNK_PATHS + 301])
+def test_projected_stream_matches_projected_increments(standard, grid256, n):
+    dens = _density_columns(grid256)
+    ref = np.concatenate([inc @ dens for _, inc in stream_increments(standard, grid256, n, 17)])
+    chunks = list(stream_increments(standard, grid256, n, 17, onto=dens))
+    assert [p0 for p0, _ in chunks] == list(range(0, n, CHUNK_PATHS))
+    cols = np.concatenate([c for _, c in chunks])
+    assert cols.shape == (n, 3)
+    # the fused form rounds differently, so agreement is to the column scale
+    assert np.max(np.abs(cols - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_projected_stream_is_bit_identical_across_workers(standard, grid256):
+    n = 2 * CHUNK_PATHS + 301
+    dens = _density_columns(grid256)
+    da, db = increment_moments(standard, grid256)
+    runs = [
+        np.concatenate([c for _, c in _projected_blocks(da, np.sqrt(db), dens, n, 23, workers=w)])
+        for w in (1, 2, 3, 2)
+    ]
+    public = np.concatenate([c for _, c in stream_increments(standard, grid256, n, 23, onto=dens)])
+    assert all(np.array_equal(runs[0], r) for r in runs[1:] + [public])
+
+
+def test_projected_stream_rejects_misshaped_densities(standard, grid256):
+    with pytest.raises(ValueError):
+        next(stream_increments(standard, grid256, 10, 1, onto=np.ones((grid256.N + 1, 2))))
 
 
 def test_sample_moments_match_profile():
