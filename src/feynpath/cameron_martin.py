@@ -1,8 +1,9 @@
 """The Cameron-Martin space of a profile pair.
 
 Elements w are stored through their density Dw = w'/b'; the path itself
-is recovered as w(t) = integral of Dw db over [0, t].  The module
-provides the density operators D and D^{-1}, the product
+is recovered as w(t) = integral of Dw db over [0, t], so D is the
+``density`` attribute and D^{-1} is the constructor
+``CMElement(density, profile)``.  The module provides the product
 w (.) k = D^{-1}(Dw Dk) (a commutative algebra whose identity is b, the
 variance function), the inner product against db, the pairing with the
 mean function a, indicator elements, and Gram-Schmidt orthonormalization
@@ -17,7 +18,7 @@ are fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +70,6 @@ class SuppElement:
     """Kernel element: density of bounded variation, nonzero a.e."""
 
     base: CMElement
-    bv_certificate: bool = field(default=True)
 
     def __post_init__(self):
         if self.base.density.has_zero_piece():
@@ -104,16 +104,6 @@ def _require_same_profile(*xs):
         if p != first:
             raise ProfileMismatch("elements live over different profiles")
     return first
-
-
-def apply_D(w) -> PiecewisePoly:
-    """The density operator; representational for stored elements."""
-    return as_cm(w).density
-
-
-def apply_D_inverse(z: PiecewisePoly, profile: ProfilePair) -> CMElement:
-    """Element with density z, i.e. the path t -> integral of z db."""
-    return CMElement(z, profile)
 
 
 def identity_element(profile: ProfilePair) -> SuppElement:

@@ -239,12 +239,19 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _check_scalars(config: ExperimentConfig, check: dict, overrides: dict):
-    n = overrides.get("n_paths") or check.get("n_paths") or config.n_paths
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = check.get("seed", config.seed)
-    grid_n = overrides.get("grid_size") or check.get("grid_size") or config.grid_size
-    return int(n), int(seed), int(grid_n)
+    """(n_paths, seed, grid_size): a flag wins over the check, the check
+    over the config."""
+    def pick(key):
+        layers = (overrides.get(key), check.get(key), getattr(config, key))
+        return next(v for v in layers if v is not None)
+
+    n, seed, grid_n = pick("n_paths"), pick("seed"), pick("grid_size")
+    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+        raise ConfigError("seed must be an integer in [0, 2^64), got %r" % (seed,))
+    if int(n) < 1 or int(grid_n) < 1:
+        raise ConfigError("n_paths and grid_size must be positive, got %r and %r"
+                          % (n, grid_n))
+    return int(n), seed, int(grid_n)
 
 
 def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict, out_dir):
@@ -409,9 +416,10 @@ def _cmd_feynman(args) -> int:
 
 
 def _parse_monomial_arg(text):
-    if not text.startswith("m="):
+    degree = text[2:]
+    if not (text.startswith("m=") and degree.isdigit()):
         raise ConfigError("--monomial expects m=<degree>, got %r" % text)
-    return int(text[2:])
+    return int(degree)
 
 
 def _cmd_simulate(args) -> int:
@@ -444,6 +452,9 @@ def _cmd_verify(args) -> int:
         return 2
     overrides = _overrides(args)
     indices = range(len(config.checks)) if args.all or not args.check else args.check
+    for i in indices:
+        if not 0 <= i < len(config.checks):
+            raise ConfigError("no check %d: the config has %d" % (i, len(config.checks)))
     out_dir = args.output_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
 

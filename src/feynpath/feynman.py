@@ -306,6 +306,11 @@ def feynman_elements(
 # First variation and the Cameron-Storvick identity.
 
 
+def _as_functional(F):
+    """A bare MonomialSpec stands for its Monomial functional."""
+    return Monomial(F) if isinstance(F, MonomialSpec) else F
+
+
 def _linear_factors(F: FunctionalSpec) -> list[CMElement]:
     if isinstance(F, Monomial):
         return F.spec.elements()
@@ -314,18 +319,53 @@ def _linear_factors(F: FunctionalSpec) -> list[CMElement]:
     raise UnsupportedFunctional("unknown functional %r" % (F,))
 
 
+def _factor_stack(factors, path_values, grid: TimeGrid) -> np.ndarray:
+    """v[..., j] = (factors[j], x)~ along one path or a stack of paths."""
+    vals = [pwz_integral(u, path_values, grid) for u in factors]
+    if not vals:
+        return np.empty(np.shape(path_values)[:-1] + (0,))
+    return np.stack(vals, axis=-1)
+
+
+def _value_at(F: FunctionalSpec, v: np.ndarray):
+    """F given its factor values v[..., j] = (u_j, x)~, u_j the linear
+    factors of F.  The order of the products is part of the contract:
+    ledgers are bit-identical only while it stays the same."""
+    if isinstance(F, Monomial):
+        out = np.ones(v.shape[:-1])
+        for j in range(v.shape[-1]):
+            out = out * v[..., j]
+        return out
+    if isinstance(F, ExpLinear):
+        return np.exp(F.c * v[..., 0])
+    if isinstance(F, CosLinear):
+        return np.cos(v[..., 0])
+    raise UnsupportedFunctional("unknown functional %r" % (F,))
+
+
+def _variation_at(F: FunctionalSpec, v: np.ndarray, d):
+    """First variation of F at factor values v, for direction scalars
+    d[j] (the change of the j-th factor value along the direction)."""
+    if isinstance(F, Monomial):
+        m = v.shape[-1]
+        total = np.zeros(v.shape[:-1])
+        for l in range(m):
+            term = np.full(v.shape[:-1], d[l])
+            for j in range(m):
+                if j != l:
+                    term = term * v[..., j]
+            total = total + term
+        return total
+    if isinstance(F, ExpLinear):
+        return F.c * d[0] * np.exp(F.c * v[..., 0])
+    if isinstance(F, CosLinear):
+        return -np.sin(v[..., 0]) * d[0]
+    raise UnsupportedFunctional("unknown functional %r" % (F,))
+
+
 def functional_value(F: FunctionalSpec, path_values, grid: TimeGrid):
     """Evaluate a functional on concrete path values (row or stack)."""
-    shape = np.shape(path_values)[:-1]
-    if isinstance(F, Monomial):
-        out = np.ones(shape) if shape else 1.0
-        for u in F.spec.elements():
-            out = out * pwz_integral(u, path_values, grid)
-        return out
-    if isinstance(F, (ExpLinear, CosLinear)):
-        v = pwz_integral(F.w0, path_values, grid)
-        return np.exp(F.c * v) if isinstance(F, ExpLinear) else np.cos(v)
-    raise UnsupportedFunctional("unknown functional %r" % (F,))
+    return _value_at(F, _factor_stack(_linear_factors(F), path_values, grid))
 
 
 def first_variation(
@@ -350,31 +390,12 @@ def first_variation(
     dir_consts = [cm_inner(odot(u, k2), w) for u in factors]
     if audit is not None:
         audit.append({"op": "first_variation", "direction_scalars": list(dir_consts)})
-    if isinstance(F, Monomial):
-        m = F.spec.m
-        if m == 0:
-            return 0.0
-        if m == 1:
-            return dir_consts[0]
-        if x_path is None or grid is None:
-            raise ValueError("a path and grid are required for degree >= 2")
-        u_vals = np.stack(
-            [pwz_integral(odot(u, k1), x_path, grid) for u in factors], axis=-1
-        )
-        total = np.zeros(u_vals.shape[:-1])
-        for l in range(m):
-            term = np.full(u_vals.shape[:-1], dir_consts[l])
-            for j in range(m):
-                if j != l:
-                    term = term * u_vals[..., j]
-            total = total + term
-        return float(total) if total.ndim == 0 else total
+    if isinstance(F, Monomial) and F.spec.m <= 1:
+        return dir_consts[0] if dir_consts else 0.0
     if x_path is None or grid is None:
         raise ValueError("a path and grid are required for this functional")
-    u_val = pwz_integral(odot(factors[0], k1), x_path, grid)
-    if isinstance(F, ExpLinear):
-        return F.c * dir_consts[0] * np.exp(F.c * u_val)
-    return -np.sin(u_val) * dir_consts[0]
+    v = _factor_stack([odot(u, k1) for u in factors], x_path, grid)
+    return _variation_at(F, v, dir_consts)
 
 
 def cameron_storvick_residual(
@@ -396,9 +417,10 @@ def cameron_storvick_residual(
     stochastic integrals of explicit elements via the kernel-transport
     identity, so both sides are exact finite expressions.
     """
-    spec = F.spec if isinstance(F, Monomial) else F
-    if not isinstance(spec, MonomialSpec):
+    F = _as_functional(F)
+    if not isinstance(F, Monomial):
         raise UnsupportedFunctional("closed-form residual needs a monomial")
+    spec = F.spec
     param = ComplexParam.feynman(q)
     els = spec.elements()
     base = [as_cm(odot(u, k1)) for u in els]

@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cameron_martin import CMElement, SuppElement, as_cm, cm_inner, inner_with_a, odot
-from .errors import BadDomain, ProfileMismatch, UnsupportedFunctional
+from .errors import BadDomain, ProfileMismatch
 from .feynman import (
-    CosLinear,
     ExpLinear,
     FunctionalSpec,
-    Monomial,
-    MonomialSpec,
+    _as_functional,
     _linear_factors,
+    _value_at,
+    _variation_at,
 )
 from .paths import DEFAULT_GRID_N, TimeGrid, left_density, stream_increments
 
@@ -119,47 +119,6 @@ def _functional_assumptions(F: FunctionalSpec) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def _factor_values(F: FunctionalSpec, cols: np.ndarray, consts, scale: float):
-    """Per-factor path values scale*cols[:, j] + consts[j]."""
-    m = cols.shape[1]
-    return [scale * cols[:, j] + consts[j] for j in range(m)]
-
-
-def _functional_of(F: FunctionalSpec, factor_vals, n: int):
-    if isinstance(F, Monomial):
-        out = np.ones(n)
-        for v in factor_vals:
-            out = out * v
-        return out
-    v = factor_vals[0]
-    if isinstance(F, ExpLinear):
-        return np.exp(F.c * v)
-    if isinstance(F, CosLinear):
-        return np.cos(v)
-    raise UnsupportedFunctional("unknown functional %r" % (F,))
-
-
-def _variation_of(F: FunctionalSpec, factor_vals, dir_consts, dir_scale: float, n: int):
-    """Per-path first variation with precomputed direction scalars."""
-    if isinstance(F, Monomial):
-        m = len(factor_vals)
-        total = np.zeros(n)
-        for l in range(m):
-            term = np.full(n, dir_scale * dir_consts[l])
-            for j in range(m):
-                if j != l:
-                    term = term * factor_vals[j]
-            total += term
-        return total
-    v = factor_vals[0]
-    d = dir_scale * dir_consts[0]
-    if isinstance(F, ExpLinear):
-        return F.c * d * np.exp(F.c * v)
-    if isinstance(F, CosLinear):
-        return -np.sin(v) * d
-    raise UnsupportedFunctional("unknown functional %r" % (F,))
-
-
 def _report(vals, n, grid, seed, t0, assumptions=()):
     mean, se = _mean_se(vals)
     return MCReport(
@@ -218,9 +177,7 @@ def mc_fsi(
     if not factors:
         vals = np.ones(n)
     else:
-        cols = _pwz_columns(factors, profile, grid, n, seed)
-        fv = _factor_values(F, cols, np.zeros(len(factors)), lam**-0.5)
-        vals = _functional_of(F, fv, n)
+        vals = _value_at(F, lam**-0.5 * _pwz_columns(factors, profile, grid, n, seed))
     return _report(vals, n, grid, seed, t0, _functional_assumptions(F))
 
 
@@ -251,10 +208,9 @@ def verify_translation(
     t0 = time.perf_counter()
     elements = [odot(u, k1) for u in factors] + [theta_k2]
     cols = _pwz_columns(elements, profile, grid, n, seed)
-    m = len(factors)
-    lhs_vals = _functional_of(F, _factor_values(F, cols[:, :m], shift_consts, 1.0), n)
-    plain = _functional_of(F, _factor_values(F, cols[:, :m], np.zeros(m), 1.0), n)
-    rhs_vals = weight * plain * np.exp(cols[:, m])
+    v = cols[:, :-1]
+    lhs_vals = _value_at(F, v + shift_consts)
+    rhs_vals = weight * _value_at(F, v) * np.exp(cols[:, -1])
     return _identity_report(
         lhs_vals, rhs_vals, n, grid, seed, threshold, t0, _functional_assumptions(F)
     )
@@ -277,7 +233,10 @@ def verify_parts(
     rho = float(rho)
     if not rho > 0.0:
         raise BadDomain("rho must be positive, got %r" % rho)
-    return _parts_engine(F, theta, k1, k2, rho, rho, 1.0, n, seed, grid, threshold)
+    lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, rho, n, seed, grid)
+    return _identity_report(
+        lhs_vals, rhs_vals, n, grid, seed, threshold, t0, _functional_assumptions(F)
+    )
 
 
 def verify_cs_precursor(
@@ -294,41 +253,44 @@ def verify_cs_precursor(
     """Real-lambda precursor of the Cameron-Storvick identity: the
     variation at lambda^{-1/2}-scaled paths (direction unscaled) against
     lambda-weighted product and lambda^{1/2}-weighted plain means.
-    Reduces to verify_parts at lambda = 1."""
+
+    The variation is linear in its direction, so this is integration by
+    parts at rho = lambda^{-1/2} with both sides scaled by lambda^{1/2}:
+    it carries the same sigma_ratio as verify_parts at that rho, for
+    every functional."""
     lam = float(lambda_real)
     if not lam > 0.0:
         raise BadDomain("lambda must be a positive real, got %r" % lambda_real)
-    if isinstance(F, MonomialSpec):
-        F = Monomial(F)
-    if not isinstance(F, Monomial):
-        raise UnsupportedFunctional("the precursor check is defined for monomials")
-    return _parts_engine(
-        F, theta, k1, k2, lam**-0.5, 1.0, lam**0.5, n, seed, grid, threshold
+    lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, lam**-0.5, n, seed, grid)
+    root = lam**0.5
+    return _identity_report(
+        root * lhs_vals, root * rhs_vals, n, grid, seed, threshold, t0,
+        _functional_assumptions(F),
     )
 
 
-def _parts_engine(
-    F, theta, k1, k2, arg_scale, dir_scale, rhs_prefactor, n, seed, grid, threshold
-):
+def _parts_engine(F, theta, k1, k2, rho, n, seed, grid):
+    """Per-path sides of integration by parts at path scale rho, with the
+    grid used and the start time: the variation of F at rho-scaled paths
+    in direction rho Z_{k2}(theta (.) k1, .), and
+    ((theta (.) k2, x)~ - (theta (.) k2, a)) F at the same paths."""
+    F = _as_functional(F)
     profile = _functional_profile(F)
     _require_profiles(profile, theta, k1, k2)
     grid = _default_grid(profile, F, [theta, k1, k2], grid)
     factors = _linear_factors(F)
     theta_k1 = odot(theta, k1)
     theta_k2 = as_cm(odot(theta, k2))
-    dir_consts = [cm_inner(odot(u, k2), theta_k1) for u in factors]
+    d = [rho * cm_inner(odot(u, k2), theta_k1) for u in factors]
     pairing_a = inner_with_a(theta_k2)
 
     t0 = time.perf_counter()
     elements = [odot(u, k1) for u in factors] + [theta_k2]
     cols = _pwz_columns(elements, profile, grid, n, seed)
-    m = len(factors)
-    fv = _factor_values(F, cols[:, :m], np.zeros(m), arg_scale)
-    lhs_vals = _variation_of(F, fv, dir_consts, dir_scale, n)
-    rhs_vals = rhs_prefactor * (cols[:, m] - pairing_a) * _functional_of(F, fv, n)
-    return _identity_report(
-        lhs_vals, rhs_vals, n, grid, seed, threshold, t0, _functional_assumptions(F)
-    )
+    v = rho * cols[:, :-1]
+    lhs_vals = _variation_at(F, v, d)
+    rhs_vals = (cols[:, -1] - pairing_a) * _value_at(F, v)
+    return lhs_vals, rhs_vals, grid, t0
 
 
 def _require_profiles(profile, *elements):

@@ -1,11 +1,14 @@
 import json
 import os
+import pathlib
 
 import pytest
 
 from feynpath.cli import run, load_config, _json_17g
 from feynpath.errors import ConfigError
 
+
+STD_JSON = pathlib.Path(__file__).resolve().parents[1] / "configs" / "std.json"
 
 UNIT = {"breakpoints": [0.0, 1.0], "coeffs": [[1.0]]}
 RAMP = {"breakpoints": [0.0, 1.0], "coeffs": [[0.0, 1.0]]}
@@ -272,3 +275,56 @@ def test_verify_selected_check_indices(tmp_path, capsys):
     code = run(["verify", "--config", path, "--check", "0", "1", "--output-dir", str(out)])
     summary = json.loads(capsys.readouterr().out)
     assert code == 0 and summary["checks_run"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, config_seed",
+    [
+        (["feynman", "--q", "1", "--monomial", "m=abc"], 42),
+        (["feynman", "--q", "1", "--monomial", "m=-1"], 42),
+        (["verify", "--all", "--seed", "-1"], 42),
+        (["verify", "--all"], 2**64),
+        (["verify", "--check", "9"], 42),
+        (["verify", "--all", "--n", "0"], 42),
+        (["verify", "--all", "--grid", "0"], 42),
+    ],
+    ids=["monomial-not-int", "monomial-negative", "seed-negative", "config-seed-2^64",
+         "check-out-of-range", "n-zero", "grid-zero"],
+)
+def test_bad_input_is_a_config_error(tmp_path, capsys, argv, config_seed):
+    cfg = std_config(n=200, grid=32)
+    cfg["seed"] = config_seed
+    out = tmp_path / "o"
+    argv = argv + ["--config", write_config(tmp_path, cfg)]
+    if argv[0] == "verify":
+        argv += ["--output-dir", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not (out / "ledger.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "functional",
+    [{"type": "cos_linear", "w0": "theta"}, {"type": "exp_linear", "w0": "theta",
+                                             "c": {"re": 0.0, "im": 1.0}}],
+    ids=["cos_linear", "exp_linear"],
+)
+def test_verify_cs_takes_any_functional(tmp_path, capsys, functional):
+    cfg = std_config(n=2000, grid=128)
+    cfg["checks"] = [dict(cfg["checks"][4], functional=functional)]
+    out = tmp_path / "o"
+    code = run(["verify", "--all", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0 and summary["all_pass"] and summary["checks_run"] == 1
+
+
+def test_shipped_std_config_runs(tmp_path, capsys):
+    code = run(["verify", "--all", "--config", str(STD_JSON), "--n", "2000", "--grid", "128",
+                "--output-dir", str(tmp_path)])
+    capsys.readouterr()
+    rows = (tmp_path / "ledger.csv").read_text().splitlines()[1:]
+    assert code == 0
+    assert len(rows) == 7
+    assert all(row.endswith(",true") for row in rows)

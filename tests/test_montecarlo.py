@@ -35,6 +35,15 @@ N_SMALL = 8000
 GRID_SMALL = 256
 
 
+# Functionals of the std elements, for the identities that take any F.
+FUNCTIONALS = {
+    "m1": lambda theta, k1, k2: Monomial(MonomialSpec(theta, (k1,))),
+    "m2": lambda theta, k1, k2: Monomial(MonomialSpec(theta, (k1, k2))),
+    "cos": lambda theta, k1, k2: CosLinear(theta),
+    "exp1j": lambda theta, k1, k2: ExpLinear(theta, 1j),
+}
+
+
 @pytest.fixture
 def ctx(standard, std_elements):
     theta, k1, k2 = std_elements
@@ -156,6 +165,16 @@ def test_parts_scaled_monomial(ctx):
     assert report.sigma_ratio < 3.0
 
 
+@pytest.mark.parametrize("rho", [0.5, 2.0])
+@pytest.mark.parametrize("kind", ["cos", "exp1j"])
+def test_parts_scaled_bounded_functional(ctx, kind, rho):
+    # unlike a monomial's, the sides of these do not scale as a power of rho
+    profile, theta, k1, k2, grid = ctx
+    F = FUNCTIONALS[kind](theta, k1, k2)
+    report = verify_parts(F, theta, k1, k2, rho, N_SMALL, 47, grid=grid)
+    assert report.passed
+
+
 def test_parts_rejects_nonpositive_rho(ctx):
     profile, theta, k1, k2, grid = ctx
     F = Monomial(MonomialSpec(theta, (k1,)))
@@ -171,6 +190,21 @@ def test_cs_precursor_reduces_to_parts_at_unit_lambda(ctx):
     assert precursor.lhs.estimate == parts.lhs.estimate
     assert precursor.rhs.estimate == parts.rhs.estimate
     assert precursor.sigma_ratio == parts.sigma_ratio
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, 9.0])
+@pytest.mark.parametrize("kind", sorted(FUNCTIONALS))
+def test_cs_precursor_is_rescaled_parts(ctx, kind, lam):
+    # the variation is linear in its direction, so the precursor at lambda
+    # is integration by parts at rho = lambda^{-1/2}, both sides times
+    # lambda^{1/2}: the same statistic for every functional
+    profile, theta, k1, k2, grid = ctx
+    F = FUNCTIONALS[kind](theta, k1, k2)
+    parts = verify_parts(F, theta, k1, k2, lam**-0.5, N_SMALL, 57, grid=grid)
+    precursor = verify_cs_precursor(F, theta, k1, k2, lam, N_SMALL, 57, grid=grid)
+    assert precursor.sigma_ratio == pytest.approx(parts.sigma_ratio, rel=0, abs=1e-12)
+    for got, want in ((precursor.lhs, parts.lhs), (precursor.rhs, parts.rhs)):
+        assert got.estimate * lam**-0.5 == pytest.approx(want.estimate, rel=1e-12)
 
 
 def test_cs_precursor_lambda_four(ctx):
