@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -98,9 +99,31 @@ def _json_17g(value, indent=0):
     raise ConfigError("cannot serialize %r" % (value,))
 
 
-def _complex_from(obj, where):
-    _expect_keys(obj, where, ("re", "im"))
-    return complex(float(obj["re"]), float(obj["im"]))
+def _number(value, where, integral=False):
+    """A JSON number, not a boolean: a finite float, or with ``integral``
+    an int (a whole float such as 1e5 counts, a fractional one does not)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if integral and isinstance(value, int):
+            return value
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and (not integral or x.is_integer()):
+            return int(x) if integral else x
+    raise ConfigError("%s must be %s, got %r"
+                      % (where, "an integer" if integral else "a finite number", value))
+
+
+def _seed(value, where):
+    if isinstance(value, bool) or not (isinstance(value, int) and 0 <= value < 2**64):
+        raise ConfigError("%s must be an integer in [0, 2^64), got %r" % (where, value))
+    return value
+
+
+def _complex_from(obj, where, optional=()):
+    _expect_keys(obj, where, ("re", "im"), optional)
+    return complex(_number(obj["re"], where + ".re"), _number(obj["im"], where + ".im"))
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +164,9 @@ def _parse_profile(name, obj) -> ProfilePair:
     _expect_keys(obj, where, ("T", "a_prime", "b_prime"))
     a = _parse_poly(obj["a_prime"], where + ".a_prime")
     b = _parse_poly(obj["b_prime"], where + ".b_prime")
+    T = _number(obj["T"], where + ".T")
     try:
-        return build_profile(a, b, float(obj["T"]))
+        return build_profile(a, b, T)
     except FeynpathError as exc:
         raise ConfigError("%s: %s" % (where, exc)) from exc
 
@@ -176,6 +200,26 @@ _CHECK_KEYS = {
     "verify-recurrence": (("theta", "ks", "q"), ()),
 }
 _CHECK_COMMON = ("kind", "name", "n_paths", "seed", "grid_size")
+_CHECK_FLOATS = ("q", "rho", "lambda")
+_CHECK_COUNTS = ("n_paths", "grid_size")
+
+
+def _expectation(expect, where):
+    """(reference value, tolerance) of a feynman check's ``expect``."""
+    ref = _complex_from(expect, where, optional=("tol",))
+    return ref, _number(expect.get("tol", 1e-10), where + ".tol")
+
+
+def _simulate_target(config: ExperimentConfig, check: dict, where):
+    """(profile name, format) of a simulate check; the profile defaults to
+    the config's first."""
+    pname = check.get("profile") or next(iter(config.profiles), None)
+    if pname not in config.profiles:
+        raise ConfigError("%s: unknown profile %r" % (where, pname))
+    fmt = check.get("format", "csv")
+    if fmt not in ("csv", "bin"):
+        raise ConfigError("%s: simulate format must be 'csv' or 'bin', got %r" % (where, fmt))
+    return pname, fmt
 
 
 def load_config(path) -> ExperimentConfig:
@@ -193,14 +237,13 @@ def load_config(path) -> ExperimentConfig:
         ("seed", "profiles", "elements", "checks"),
         ("n_paths", "grid_size", "output_dir"),
     )
-    if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
-        raise ConfigError("config.seed must be an integer (no silent nondeterminism)")
 
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     config = ExperimentConfig(
-        seed=int(raw["seed"]),
-        n_paths=int(raw.get("n_paths", 10000)),
-        grid_size=int(raw.get("grid_size", DEFAULT_GRID_N)),
+        seed=_seed(raw["seed"], "config.seed"),
+        n_paths=_number(raw.get("n_paths", 10000), "config.n_paths", integral=True),
+        grid_size=_number(raw.get("grid_size", DEFAULT_GRID_N), "config.grid_size",
+                          integral=True),
         output_dir=str(raw.get("output_dir", "out")),
         profiles={},
         elements={},
@@ -230,6 +273,15 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError("%s: unknown kind %r" % (where, kind))
         required, optional = _CHECK_KEYS[kind]
         _expect_keys(obj, where, required + ("kind",), optional + _CHECK_COMMON)
+        for key in _CHECK_FLOATS + _CHECK_COUNTS:
+            if key in obj:
+                _number(obj[key], "%s.%s" % (where, key), integral=key in _CHECK_COUNTS)
+        if "seed" in obj:
+            _seed(obj["seed"], where + ".seed")
+        if "expect" in obj:
+            _expectation(obj["expect"], where + ".expect")
+        if kind == "simulate":
+            _simulate_target(config, obj, where)
         config.checks.append(obj)
     return config
 
@@ -245,10 +297,8 @@ def _check_scalars(config: ExperimentConfig, check: dict, overrides: dict):
         layers = (overrides.get(key), check.get(key), getattr(config, key))
         return next(v for v in layers if v is not None)
 
-    n, seed, grid_n = pick("n_paths"), pick("seed"), pick("grid_size")
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
-        raise ConfigError("seed must be an integer in [0, 2^64), got %r" % (seed,))
-    if int(n) < 1 or int(grid_n) < 1:
+    n, seed, grid_n = pick("n_paths"), _seed(pick("seed"), "seed"), pick("grid_size")
+    if n < 1 or grid_n < 1:
         raise ConfigError("n_paths and grid_size must be positive, got %r and %r"
                           % (n, grid_n))
     return int(n), seed, int(grid_n)
@@ -261,19 +311,15 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
     result = {"name": name, "kind": kind, "n_paths": n, "seed": seed, "grid_size": grid_n}
 
     if kind == "simulate":
-        pname = check.get("profile") or next(iter(config.profiles))
+        pname, fmt = _simulate_target(config, check, name)
         profile = config.profiles[pname]
         grid = TimeGrid.build(profile, [e for e, _ in config.elements.values()], n=grid_n)
         ensemble = sample_gbmp_paths(profile, grid, n, seed)
-        fmt = check.get("format", "csv")
-        out = check.get("out", "%s.%s" % (name, "bin" if fmt == "bin" else "csv"))
-        dest = os.path.join(out_dir, out)
+        dest = os.path.join(out_dir, check.get("out", "%s.%s" % (name, fmt)))
         if fmt == "bin":
             ensemble.to_binary(dest)
-        elif fmt == "csv":
-            ensemble.to_csv(dest)
         else:
-            raise ConfigError("simulate format must be 'csv' or 'bin'")
+            ensemble.to_csv(dest)
         result.update({"profile": pname, "written": dest, "pass": True})
         row = mc.ledger_row(name, config.config_hash, lhs=0.0, rhs=0.0,
                             n=n, grid=grid.N, seed=seed, passed=True)
@@ -294,9 +340,7 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
         )
         expect = check.get("expect")
         if expect is not None:
-            _expect_keys(expect, "checks.expect", ("re", "im"), ("tol",))
-            ref = complex(float(expect["re"]), float(expect["im"]))
-            tol = float(expect.get("tol", 1e-10))
+            ref, tol = _expectation(expect, "checks.expect")
             passed = abs(value - ref) <= tol
         else:
             ref = value
@@ -388,7 +432,7 @@ def _cmd_validate_profile(args) -> int:
             _expect_keys(raw, "profile", ("T", "a_prime", "b_prime"))
             a = _parse_poly(raw["a_prime"], "a_prime")
             b = _parse_poly(raw["b_prime"], "b_prime")
-            profile = ProfilePair.from_derivatives(a, b, float(raw["T"]))
+            profile = ProfilePair.from_derivatives(a, b, _number(raw["T"], "T"))
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -429,14 +473,11 @@ def _cmd_simulate(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     overrides = _overrides(args)
-    check = {
-        "kind": "simulate",
-        "name": "simulate",
-        "profile": args.profile or next(iter(config.profiles)),
-    }
+    check = {"kind": "simulate", "name": "simulate", "profile": args.profile}
     if args.out:
         check["out"] = os.path.basename(args.out)
         check["format"] = "bin" if args.out.endswith(".bin") else "csv"
+    _simulate_target(config, check, "simulate")
     out_dir = os.path.dirname(args.out) or "." if args.out else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     row, result = run_check(config, 0, check, overrides, out_dir)
@@ -585,3 +626,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -17,8 +17,8 @@ Randomness is counter-based: path rows are organized in fixed blocks of
 stream keyed by (seed, j).  Ensembles are therefore bit-identical for a
 given (seed, grid, n_paths) regardless of scheduling, and the first n
 rows do not change when more paths are requested.  The same keying lets
-the projected stream run its blocks on a thread pool with results that
-do not depend on the number of threads.
+the projected and the materializing streams run their blocks on a thread
+pool with results that do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -100,11 +100,14 @@ class PathEnsemble:
         return self.values.shape[0]
 
     def to_csv(self, path):
-        """First row is the node times, then one row per path."""
+        """First row is the node times, then one row per path.  Every
+        value is written as %.17g, which reads back as the same double."""
+        row = ",".join(["%.17g"] * (self.grid.N + 1)) + "\n"
         with open(path, "w") as fh:
-            fh.write(",".join("%.17g" % t for t in self.grid.nodes) + "\n")
-            for row in self.values:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            fh.write(row % tuple(self.grid.nodes.tolist()))
+            for r0 in range(0, self.n_paths, _SUB_ROWS):
+                block = self.values[r0 : r0 + _SUB_ROWS]
+                fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
     def to_binary(self, path):
         """Compact layout: magic, N, n_paths, seed (little-endian u64),
@@ -112,20 +115,32 @@ class PathEnsemble:
         with open(path, "wb") as fh:
             fh.write(_BINARY_MAGIC)
             fh.write(struct.pack("<QQQ", self.grid.N, self.n_paths, self.seed))
-            fh.write(self.grid.nodes.astype("<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(self.grid.nodes, dtype="<f8"))
+            fh.write(np.ascontiguousarray(self.values, dtype="<f8"))
 
     @staticmethod
     def read_binary(path):
-        """Returns (nodes, values, seed); the profile is not serialized."""
+        """Returns (nodes, values, seed); the profile is not serialized.
+        Raises ValueError unless the file size matches its header."""
         with open(path, "rb") as fh:
             magic = fh.read(8)
             if magic != _BINARY_MAGIC:
                 raise ValueError("not an ensemble file (bad magic %r)" % magic)
-            n_int, n_paths, seed = struct.unpack("<QQQ", fh.read(24))
-            nodes = np.frombuffer(fh.read(8 * (n_int + 1)), dtype="<f8")
-            values = np.frombuffer(fh.read(8 * n_paths * (n_int + 1)), dtype="<f8")
-        return nodes.copy(), values.reshape(n_paths, n_int + 1).copy(), seed
+            size = os.fstat(fh.fileno()).st_size
+            header = fh.read(24)
+            if len(header) != 24:
+                raise ValueError("ensemble file has %d bytes, expected at least 32" % size)
+            n_int, n_paths, seed = struct.unpack("<QQQ", header)
+            count = n_paths * (n_int + 1)
+            expected = 32 + 8 * (n_int + 1 + count)
+            if size != expected:
+                raise ValueError(
+                    "ensemble file has %d bytes, expected %d for N = %d and %d paths"
+                    % (size, expected, n_int, n_paths)
+                )
+            nodes = np.fromfile(fh, dtype="<f8", count=n_int + 1)
+            values = np.fromfile(fh, dtype="<f8", count=count)
+        return nodes, values.reshape(n_paths, n_int + 1), seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +170,7 @@ def increment_moments(profile: ProfilePair, grid: TimeGrid):
 
 
 def stream_increments(
-    profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int, onto=None
+    profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int, onto=None, out=None
 ):
     """Yield (first_path_index, increments) chunks of the path ensemble.
 
@@ -167,16 +182,24 @@ def stream_increments(
     (first_path_index, columns) instead: the increments projected onto
     the c columns, computed straight from the normals as
     ``z @ (sqrt(db) * onto) + da @ onto`` without building the increments.
-    The blocks then run on a thread pool with one worker per usable CPU,
-    and the columns are fresh arrays, bit-identical for any worker count.
+    The columns are fresh arrays.
+
+    With ``out``, an (n_paths, N) float64 array whose rows may be strided
+    (such as ``values[:, 1:]``), each chunk's increments are written
+    straight into its rows of ``out`` and the chunks are
+    (first_path_index, view of those rows of out).
+
+    With ``onto`` or ``out`` the blocks run on a thread pool with one
+    worker per usable CPU, bit-identical for any worker count and to the
+    serial form.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     _check_seed(seed)
     da, db = increment_moments(profile, grid)
     sdb = np.sqrt(db)
-    if onto is not None:
-        yield from _projected_blocks(da, sdb, onto, n_paths, seed)
+    if onto is not None or out is not None:
+        yield from _filled_blocks(da, sdb, n_paths, seed, onto=onto, out=out)
         return
     n_steps = grid.N
     z = np.empty((min(CHUNK_PATHS, n_paths), n_steps))
@@ -200,44 +223,63 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _projected_blocks(da, sdb, onto, n_paths, seed, workers=None):
-    """Yield (p0, columns) per block, in block order.
+def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, workers=None):
+    """Yield (p0, rows) per block, in block order, for exactly one of
+    ``onto`` (rows are fresh projected columns) or ``out`` (rows are a
+    view of the block's rows of out, holding its increments).
 
     Each block's Philox stream fills a per-worker _SUB_ROWS x N scratch
-    buffer one sub-block at a time; numpy continues the stream across the
-    fills, so the normals equal those of one whole-block fill.  Workers
-    run numpy only, and a block's arithmetic does not depend on which
-    worker runs it, so any ``workers`` gives the same bits.
+    buffer z one sub-block at a time; numpy continues the stream across
+    the fills, so the normals equal those of one whole-block fill.  Each
+    sub-block becomes ``op(z, factor) + shift`` in its destination rows:
+    ``z @ (sqrt(db) * onto) + da @ onto`` or ``z * sqrt(db) + da``, the
+    latter in the serial stream's operation order.  Workers run numpy
+    only, and a block's arithmetic does not depend on which worker runs
+    it, so any ``workers`` gives the same bits.
     """
-    onto = np.asarray(onto, dtype=float)
-    if onto.ndim != 2 or onto.shape[0] != sdb.size:
-        raise ValueError("onto must be an (N, c) matrix over the grid intervals")
-    scaled = sdb[:, None] * onto
-    shift = da @ onto
+    if (onto is None) == (out is None):
+        raise ValueError("give exactly one of onto and out")
+    if onto is not None:
+        onto = np.asarray(onto, dtype=float)
+        if onto.ndim != 2 or onto.shape[0] != sdb.size:
+            raise ValueError("onto must be an (N, c) matrix over the grid intervals")
+        op, factor, shift = np.matmul, sdb[:, None] * onto, da @ onto
+
+        def dest(p0, rows):
+            return np.empty((rows, onto.shape[1]))
+    else:
+        if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                and out.shape == (n_paths, sdb.size)):
+            raise ValueError("out must be an (n_paths, N) float64 array")
+        op, factor, shift = np.multiply, sdb, da
+
+        def dest(p0, rows):
+            return out[p0 : p0 + rows]
+
     starts = range(0, n_paths, CHUNK_PATHS)
     sub = min(_SUB_ROWS, n_paths)
     scratch = threading.local()
 
-    def project(block):
+    def fill(block):
         p0 = starts[block]
         rows = min(CHUNK_PATHS, n_paths - p0)
         z = getattr(scratch, "z", None)
         if z is None:
             z = scratch.z = np.empty((sub, sdb.size))
         gen = _block_generator(seed, block)
-        cols = np.empty((rows, onto.shape[1]))
+        dst = dest(p0, rows)
         for r0 in range(0, rows, sub):
             r1 = min(r0 + sub, rows)
             gen.standard_normal(out=z[: r1 - r0])
-            np.matmul(z[: r1 - r0], scaled, out=cols[r0:r1])
-        cols += shift
-        return p0, cols
+            op(z[: r1 - r0], factor, out=dst[r0:r1])
+            np.add(dst[r0:r1], shift, out=dst[r0:r1])
+        return p0, dst
 
     if workers is None:
         workers = _usable_cpus()
     workers = max(1, min(workers, len(starts)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(project, range(len(starts)))
+        yield from pool.map(fill, range(len(starts)))
 
 
 def sample_gbmp_paths(
@@ -245,12 +287,14 @@ def sample_gbmp_paths(
 ) -> PathEnsemble:
     """Materialize an ensemble of sampled paths (x(0) = 0).
 
-    Memory is n_paths * (N+1) doubles; use :func:`stream_increments` for
-    estimates over very large ensembles.
+    Memory is n_paths * (N+1) doubles: the blocks fill their increments
+    straight into the rows of the ensemble, which are then summed in
+    place.  Use :func:`stream_increments` for estimates over very large
+    ensembles.
     """
     values = np.zeros((n_paths, grid.N + 1))
-    for p0, inc in stream_increments(profile, grid, n_paths, seed):
-        np.cumsum(inc, axis=1, out=values[p0 : p0 + inc.shape[0], 1:])
+    for _, inc in stream_increments(profile, grid, n_paths, seed, out=values[:, 1:]):
+        np.cumsum(inc, axis=1, out=inc)
     return PathEnsemble(grid=grid, values=values, seed=seed, profile=profile)
 
 

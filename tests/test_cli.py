@@ -277,31 +277,67 @@ def test_verify_selected_check_indices(tmp_path, capsys):
     assert code == 0 and summary["checks_run"] == 2
 
 
+def _set(cfg, key, value):
+    """Set the dotted ``key`` (list indices as numbers) of a config dict."""
+    *parents, last = key.split(".")
+    for part in parents:
+        cfg = cfg[int(part)] if isinstance(cfg, list) else cfg[part]
+    cfg[int(last) if isinstance(cfg, list) else last] = value
+
+
 @pytest.mark.parametrize(
-    "argv, config_seed",
+    "argv, key, value",
     [
-        (["feynman", "--q", "1", "--monomial", "m=abc"], 42),
-        (["feynman", "--q", "1", "--monomial", "m=-1"], 42),
-        (["verify", "--all", "--seed", "-1"], 42),
-        (["verify", "--all"], 2**64),
-        (["verify", "--check", "9"], 42),
-        (["verify", "--all", "--n", "0"], 42),
-        (["verify", "--all", "--grid", "0"], 42),
+        (["feynman", "--q", "1", "--monomial", "m=abc"], None, None),
+        (["feynman", "--q", "1", "--monomial", "m=-1"], None, None),
+        (["verify", "--all", "--seed", "-1"], None, None),
+        (["verify", "--all"], "seed", 2**64),
+        (["verify", "--check", "9"], None, None),
+        (["verify", "--all", "--n", "0"], None, None),
+        (["verify", "--all", "--grid", "0"], None, None),
+        (["verify", "--all"], "n_paths", "abc"),
+        (["verify", "--all"], "n_paths", True),
+        (["verify", "--all"], "n_paths", 2000.5),
+        (["verify", "--all"], "grid_size", "abc"),
+        (["verify", "--all"], "checks.3.n_paths", "abc"),
+        (["verify", "--all"], "checks.3.grid_size", 64.5),
+        (["verify", "--all"], "checks.4.seed", "x"),
+        (["verify", "--all"], "profiles.std.T", "x"),
+        (["verify", "--all"], "checks.3.rho", "x"),
+        (["verify", "--all"], "checks.4.lambda", False),
+        (["verify", "--all"], "checks.1.q", "x"),
+        (["verify", "--all"], "checks.1.q", float("nan")),
+        (["verify", "--all"], "checks.0.expect.re", "x"),
+        (["verify", "--all"], "checks.0.expect.im", None),
+        (["verify", "--all"], "checks.0.expect.tol", "x"),
+        (["verify", "--all"], "checks.4", {"kind": "simulate", "profile": "nosuch"}),
+        (["verify", "--all"], "checks.4", {"kind": "simulate", "format": "parquet"}),
+        (["simulate", "--profile", "nosuch"], None, None),
     ],
     ids=["monomial-not-int", "monomial-negative", "seed-negative", "config-seed-2^64",
-         "check-out-of-range", "n-zero", "grid-zero"],
+         "check-out-of-range", "n-zero", "grid-zero", "n_paths-text", "n_paths-bool",
+         "n_paths-fraction", "grid_size-text", "check-n_paths-text", "check-grid_size-fraction",
+         "check-seed-text",
+         "T-text", "rho-text", "lambda-bool", "q-text", "q-nan", "expect-re-text",
+         "expect-im-null", "expect-tol-text", "simulate-check-unknown-profile",
+         "simulate-check-unknown-format", "simulate-unknown-profile"],
 )
-def test_bad_input_is_a_config_error(tmp_path, capsys, argv, config_seed):
+def test_bad_input_is_a_config_error(tmp_path, capsys, argv, key, value):
     cfg = std_config(n=200, grid=32)
-    cfg["seed"] = config_seed
+    if key is not None:
+        _set(cfg, key, value)
     out = tmp_path / "o"
     argv = argv + ["--config", write_config(tmp_path, cfg)]
     if argv[0] == "verify":
         argv += ["--output-dir", str(out)]
+    if argv[0] == "simulate":
+        argv += ["--out", str(out / "paths.csv")]
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
-    assert not (out / "ledger.csv").exists()
+    if key is not None:
+        assert key.split(".")[-1] in captured.err
+    assert not (out / "ledger.csv").exists() and not (out / "paths.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from feynpath import (
     z_shift_path,
 )
 
-from feynpath.paths import CHUNK_PATHS, _projected_blocks, increment_moments
+from feynpath.paths import CHUNK_PATHS, _SUB_ROWS, _filled_blocks, increment_moments
 
 from conftest import pp, random_poly, random_nonvanishing_poly
 
@@ -99,7 +101,7 @@ def test_projected_stream_is_bit_identical_across_workers(standard, grid256):
     dens = _density_columns(grid256)
     da, db = increment_moments(standard, grid256)
     runs = [
-        np.concatenate([c for _, c in _projected_blocks(da, np.sqrt(db), dens, n, 23, workers=w)])
+        np.concatenate([c for _, c in _filled_blocks(da, np.sqrt(db), n, 23, onto=dens, workers=w)])
         for w in (1, 2, 3, 2)
     ]
     public = np.concatenate([c for _, c in stream_increments(standard, grid256, n, 23, onto=dens)])
@@ -109,6 +111,29 @@ def test_projected_stream_is_bit_identical_across_workers(standard, grid256):
 def test_projected_stream_rejects_misshaped_densities(standard, grid256):
     with pytest.raises(ValueError):
         next(stream_increments(standard, grid256, 10, 1, onto=np.ones((grid256.N + 1, 2))))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_filled_stream_is_bit_identical_to_serial(standard, grid256, workers):
+    n = 2 * CHUNK_PATHS + 301
+    ref = np.zeros((n, grid256.N + 1))
+    for p0, inc in stream_increments(standard, grid256, n, 31):
+        ref[p0 : p0 + inc.shape[0], 1:] = np.cumsum(inc, axis=1)
+    da, db = increment_moments(standard, grid256)
+    values = np.zeros_like(ref)
+    chunks = _filled_blocks(da, np.sqrt(db), n, 31, out=values[:, 1:], workers=workers)
+    for p0, rows in chunks:
+        assert np.shares_memory(rows, values[p0])
+        np.cumsum(rows, axis=1, out=rows)
+    assert np.array_equal(values, ref)
+    assert np.array_equal(sample_gbmp_paths(standard, grid256, n, 31).values, ref)
+
+
+def test_filled_stream_rejects_misshaped_output(standard, grid256):
+    for out in (np.zeros((10, grid256.N + 1)), np.zeros((9, grid256.N)),
+                np.zeros((10, grid256.N), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            next(stream_increments(standard, grid256, 10, 1, out=out))
 
 
 def test_sample_moments_match_profile():
@@ -277,6 +302,47 @@ def test_ensemble_export_round_trip(tmp_path, standard, grid256):
     loaded = np.loadtxt(csv_path, delimiter=",")
     assert np.array_equal(loaded[0], grid256.nodes)
     assert np.array_equal(loaded[1:], ens.values)
+
+
+@pytest.mark.parametrize("n", [1, _SUB_ROWS, _SUB_ROWS + 1])
+def test_csv_matches_per_value_format(tmp_path, standard, n):
+    grid = TimeGrid.build(standard, n=16)
+    ens = sample_gbmp_paths(standard, grid, n, 13)
+    ens.values[0, 1] = -0.0
+    ens.to_csv(tmp_path / "ens.csv")
+    rows = [grid.nodes, *ens.values]
+    ref = "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    assert (tmp_path / "ens.csv").read_text() == ref
+
+
+def test_binary_is_written_without_a_copy(tmp_path, standard):
+    grid = TimeGrid.build(standard, n=2048)
+    ens = sample_gbmp_paths(standard, grid, 1024, 5)
+    assert ens.values.nbytes >= 16 * 2**20
+    tracemalloc.start()
+    try:
+        ens.to_binary(tmp_path / "ens.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [(lambda b: b[:-8], "{full}"), (lambda b: b + bytes(8), "{full}"),
+     (lambda b: b[:20], "at least 32")],
+    ids=["truncated", "over-long", "short-header"],
+)
+def test_read_binary_rejects_wrong_size(tmp_path, standard, edit, expected):
+    ens = sample_gbmp_paths(standard, TimeGrid.build(standard, n=16), 3, 1)
+    path = tmp_path / "ens.bin"
+    ens.to_binary(path)
+    full = path.read_bytes()
+    path.write_bytes(edit(full))
+    message = "has %d bytes, expected %s" % (len(edit(full)), expected.format(full=len(full)))
+    with pytest.raises(ValueError, match=message):
+        PathEnsemble.read_binary(path)
 
 
 def test_seed_validation(standard, grid256):
