@@ -152,11 +152,20 @@ class ExperimentConfig:
 
 
 def _parse_poly(obj, where) -> PiecewisePoly:
+    """A piecewise polynomial whose breakpoints and coefficients are all
+    finite; the error names the offending list."""
     _expect_keys(obj, where, ("breakpoints", "coeffs"))
     try:
-        return PiecewisePoly(obj["breakpoints"], obj["coeffs"])
+        poly = PiecewisePoly(obj["breakpoints"], obj["coeffs"])
     except Exception as exc:
         raise ConfigError("%s: %s" % (where, exc)) from exc
+    named = [("breakpoints", poly.breakpoints)]
+    named += [("coeffs[%d]" % i, c) for i, c in enumerate(poly.coeffs)]
+    for key, values in named:
+        if not np.all(np.isfinite(values)):
+            raise ConfigError("%s.%s must be finite numbers, got %s"
+                              % (where, key, values.tolist()))
+    return poly
 
 
 def _parse_profile(name, obj) -> ProfilePair:
@@ -475,8 +484,11 @@ def _cmd_simulate(args) -> int:
     overrides = _overrides(args)
     check = {"kind": "simulate", "name": "simulate", "profile": args.profile}
     if args.out:
+        suffix = os.path.splitext(args.out)[1].lower()
+        if suffix not in (".csv", ".bin"):
+            raise ConfigError("--out must end in .csv or .bin, got %r" % args.out)
         check["out"] = os.path.basename(args.out)
-        check["format"] = "bin" if args.out.endswith(".bin") else "csv"
+        check["format"] = suffix[1:]
     _simulate_target(config, check, "simulate")
     out_dir = os.path.dirname(args.out) or "." if args.out else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -505,13 +517,16 @@ def _cmd_verify(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
+    # Render every check JSON before anything is written, so a result
+    # that cannot be serialized leaves neither a ledger row nor a file.
     rows = [row for row, _ in outcomes]
+    texts = [_json_17g(_plain(result)) + "\n" for _, result in outcomes]
     mc.append_ledger(os.path.join(out_dir, "ledger.csv"), rows)
     all_pass = True
-    for i, (_, result) in zip(indices, outcomes):
+    for i, (_, result), text in zip(indices, outcomes, texts):
         dest = os.path.join(out_dir, "check_%03d_%s.json" % (i, result["name"]))
         with open(dest, "w") as fh:
-            fh.write(_json_17g(_plain(result)) + "\n")
+            fh.write(text)
         all_pass &= bool(result["pass"])
     summary = {
         "config_hash": config.config_hash,
@@ -575,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--grid", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="destination (.csv or .bin)")
+    p.add_argument("--out", help="destination; its suffix, .csv or .bin in any case, "
+                   "picks the format")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("feynman", help="closed-form monomial Feynman integral")

@@ -13,7 +13,11 @@ Two independent evaluation routes are provided on purpose:
 * :func:`wick_moment` enumerates all partitions of the factor indices
   into singletons and pairs (the Gaussian moment expansion).
 
-Agreement of the two routes is the library's central self-check.
+Both routes consume one shared summary: a :class:`MonomialSpec` builds
+its summary once, with one quadrature per distinct factor and per
+distinct ordered pair of factors.  What stays independent is the
+recurrence against the pairing enumeration, and their agreement is the
+library's central self-check.
 
 All square roots of the complex parameter use the principal branch with
 nonnegative real part, and lambda^{-1/2} is computed as the principal
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,7 +109,18 @@ class MonomialSpec:
         return len(self.ks)
 
     def elements(self) -> list[CMElement]:
-        return [as_cm(odot(self.theta, k)) for k in self.ks]
+        return list(self._elements)
+
+    @cached_property
+    def _elements(self) -> tuple[CMElement, ...]:
+        """odot(theta, k) once per distinct k; repeats share the product."""
+        distinct, slots = _distinct(self.ks)
+        products = [as_cm(odot(self.theta, k)) for k in distinct]
+        return tuple(products[s] for s in slots)
+
+    @cached_property
+    def _summary(self) -> GaussianSummary:
+        return summary_of_elements(self._elements)
 
 
 @dataclass(frozen=True)
@@ -168,59 +184,142 @@ class GaussianSummary:
         return self.mean.size
 
 
+def _distinct(items):
+    """(distinct items, slot of each item among them); equal items, by
+    ``is`` and then ``==``, share the slot of the first one seen."""
+    distinct, slots = [], []
+    for x in items:
+        for s, d in enumerate(distinct):
+            if d is x or d == x:
+                break
+        else:
+            s = len(distinct)
+            distinct.append(x)
+        slots.append(s)
+    return distinct, slots
+
+
 def summary_of_elements(elements) -> GaussianSummary:
     """Gaussian summary of arbitrary Cameron-Martin elements: means from
-    the pairing with a, covariances from the db inner product."""
-    els = [as_cm(e) for e in elements]
-    m = len(els)
-    mean = np.array([inner_with_a(e) for e in els])
+    the pairing with a, covariances from the db inner product.
+
+    One pairing per distinct element and one inner product per distinct
+    ordered pair, with the arguments in the order of its first
+    occurrence in the upper triangle; equal inputs give equal bits, so
+    the result equals the all-pairs computation bit for bit.  The
+    arrays are read-only, as a spec hands out its summary more than once.
+    """
+    distinct, slots = _distinct([as_cm(e) for e in elements])
+    m = len(slots)
+    pairings = [inner_with_a(e) for e in distinct]
+    mean = np.array([pairings[s] for s in slots])
     cov = np.empty((m, m))
+    gram: dict[tuple[int, int], float] = {}
     for i in range(m):
         for j in range(i, m):
-            cov[i, j] = cov[j, i] = cm_inner(els[i], els[j])
-    return GaussianSummary(mean=mean, cov=cov)
+            key = (slots[i], slots[j])
+            if key not in gram:
+                gram[key] = cm_inner(distinct[key[0]], distinct[key[1]])
+            cov[i, j] = cov[j, i] = gram[key]
+    summary = GaussianSummary(mean=mean, cov=cov)
+    summary.mean.flags.writeable = False
+    summary.cov.flags.writeable = False
+    return summary
 
 
 def monomial_summary(spec: MonomialSpec) -> GaussianSummary:
-    return summary_of_elements(spec.elements())
+    """The spec's summary, built on first use and shared afterwards."""
+    return spec._summary
 
 
 # ---------------------------------------------------------------------------
 # Route 1: Gaussian moment expansion (partition enumeration).
+#
+# The partial pairings of indices 0..n-1 split on index 0: first those
+# with 0 as a singleton, then those pairing 0 with p, for p = 1..n-1.
+# The rest of each pairing is a partial pairing of the remaining n - 1
+# or n - 2 indices, in the same order, so a table for n is built from
+# the tables for n - 1 and n - 2.  A table holds one column per
+# pairing: ``pairs`` the flat positions i * n + j (i < j) of its pairs,
+# ``singles`` its singletons, padded with n * n and n, which index a
+# trailing 1.0 in the gathered values.
+
+_WICK_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _partial_pairings(indices):
-    """All ways to split the index tuple into disjoint pairs plus
-    singletons, yielded as (pairs, singles)."""
-    if not indices:
-        yield (), ()
-        return
-    first, rest = indices[0], indices[1:]
-    for pairs, singles in _partial_pairings(rest):
-        yield pairs, (first,) + singles
-    for pos in range(len(rest)):
-        other = rest[pos]
-        remaining = rest[:pos] + rest[pos + 1 :]
-        for pairs, singles in _partial_pairings(remaining):
-            yield ((first, other),) + pairs, singles
+def _wick_blocks(n: int):
+    """(lead, indices) per block of the pairings of range(n): lead None
+    for 0 as a singleton, else the p paired with 0; indices are those
+    the rest of the pairing runs over, ascending."""
+    rest = np.arange(1, n)
+    yield None, rest
+    for p in range(1, n):
+        yield p, np.delete(rest, p - 1)
+
+
+def _wick_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """int8 (pairs, singles) of shape (n // 2, T(n)) and (n, T(n))."""
+    table = _WICK_TABLES.get(n)
+    if table is not None:
+        return table
+    if n == 0:  # the one empty pairing
+        return np.empty((0, 1), np.int8), np.empty((0, 1), np.int8)
+    blocks = [(lead, idx, *_wick_table(idx.size)) for lead, idx in _wick_blocks(n)]
+    size = sum(b[2].shape[1] for b in blocks)
+    pairs = np.empty((n // 2, size), np.int8)
+    singles = np.empty((n, size), np.int8)
+    stop = 0
+    for lead, idx, sub_pairs, sub_singles in blocks:
+        cols = slice(stop, stop + sub_pairs.shape[1])
+        stop = cols.stop
+        to_pair = np.append((idx[:, None] * n + idx).ravel(), n * n).astype(np.int8)
+        to_single = np.append(idx, n).astype(np.int8)
+        if lead is None:
+            pairs[: len(sub_pairs), cols] = to_pair[sub_pairs]
+            pairs[len(sub_pairs) :, cols] = n * n
+            singles[0, cols] = 0
+            singles[1:, cols] = to_single[sub_singles]
+        else:
+            pairs[0, cols] = lead
+            pairs[1:, cols] = to_pair[sub_pairs]
+            singles[: n - 2, cols] = to_single[sub_singles]
+            singles[n - 2 :, cols] = n
+    pairs.flags.writeable = singles.flags.writeable = False
+    if n < MAX_MONOMIAL_DEGREE:
+        _WICK_TABLES[n] = pairs, singles
+    return pairs, singles
 
 
 def gaussian_moment(summary: GaussianSummary) -> float:
     """E[prod X_j] for the summarized Gaussian vector, by enumerating
-    partitions into pair covariances and singleton means."""
-    if summary.m > MAX_MONOMIAL_DEGREE:
+    partitions into pair covariances and singleton means.
+
+    Each term is 1.0 times its pair covariances and then its singleton
+    means, in enumeration order, and the terms are summed in that order
+    from 0.0: a block of pairings at a time, the same arithmetic as one
+    term at a time, so the same bits.
+    """
+    m = summary.m
+    if m > MAX_MONOMIAL_DEGREE:
         raise TooLargeDegree(
             "moment enumeration capped at m = %d" % MAX_MONOMIAL_DEGREE
         )
+    if m == 0:
+        return 1.0
     mean, cov = summary.mean, summary.cov
     total = 0.0
-    for pairs, singles in _partial_pairings(tuple(range(summary.m))):
-        term = 1.0
-        for i, j in pairs:
-            term *= cov[i, j]
-        for i in singles:
-            term *= mean[i]
-        total += term
+    for lead, idx in _wick_blocks(m):
+        pairs, singles = _wick_table(idx.size)
+        pair_vals = np.append(cov[np.ix_(idx, idx)].ravel(), 1.0)
+        single_vals = np.append(mean[idx], 1.0)
+        term = np.full(pairs.shape[1], 1.0 if lead is None else cov[0, lead])
+        for col in pairs:
+            term *= pair_vals[col]
+        if lead is None:
+            term *= mean[0]
+        for col in singles:
+            term *= single_vals[col]
+        total = np.add.accumulate(np.concatenate([[total], term]))[-1]
     return total
 
 

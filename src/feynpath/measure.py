@@ -92,6 +92,8 @@ class ProfilePair:
         return self.b_prime.antiderivative()
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ProfilePair):
             return NotImplemented
         return (

@@ -63,3 +63,36 @@ def product_integral(lo, hi, *polys):
     for p in polys:
         prod = poly_mul(prod, p)
     return poly_integral(prod, lo, hi)
+
+
+def partial_pairings(indices):
+    """All ways to split the index tuple into disjoint pairs plus
+    singletons, yielded as (pairs, singles): first the splits with
+    indices[0] as a singleton, then those pairing it with each later
+    index in turn."""
+    if not indices:
+        yield (), ()
+        return
+    first, rest = indices[0], indices[1:]
+    for pairs, singles in partial_pairings(rest):
+        yield pairs, (first,) + singles
+    for pos in range(len(rest)):
+        other = rest[pos]
+        remaining = rest[:pos] + rest[pos + 1 :]
+        for pairs, singles in partial_pairings(remaining):
+            yield ((first, other),) + pairs, singles
+
+
+def gaussian_moment_loop(mean, cov):
+    """E[prod X_j] one pairing at a time, in floating point: each term is
+    1.0 times its pair covariances and then its singleton means, and the
+    terms are summed in enumeration order from 0.0."""
+    total = 0.0
+    for pairs, singles in partial_pairings(tuple(range(len(mean)))):
+        term = 1.0
+        for i, j in pairs:
+            term *= cov[i, j]
+        for i in singles:
+            term *= mean[i]
+        total += term
+    return total

@@ -364,3 +364,74 @@ def test_shipped_std_config_runs(tmp_path, capsys):
     assert code == 0
     assert len(rows) == 7
     assert all(row.endswith(",true") for row in rows)
+
+
+def test_simulate_format_follows_the_suffix_in_any_case(tmp_path, capsys):
+    path = write_config(tmp_path, std_config())
+    for name, is_binary in (("x.BIN", True), ("y.Bin", True), ("z.CSV", False)):
+        dest = tmp_path / name
+        assert run(["simulate", "--config", path, "--n", "3", "--grid", "8",
+                    "--out", str(dest)]) == 0
+        capsys.readouterr()
+        assert (dest.read_bytes()[:8] == b"GBMPENS1") is is_binary
+        if not is_binary:
+            assert len(dest.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("name", ["x.parquet", "x", "x.csv.gz"])
+def test_simulate_unknown_suffix_is_a_config_error(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    code = run(["simulate", "--config", write_config(tmp_path, std_config()),
+                "--out", str(out / name)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error: ") and captured.out == ""
+    assert "--out" in captured.err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("profiles.std.a_prime.coeffs.0", [0.0, float("inf")], "a_prime.coeffs[0]"),
+        ("profiles.std.a_prime.coeffs.0", [0.0, float("nan")], "a_prime.coeffs[0]"),
+        ("profiles.std.b_prime.coeffs.0", [1.0, float("-inf")], "b_prime.coeffs[0]"),
+        ("profiles.std.b_prime.breakpoints", [0.0, float("inf")], "b_prime.breakpoints"),
+        ("elements.k2.density.coeffs.0", [float("nan"), 1.0], "k2.density.coeffs[0]"),
+    ],
+    ids=["a_prime-inf", "a_prime-nan", "b_prime-inf", "b_prime-breakpoint-inf", "density-nan"],
+)
+def test_non_finite_polynomial_is_a_config_error(tmp_path, capsys, key, value, named):
+    cfg = json.loads(json.dumps(std_config(n=200, grid=32)))  # unshare the polynomials
+    _set(cfg, key, value)
+    out = tmp_path / "o"
+    code = run(["verify", "--all", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error: ") and captured.out == ""
+    assert named in captured.err and "finite" in captured.err
+    assert not out.exists()
+
+
+def test_non_finite_literal_in_config_text_is_rejected(tmp_path, capsys):
+    """1e400 in the file parses to inf and is rejected at load."""
+    text = json.dumps(std_config(n=200, grid=32)).replace("[0.0, 1.0]]", "[0.0, 1e400]]", 1)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert run(["verify", "--check", "0", "--config", str(path),
+                "--output-dir", str(tmp_path / "o")]) == 2
+    assert "a_prime.coeffs[0]" in capsys.readouterr().err
+
+
+def test_failed_verify_leaves_no_partial_output(tmp_path, capsys, monkeypatch):
+    """A result that cannot be written (a non-finite value) fails the run
+    before the ledger or any check JSON is written."""
+    import feynpath.cli as cli
+
+    monkeypatch.setattr(cli, "feynman_monomial", lambda spec, q, audit=None: complex("inf"))
+    cfg = std_config(n=200, grid=32)
+    cfg["checks"] = cfg["checks"][3:4] + cfg["checks"][:1]
+    out = tmp_path / "o"
+    code = run(["verify", "--all", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and "non-finite" in captured.err and captured.out == ""
+    assert os.listdir(out) == []

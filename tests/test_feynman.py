@@ -12,6 +12,7 @@ from feynpath import (
     GaussianSummary,
     Monomial,
     MonomialSpec,
+    PiecewisePoly,
     SuppElement,
     TimeGrid,
     TooLargeDegree,
@@ -32,9 +33,12 @@ from feynpath import (
     wick_moment,
     z_shift_path,
 )
-from feynpath.feynman import feynman_elements
+import feynpath.feynman as feynman_module
+from feynpath.cameron_martin import as_cm
+from feynpath.feynman import feynman_elements, summary_of_elements
 
 from conftest import pp, random_nonvanishing_poly
+from oracles import gaussian_moment_loop
 
 
 @pytest.fixture
@@ -156,6 +160,97 @@ def test_degree_cap():
     s = GaussianSummary(mean=np.zeros(13), cov=np.eye(13))
     with pytest.raises(TooLargeDegree):
         gaussian_moment(s)
+
+
+def _bit_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("m", range(0, 13))
+def test_gaussian_moment_equals_enumeration_loop(m):
+    """The block-vectorized sum has the bits of the one-term-at-a-time
+    loop, sign of zero included: general, zero and negative-zero means,
+    and covariances of repeated factors."""
+    rng = np.random.default_rng(100 + m)
+    a = rng.standard_normal((m, m))
+    repeated = a[rng.integers(0, max(1, m // 2), size=m)] if m else a
+    cases = [
+        (rng.standard_normal(m), a @ a.T),
+        (np.zeros(m), a @ a.T),
+        (-np.zeros(m), np.diag(rng.uniform(0.5, 1.0, m))),
+        (np.repeat(rng.standard_normal(1), m), repeated @ repeated.T),
+    ]
+    for mean, cov in cases:
+        s = GaussianSummary(mean=mean, cov=cov)
+        got, want = gaussian_moment(s), gaussian_moment_loop(s.mean, s.cov)
+        assert _bit_equal(got, want) and type(got) is type(want)
+
+
+def test_wick_tables_are_int8_and_bounded():
+    """The position tables are int8, cached only below the degree cap,
+    and an m = 12 moment still works."""
+    s = GaussianSummary(mean=np.ones(12), cov=np.eye(12))
+    assert gaussian_moment(s) == gaussian_moment_loop(s.mean, s.cov)
+    tables = feynman_module._WICK_TABLES
+    assert tables and max(tables) < feynman_module.MAX_MONOMIAL_DEGREE
+    assert all(t.dtype == np.int8 for pair in tables.values() for t in pair)
+    assert sum(t.nbytes for pair in tables.values() for t in pair) < 2**20
+
+
+def test_summary_of_elements_computes_each_distinct_pair_once(monkeypatch, std_elements):
+    """Repeated and equal-but-distinct elements share one pairing and one
+    inner product per ordered pair, and the summary has the bits of the
+    all-pairs computation."""
+    theta, k1, k2 = std_elements
+    a, b, c = theta, k2.base, odot(k2.base, k2)
+    b_copy = CMElement(PiecewisePoly(b.density.breakpoints, b.density.coeffs), b.profile)
+    els = [a, b, a, c, b_copy, a, k2]
+    slots = [0, 1, 0, 2, 1, 0, 1]
+    m = len(els)
+    want_cov = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            want_cov[i, j] = want_cov[j, i] = cm_inner(els[i], els[j])
+    want_mean = np.array([inner_with_a(e) for e in els])
+
+    calls = {"cm_inner": 0, "inner_with_a": 0}
+
+    def counted_inner(w1, w2):
+        calls["cm_inner"] += 1
+        return cm_inner(w1, w2)
+
+    def counted_pairing(w):
+        calls["inner_with_a"] += 1
+        return inner_with_a(w)
+
+    monkeypatch.setattr(feynman_module, "cm_inner", counted_inner)
+    monkeypatch.setattr(feynman_module, "inner_with_a", counted_pairing)
+    s = summary_of_elements(els)
+    ordered = {(slots[i], slots[j]) for i in range(m) for j in range(i, m)}
+    assert calls["cm_inner"] == len(ordered) and calls["inner_with_a"] == 3
+    assert _bit_equal(s.mean, want_mean) and _bit_equal(s.cov, want_cov)
+    assert not s.mean.flags.writeable and not s.cov.flags.writeable
+
+
+def test_spec_builds_products_and_summary_once(monkeypatch, std_elements):
+    theta, k1, k2 = std_elements
+    k2_copy = SuppElement(CMElement(PiecewisePoly(k2.density.breakpoints, k2.density.coeffs),
+                                    k2.profile))
+    spec = MonomialSpec(theta, (k1, k2, k1, k2_copy, k2))
+    want = [odot(theta, k) for k in spec.ks]
+    fresh = feynman_monomial(MonomialSpec(theta, spec.ks), -2.0)
+    odots = []
+    monkeypatch.setattr(feynman_module, "odot", lambda w, k: odots.append(k) or odot(w, k))
+    els = spec.elements()
+    assert len(odots) == 2 and els[0] is els[2] and els[1] is els[3] is els[4]
+    assert all(e == as_cm(w) for e, w in zip(els, want))
+    summary = monomial_summary(spec)
+    assert monomial_summary(spec) is summary and len(odots) == 2
+    calls = []
+    monkeypatch.setattr(feynman_module, "cm_inner", lambda *a: calls.append(a))
+    value = feynman_monomial(spec, -2.0)
+    assert calls == [] and value == fresh
 
 
 # -- Feynman monomials -------------------------------------------------------

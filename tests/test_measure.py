@@ -141,3 +141,18 @@ def test_profile_equality_semantics(standard, wiener):
     again = build_profile(pp([0.0, 1.0]), pp([1.0, 1.0]), 1.0)
     assert standard == again
     assert standard != wiener
+
+
+def test_profile_equality_is_identity_first(standard, monkeypatch):
+    """A profile equals itself without comparing its densities; an equal
+    copy is still compared piece by piece."""
+    from feynpath import PiecewisePoly
+
+    compared = []
+    original = PiecewisePoly.__eq__
+    monkeypatch.setattr(PiecewisePoly, "__eq__",
+                        lambda self, other: compared.append(1) or original(self, other))
+    assert standard == standard and not standard != standard
+    assert compared == []
+    assert standard == build_profile(pp([0.0, 1.0]), pp([1.0, 1.0]), 1.0)
+    assert len(compared) == 2
