@@ -11,7 +11,6 @@ byte-identical CSV ledgers.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -19,6 +18,11 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:  # CPython's built-in SHA-256: hashlib would load OpenSSL, about 3 MiB
+    from _sha256 import sha256  # resident, for one digest per config
+except ImportError:
+    from hashlib import sha256
 
 from . import montecarlo as mc
 from .cameron_martin import CMElement, SuppElement, odot
@@ -141,6 +145,9 @@ class ExperimentConfig:
     checks: list
     config_hash: str
     raw: dict = field(repr=False)
+    # Built once per key and shared by every check of this config.
+    _supps: dict = field(default_factory=dict, init=False, repr=False)
+    _specs: dict = field(default_factory=dict, init=False, repr=False)
 
     def element(self, name) -> CMElement:
         if name not in self.elements:
@@ -148,7 +155,19 @@ class ExperimentConfig:
         return self.elements[name][0]
 
     def supp(self, name) -> SuppElement:
-        return SuppElement(self.element(name))
+        if name not in self._supps:
+            self._supps[name] = SuppElement(self.element(name))
+        return self._supps[name]
+
+    def spec(self, theta, ks) -> MonomialSpec:
+        """The monomial over the named elements, one per (theta, ks) in
+        order: a permuted ks is its own spec, since the order of the
+        inner products can change their rounding."""
+        key = (theta, tuple(ks))
+        if key not in self._specs:
+            self._specs[key] = MonomialSpec(self.element(theta),
+                                            tuple(self.supp(k) for k in key[1]))
+        return self._specs[key]
 
 
 def _parse_poly(obj, where) -> PiecewisePoly:
@@ -185,8 +204,7 @@ def _parse_functional(obj, where, config: ExperimentConfig):
     kind = obj["type"]
     if kind == "monomial":
         _expect_keys(obj, where, ("type", "theta", "ks"))
-        ks = tuple(config.supp(k) for k in obj["ks"])
-        return Monomial(MonomialSpec(config.element(obj["theta"]), ks))
+        return Monomial(config.spec(obj["theta"], obj["ks"]))
     if kind == "exp_linear":
         _expect_keys(obj, where, ("type", "w0", "c"), ("allow_unbounded",))
         return ExpLinear(
@@ -257,7 +275,7 @@ def load_config(path) -> ExperimentConfig:
         profiles={},
         elements={},
         checks=[],
-        config_hash=hashlib.sha256(canonical).hexdigest()[:12],
+        config_hash=sha256(canonical).hexdigest()[:12],
         raw=raw,
     )
     for name, obj in raw["profiles"].items():
@@ -335,9 +353,7 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
         return row, result
 
     if kind == "feynman":
-        spec = MonomialSpec(
-            config.element(check["theta"]), tuple(config.supp(k) for k in check["ks"])
-        )
+        spec = config.spec(check["theta"], check["ks"])
         audit: list = []
         value = feynman_monomial(spec, float(check["q"]), audit=audit)
         result.update(
@@ -360,9 +376,7 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
         return row, result
 
     if kind == "verify-recurrence":
-        spec = MonomialSpec(
-            config.element(check["theta"]), tuple(config.supp(k) for k in check["ks"])
-        )
+        spec = config.spec(check["theta"], check["ks"])
         value = feynman_monomial(spec, float(check["q"]))
         oracle = wick_moment(monomial_summary(spec), ComplexParam.feynman(float(check["q"])))
         err = abs(value - oracle) / max(1.0, abs(oracle))
@@ -459,7 +473,7 @@ def _cmd_feynman(args) -> int:
         else:
             m = _parse_monomial_arg(args.monomial) if args.monomial else 2
             ks = ["k%d" % (j + 1) for j in range(m)]
-        spec = MonomialSpec(config.element(theta), tuple(config.supp(k) for k in ks))
+        spec = config.spec(theta, ks)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -610,12 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--output-dir")
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="accepted for compatibility; checks run one after another, and "
-        "each check already spreads its path blocks over every usable CPU",
-    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("report", help="summarize a ledger CSV")

@@ -5,8 +5,9 @@ mean function with density a' and b is the strictly increasing variance
 function with density b' > 0, both anchored at 0.  Integrals against the
 measures da, db, d|a| and d[b + |a|] reduce to weighted dt-integrals with
 piecewise-polynomial weights a', b', |a'| and b' + |a'|, evaluated by
-16-node Gauss-Legendre quadrature per sub-piece (exact through joint
-degree 31).
+16-node Gauss-Legendre quadrature per sub-piece.  That rule is exact
+through joint degree 31; an integrand of higher joint degree raises
+TooLargeDegree rather than return an inexact value.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainMismatch, NonPositiveVariance
+from .errors import DomainMismatch, NonPositiveVariance, TooLargeDegree
 from .piecewise import PiecewisePoly
 
 GAUSS_ORDER = 16
+# Highest degree of f times the weight that the rule integrates exactly.
+MAX_JOINT_DEGREE = 2 * GAUSS_ORDER - 1
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
@@ -178,8 +181,11 @@ def stieltjes_integral(
     """Integral of f over [lo, hi] against the selected measure.
 
     Exact (up to rounding) whenever f times the weight density is
-    polynomial on each sub-piece, which holds for every input this
-    library constructs.
+    polynomial of joint degree at most MAX_JOINT_DEGREE on each
+    sub-piece, which holds for every input this library constructs;
+    beyond that it raises TooLargeDegree.  Each sub-piece lies inside
+    one piece of f and one of the weight, looked up once at its start,
+    so both are evaluated at its nodes without a per-node search.
     """
     hi = profile.T if hi is None else float(hi)
     lo = float(lo)
@@ -190,11 +196,19 @@ def stieltjes_integral(
     if lo == hi:
         return 0.0
     w = profile.weight(kind)
+    joint = f.degree + w.degree
+    if joint > MAX_JOINT_DEGREE:
+        raise TooLargeDegree(
+            "integrand of joint degree %d against %s: %d-node quadrature is "
+            "exact only through degree %d" % (joint, kind.value, GAUSS_ORDER, MAX_JOINT_DEGREE)
+        )
     cuts = np.union1d(f.breakpoints, w.breakpoints)
     cuts = cuts[(cuts > lo) & (cuts < hi)]
     cuts = np.concatenate([[lo], cuts, [hi]])
     half = 0.5 * np.diff(cuts)
     mid = 0.5 * (cuts[:-1] + cuts[1:])
-    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    vals = (f(nodes) * w(nodes)).reshape(-1, GAUSS_ORDER)
+    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
+    fi = f._piece_index(cuts[:-1])[:, None]
+    wi = w._piece_index(cuts[:-1])[:, None]
+    vals = f._eval_pieces(nodes, fi) * w._eval_pieces(nodes, wi)
     return float(np.dot(vals @ _GL_W, half))

@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,6 +277,10 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, workers=None):
     if workers is None:
         workers = _usable_cpus()
     workers = max(1, min(workers, len(starts)))
+    # Imported here, not at the top: a run that samples no paths never
+    # loads the pool machinery (about 1 MiB resident with logging).
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fill, range(len(starts)))
 

@@ -9,10 +9,16 @@ changes), which keeps every weighted integral downstream exactly
 computable by fixed-order quadrature.
 
 Evaluation at a breakpoint takes the value of the piece on the right;
-at the right endpoint T it takes the value of the last piece.
+at the right endpoint T it takes the value of the last piece.  Calls,
+and the quadrature in ``measure``, evaluate by Horner's rule over one
+zero-padded coefficient table cached on the object; the padding leaves
+each piece's arithmetic, and so its bits, exactly those of
+``numpy.polynomial.polynomial.polyval``.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -114,11 +120,37 @@ class PiecewisePoly:
             0,
             self.n_pieces - 1,
         )
-        out = np.empty_like(t)
-        for i in np.unique(idx):
-            mask = idx == i
-            out[mask] = npoly.polyval(t[mask], self.coeffs[i])
+        out = self._eval_pieces(t, idx)
         return float(out) if np.isscalar(tau) or tau_arr.ndim == 0 else out
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """(n_pieces, degree + 1) coefficients, ascending powers, each
+        piece padded with zeros above its own degree."""
+        table = np.zeros((self.n_pieces, self.degree + 1))
+        for i, c in enumerate(self.coeffs):
+            table[i, : c.size] = c
+        return table
+
+    def _piece_index(self, starts) -> np.ndarray:
+        """Indices of the pieces holding the intervals that begin at
+        starts, each a breakpoint or a point inside a piece, in [0, T).
+        Looking up the start, not a midpoint, is exact: the midpoint of
+        two adjacent floats rounds onto one of them."""
+        return np.searchsorted(self.breakpoints, starts, side="right") - 1
+
+    def _eval_pieces(self, t, idx):
+        """Values at points t of the pieces idx (broadcast against t).
+
+        Horner from the top of the padded table.  Each padded step gives
+        +0.0, and the piece's leading coefficient plus +0.0 times t is that
+        coefficient, so every value has the bits ``npoly.polyval`` gives.
+        """
+        rows = self._table[idx]
+        acc = rows[..., -1] + t * 0
+        for i in range(rows.shape[-1] - 2, -1, -1):
+            acc = rows[..., i] + acc * t
+        return acc
 
     # -- algebra ----------------------------------------------------------
 
@@ -128,14 +160,7 @@ class PiecewisePoly:
                 "domains differ: [0, %r] vs [0, %r]" % (self.T, other.T)
             )
         bp = np.union1d(self.breakpoints, other.breakpoints)
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        ia = np.clip(
-            np.searchsorted(self.breakpoints, mids) - 1, 0, self.n_pieces - 1
-        )
-        ib = np.clip(
-            np.searchsorted(other.breakpoints, mids) - 1, 0, other.n_pieces - 1
-        )
-        return bp, ia, ib
+        return bp, self._piece_index(bp[:-1]), other._piece_index(bp[:-1])
 
     def __add__(self, other):
         if not isinstance(other, PiecewisePoly):
@@ -193,11 +218,7 @@ class PiecewisePoly:
         if pts.size and (pts.min() < 0.0 or pts.max() > self.T):
             raise DomainMismatch("refinement points outside [0, %r]" % self.T)
         bp = np.union1d(self.breakpoints, pts)
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        idx = np.clip(
-            np.searchsorted(self.breakpoints, mids) - 1, 0, self.n_pieces - 1
-        )
-        return PiecewisePoly(bp, [self.coeffs[i] for i in idx])
+        return PiecewisePoly(bp, [self.coeffs[i] for i in self._piece_index(bp[:-1])])
 
     def coeff_error(self, other: "PiecewisePoly") -> float:
         """Max absolute coefficient difference on the common refinement."""

@@ -4,9 +4,17 @@ Everything here works on plain coefficient lists (ascending powers) with
 fractions.Fraction entries, so expected values are computed by symbolic
 antiderivatives with no floating-point quadrature involved.  These
 helpers stay deliberately independent of the package under test.
+
+The floating-point references at the end (``piecewise_eval_loop``,
+``stieltjes_node_formula`` and ``gaussian_moment_loop``) are the plain
+one-piece-at-a-time and one-term-at-a-time computations that the
+package's vectorized code must equal bit for bit.
 """
 
 from fractions import Fraction
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 
 def _frac(x):
@@ -96,3 +104,34 @@ def gaussian_moment_loop(mean, cov):
             term *= mean[i]
         total += term
     return total
+
+
+def piecewise_eval_loop(f, tau):
+    """f(tau) one piece at a time: clip into [0, T], find each point's
+    piece (the one on the right at a breakpoint, the last one at T) and
+    apply ``npoly.polyval`` with that piece's coefficients to its points."""
+    tau_arr = np.asarray(tau, dtype=float)
+    T = float(f.breakpoints[-1])
+    t = np.clip(tau_arr, 0.0, T)
+    n_pieces = len(f.coeffs)
+    idx = np.clip(np.searchsorted(f.breakpoints, t, side="right") - 1, 0, n_pieces - 1)
+    out = np.empty_like(t)
+    for i in np.unique(idx):
+        mask = idx == i
+        out[mask] = npoly.polyval(t[mask], f.coeffs[i])
+    return float(out) if np.isscalar(tau) or tau_arr.ndim == 0 else out
+
+
+def stieltjes_node_formula(f, w, lo, hi, order):
+    """Gauss-Legendre rule of the given order on every sub-piece of
+    [lo, hi] cut at the breakpoints of f and w, with f(nodes) * w(nodes)
+    evaluated by ``piecewise_eval_loop``."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
+    cuts = np.union1d(f.breakpoints, w.breakpoints)
+    cuts = cuts[(cuts > lo) & (cuts < hi)]
+    cuts = np.concatenate([[lo], cuts, [hi]])
+    half = 0.5 * np.diff(cuts)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    vals = (piecewise_eval_loop(f, nodes) * piecewise_eval_loop(w, nodes)).reshape(-1, order)
+    return float(np.dot(vals @ gl_w, half))

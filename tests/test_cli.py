@@ -109,6 +109,47 @@ def test_load_config_resolves_names(tmp_path):
         run_check(config, 0, config.checks[0], {}, str(tmp_path))
 
 
+def test_one_spec_per_theta_and_ks_order(tmp_path, capsys, monkeypatch):
+    """Checks over the same (theta, ks) at different q share one spec and
+    so one summary; the same ks in another order is its own spec."""
+    from feynpath import feynman
+
+    built = []
+    original = feynman.summary_of_elements
+    monkeypatch.setattr(feynman, "summary_of_elements",
+                        lambda elements: built.append(1) or original(elements))
+    cfg = std_config()
+    cfg["checks"] = [
+        {"kind": "feynman", "theta": "theta", "ks": ["k1", "k2"], "q": 1.0},
+        {"kind": "verify-recurrence", "theta": "theta", "ks": ["k1", "k2"], "q": -2.0},
+        {"kind": "feynman", "theta": "theta", "ks": ["k1", "k2"], "q": 0.5},
+    ]
+    path = write_config(tmp_path, cfg)
+    assert run(["verify", "--all", "--config", path, "--output-dir", str(tmp_path / "a")]) == 0
+    assert len(built) == 1
+
+    cfg["checks"].append({"kind": "feynman", "theta": "theta", "ks": ["k2", "k1"], "q": 1.0})
+    path = write_config(tmp_path, cfg)
+    built.clear()
+    assert run(["verify", "--all", "--config", path, "--output-dir", str(tmp_path / "b")]) == 0
+    assert len(built) == 2
+
+    config = load_config(path)
+    spec = config.spec("theta", ["k1", "k2"])
+    assert config.spec("theta", ("k1", "k2")) is spec
+    assert config.spec("theta", ["k2", "k1"]) is not spec
+    assert config.supp("k1") is config.supp("k1") is spec.ks[0]
+
+
+def test_config_hash_is_the_sha256_prefix_of_the_canonical_json(tmp_path):
+    import hashlib
+
+    cfg = std_config()
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    config = load_config(write_config(tmp_path, cfg))
+    assert config.config_hash == hashlib.sha256(canonical).hexdigest()[:12]
+
+
 def test_validate_profile_subcommand(tmp_path, capsys):
     profile_spec = {"T": 1.0, "a_prime": RAMP, "b_prime": ONE_PLUS_T}
     path = tmp_path / "profile.json"
@@ -166,18 +207,6 @@ def test_verify_all_passes_and_is_deterministic(tmp_path, capsys):
     ledger2 = (out2 / "ledger.csv").read_bytes()
     assert ledger1 == ledger2
     assert summary1["config_hash"] == summary2["config_hash"]
-
-
-def test_verify_parallel_matches_sequential(tmp_path, capsys):
-    cfg = std_config(n=1000, grid=128)
-    path = write_config(tmp_path, cfg)
-    run(["verify", "--all", "--config", path, "--output-dir", str(tmp_path / "seq")])
-    capsys.readouterr()
-    run(["verify", "--all", "--parallel", "--config", path, "--output-dir", str(tmp_path / "par")])
-    capsys.readouterr()
-    assert (tmp_path / "seq" / "ledger.csv").read_bytes() == (
-        tmp_path / "par" / "ledger.csv"
-    ).read_bytes()
 
 
 def test_verify_failed_check_exit_code(tmp_path, capsys):

@@ -6,12 +6,16 @@ from feynpath import (
     MeasureKind,
     NonPositiveVariance,
     ProfilePair,
+    TooLargeDegree,
     build_profile,
     stieltjes_integral,
     validate_profile,
 )
 
-from oracles import frac_coeffs, product_integral
+from feynpath.measure import GAUSS_ORDER, MAX_JOINT_DEGREE
+from feynpath.piecewise import PiecewisePoly
+
+from oracles import frac_coeffs, product_integral, stieltjes_node_formula
 from conftest import pp, random_poly
 
 
@@ -156,3 +160,36 @@ def test_profile_equality_is_identity_first(standard, monkeypatch):
     assert compared == []
     assert standard == build_profile(pp([0.0, 1.0]), pp([1.0, 1.0]), 1.0)
     assert len(compared) == 2
+
+
+def test_stieltjes_equals_node_formula_bit_for_bit():
+    """Every measure kind, over the whole horizon and sub-ranges that cut
+    pieces, against f(nodes) * w(nodes) evaluated one piece at a time."""
+    a_prime = PiecewisePoly([0.0, 0.4, 1.0], [[-0.2, 1.0], [0.6, -1.5, 0.25]])
+    b_prime = PiecewisePoly([0.0, 0.7, 1.0], [[1.0, 0.5, 0.5], [2.0]])
+    profile = build_profile(a_prime, b_prime, 1.0)
+    rng = np.random.default_rng(21)
+    fs = [random_poly(rng, max_pieces=4, max_degree=5) for _ in range(12)]
+    fs.append(PiecewisePoly([0.0, 0.4, 1.0], [[0.0], [1.0, 2.0]]))
+    for f in fs:
+        for kind in MeasureKind:
+            w = profile.weight(kind)
+            for lo, hi in [(0.0, 1.0), (0.0, 0.4), (0.13, 0.81), (0.4, 0.7)]:
+                got = stieltjes_integral(f, kind, profile, lo, hi)
+                want = stieltjes_node_formula(f, w, lo, hi, GAUSS_ORDER)
+                assert got == want and np.signbit(got) == np.signbit(want)
+
+
+def test_stieltjes_raises_past_exact_degree(wiener, standard):
+    rng = np.random.default_rng(22)
+    f = pp(rng.uniform(0.5, 1.0, size=17))  # degree 16
+    assert MAX_JOINT_DEGREE == 31
+    with pytest.raises(TooLargeDegree, match=r"joint degree 32\b.*degree 31\b"):
+        stieltjes_integral(f * f, MeasureKind.DB, wiener)
+    # degree 16 times the degree-15 part is exact and still accepted
+    g = pp(rng.uniform(0.5, 1.0, size=16))
+    want = float(product_integral(0, 1, frac_coeffs(f.coeffs[0]), frac_coeffs(g.coeffs[0])))
+    assert stieltjes_integral(f * g, MeasureKind.DB, wiener) == pytest.approx(want, rel=1e-12)
+    # b' = 1 + t raises the joint degree by one
+    with pytest.raises(TooLargeDegree, match="joint degree 32"):
+        stieltjes_integral(f * g, MeasureKind.DB, standard)

@@ -5,7 +5,7 @@ import pytest
 
 from feynpath import DomainMismatch, PiecewisePoly
 
-from oracles import frac_coeffs, poly_eval, poly_integral, poly_mul
+from oracles import frac_coeffs, piecewise_eval_loop, poly_eval, poly_integral, poly_mul
 from conftest import pp, random_poly
 
 
@@ -41,6 +41,37 @@ def test_vectorized_evaluation_matches_scalar():
     assert np.allclose(f(ts), [f(t) for t in ts], rtol=0, atol=0)
 
 
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and bool(
+        np.all(got == want) and np.all(np.signbit(got) == np.signbit(want))
+    )
+
+
+def test_evaluation_equals_the_piece_loop_bit_for_bit():
+    """Mixed degrees, a zero piece and a -0.0 coefficient, at every
+    breakpoint, T, -0.0 and random points, for arrays and scalars."""
+    f = PiecewisePoly(
+        [0.0, 0.25, 0.5, 0.75, 1.0],
+        [[-0.0, 2.0], [0.0], [1.0, -3.0, 0.5, 4.0], [-2.5]],
+    )
+    rng = np.random.default_rng(20)
+    others = [random_poly(rng, max_pieces=5, max_degree=6) for _ in range(20)]
+    for g in [f] + others:
+        ts = np.concatenate([g.breakpoints, [-0.0, 0.0, g.T], rng.uniform(0.0, g.T, 64)])
+        assert _same_bits(g(ts), piecewise_eval_loop(g, ts))
+        grid = ts[-64:].reshape(8, 8)
+        assert _same_bits(g(grid), piecewise_eval_loop(g, grid))
+        for t in ts.tolist():
+            got = g(t)
+            assert isinstance(got, float)
+            assert _same_bits(got, piecewise_eval_loop(g, t))
+            assert _same_bits(g(np.float64(t)), piecewise_eval_loop(g, t))
+            assert _same_bits(g(np.array(t)), piecewise_eval_loop(g, t))
+    # the cases above do reach a negative zero and the zero piece
+    assert np.signbit(f(-0.0)) and f(0.3) == 0.0
+
+
 def test_add_mul_match_rational_oracle():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -61,6 +92,17 @@ def test_product_merges_breakpoints():
     h = f * g
     assert h.breakpoints.tolist() == [0.0, 0.25, 0.5, 1.0]
     assert h(0.1) == 3.0 and h(0.3) == 4.0 and h(0.7) == 8.0
+
+
+def test_piece_between_adjacent_floats_survives_products_and_refinement():
+    # the midpoint of 0.5 and the next float rounds to 0.5 itself
+    a = 0.5
+    b = float(np.nextafter(a, 1.0))
+    f = PiecewisePoly([0.0, a, b, 1.0], [[1.0], [2.0], [3.0]])
+    one = PiecewisePoly.constant(1.0, 1.0)
+    for g in (f * one, one * f, f + 0.0 * one, f.refined([0.9])):
+        assert g(a) == f(a) == 2.0
+        assert [c.tolist() for c in g.coeffs[:3]] == [[1.0], [2.0], [3.0]]
 
 
 def test_antiderivative_is_continuous_and_anchored():
