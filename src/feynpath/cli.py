@@ -343,10 +343,19 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
         grid = TimeGrid.build(profile, [e for e, _ in config.elements.values()], n=grid_n)
         ensemble = sample_gbmp_paths(profile, grid, n, seed)
         dest = os.path.join(out_dir, check.get("out", "%s.%s" % (name, fmt)))
-        if fmt == "bin":
-            ensemble.to_binary(dest)
-        else:
-            ensemble.to_csv(dest)
+        # Written under a temporary name and renamed when complete, so a
+        # failed or interrupted write leaves no file that looks whole.
+        part = dest + ".part"
+        try:
+            if fmt == "bin":
+                ensemble.to_binary(part)
+            else:
+                ensemble.to_csv(part)
+            os.replace(part, dest)
+        except BaseException:
+            if os.path.exists(part):
+                os.remove(part)
+            raise
         result.update({"profile": pname, "written": dest, "pass": True})
         row = mc.ledger_row(name, config.config_hash, lhs=0.0, rhs=0.0,
                             n=n, grid=grid.N, seed=seed, passed=True)
@@ -556,15 +565,21 @@ def _cmd_report(args) -> int:
     import csv as _csv
 
     try:
-        with open(args.ledger) as fh:
-            rows = list(_csv.reader(fh))
-    except OSError as exc:
+        with open(args.ledger, newline="") as fh:
+            reader = _csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader]
+    except (OSError, UnicodeDecodeError, _csv.Error) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    if not rows or rows[0] != mc.LEDGER_COLUMNS:
+    if not rows or rows[0][1] != mc.LEDGER_COLUMNS:
         print("error: not a ledger file", file=sys.stderr)
         return 2
-    body = rows[1:]
+    for line, row in rows[1:]:
+        if len(row) != len(mc.LEDGER_COLUMNS) or row[-1] not in ("true", "false"):
+            print("error: ledger line %d: expected %d fields ending in true or false, got %r"
+                  % (line, len(mc.LEDGER_COLUMNS), ",".join(row)), file=sys.stderr)
+            return 2
+    body = [row for _, row in rows[1:]]
     failed = [r for r in body if r[-1] != "true"]
     print(
         _json_17g(

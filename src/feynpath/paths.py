@@ -19,13 +19,20 @@ given (seed, grid, n_paths) regardless of scheduling, and the first n
 rows do not change when more paths are requested.  The same keying lets
 the projected and the materializing streams run their blocks on a thread
 pool with results that do not depend on the number of threads.
+
+The CSV writer formats blocks of rows on the same pool.  Its formatter
+computes Python's ``%.17g`` text in numpy, exactly rounded with integer
+arithmetic, and hands every value that its exact fast path does not
+cover to Python's own ``%``; the bytes are those of ``"%.17g" % x``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +48,11 @@ CHUNK_PATHS = 4096
 _SUB_ROWS = 256
 
 _BINARY_MAGIC = b"GBMPENS1"
+
+# Values per CSV block (whole rows, at least one).  Smaller blocks spend
+# longer in per-call overhead; larger ones hold more text and numpy
+# temporaries per worker.
+_CSV_BLOCK_VALUES = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +112,22 @@ class PathEnsemble:
 
     def to_csv(self, path):
         """First row is the node times, then one row per path.  Every
-        value is written as %.17g, which reads back as the same double."""
-        row = ",".join(["%.17g"] * (self.grid.N + 1)) + "\n"
-        with open(path, "w") as fh:
-            fh.write(row % tuple(self.grid.nodes.tolist()))
-            for r0 in range(0, self.n_paths, _SUB_ROWS):
-                block = self.values[r0 : r0 + _SUB_ROWS]
-                fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+        value is written as %.17g, which reads back as the same double.
+
+        Blocks of rows are formatted on the block thread pool and
+        written in order, so the file holds the same bytes for any
+        number of workers and only a few blocks of text are in memory
+        at a time."""
+        step = max(1, _CSV_BLOCK_VALUES // (self.grid.N + 1))
+        starts = range(0, self.n_paths, step)
+
+        def rows(i):
+            return _csv_rows(self.values[starts[i] : starts[i] + step])
+
+        with open(path, "wb") as fh:
+            fh.write(_csv_rows(self.grid.nodes[None, :]))
+            for text in _ordered_map(rows, len(starts)):
+                fh.write(text)
 
     def to_binary(self, path):
         """Compact layout: magic, N, n_paths, seed (little-endian u64),
@@ -140,6 +161,138 @@ class PathEnsemble:
             nodes = np.fromfile(fh, dtype="<f8", count=n_int + 1)
             values = np.fromfile(fh, dtype="<f8", count=count)
         return nodes, values.reshape(n_paths, n_int + 1), seed
+
+
+# The %.17g formatter.  A finite normal x = m * 2**q (m an integer below
+# 2**53) with decimal exponent E has the 17 digits
+# D = round(x * 10**s) = round(m * 5**s / 2**k), s = 16 - E, k = -(q + s).
+# The fast path computes m * 5**s exactly in two uint64 words and rounds
+# half to even on the exact remainder, as CPython's dtoa does.  It needs
+# 0 <= s <= 27 (5**s < 2**63), 1 <= k <= 63, and a quotient in
+# [10**16, 10**17) before rounding (otherwise log10 misjudged E); that
+# admits |x| from about 1e-11 to 1e15.  A rounding carry to 10**17 also
+# leaves the fast path; no double in that range carries (the nearest
+# that do are 1e-14 and 1e+98).  Every other nonzero value goes to
+# Python's "%.17g" one at a time.
+#
+# Each value gets _CSV_WIDTH bytes, six little-endian uint64 words, and
+# the filler byte 0 is deleted at the end:
+#   word 0     sign, the prefix "0" or "0." plus zeros, lead digit at byte 7
+#   words 1-4  digit j at byte 7 + 2j, the decimal point slot after it
+#   word 5     exponent "e-XX" at bytes 40-43, separator at byte 47
+_CSV_WIDTH = 48
+_CSV_E_MIN, _CSV_E_MAX = -11, 15
+_CSV_ZERO = _CSV_E_MAX - _CSV_E_MIN + 1  # class of 0 and of slow values
+_U64 = np.uint64
+
+
+@functools.lru_cache(maxsize=None)
+def _csv_tables():
+    """Lookup tables, built on first use; a class is E - _CSV_E_MIN.
+
+    groups[g]      the 4 digits of g < 10**4 at the odd bytes of a word
+    zeros[g]       trailing decimal zeros of g (4 for g = 0)
+    pow5[s]        5**s for s <= 27
+    head[c, neg]   word 0 without the lead digit
+    lead_word[d]   the lead digit d at byte 7 (nothing for d = 0)
+    tail[c]        word 5 without the separator
+    point[c]       digit index followed by the point, -1 for none
+    whole[c]       digits before the point, all kept; 0 for none
+    keep[w][n]     word w + 1 masked to its digits below index n
+    """
+    g = np.arange(10**4)
+    spread = np.zeros((g.size, 8), dtype=np.uint8)
+    for j in range(4):
+        spread[:, 2 * j + 1] = g // 10 ** (3 - j) % 10 + 48
+    zeros = sum((g % 10**j == 0).astype(np.uint8) for j in range(1, 5))
+    head = np.zeros((_CSV_ZERO + 1, 2, 8), dtype=np.uint8)
+    tail = np.zeros((_CSV_ZERO + 1, 8), dtype=np.uint8)
+    point = np.full(_CSV_ZERO + 1, -1)
+    whole = np.zeros(_CSV_ZERO + 1, dtype=int)
+    for c, e in enumerate(range(_CSV_E_MIN, _CSV_E_MAX + 1)):
+        if e < -4:
+            tail[c, :4] = np.frombuffer(b"e-%02d" % -e, dtype=np.uint8)
+            point[c], whole[c] = 0, 1
+        elif e < 0:
+            prefix = b"0." + b"0" * (-e - 1)
+            head[c, :, 1 : 1 + len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+        else:
+            point[c], whole[c] = e, e + 1
+    head[_CSV_ZERO, :, 1] = ord("0")
+    head[:, 1, 0] = ord("-")
+    lead = np.zeros((10, 8), dtype=np.uint8)
+    lead[1:, 7] = np.arange(49, 58)
+    keep = np.zeros((4, 18, 8), dtype=np.uint8)
+    for n in range(18):
+        for j in range(1, n):
+            keep[(j - 1) // 4, n, 2 * ((j - 1) % 4) + 1] = 0xFF
+
+    def words(a):
+        return np.ascontiguousarray(a).view(_U64)[..., 0]
+
+    return (words(spread), zeros, _U64(5) ** np.arange(28, dtype=_U64), words(head),
+            words(lead), words(tail), point, whole, words(keep))
+
+
+def _csv_rows(block):
+    """The CSV lines of a 2-D array of values, as bytes: each value as
+    "%.17g" % value, comma-separated, one line per row."""
+    groups, zeros, pow5, head, lead_word, tail, point, whole, keep = _csv_tables()
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    bits = x.view(_U64)
+    neg = (bits >> _U64(63)).astype(np.intp)
+    biased = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64)
+    m = (bits & _U64(2**52 - 1)) | _U64(2**52)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.floor(np.log10(np.abs(x))).astype(np.int64)
+    s = 16 - e
+    k = 1075 - biased - s
+    fast = (biased > 0) & (biased < 2047) & (s >= 0) & (s <= 27) & (k >= 1) & (k <= 63)
+    k = np.where(fast, k, 1).astype(_U64)
+    p = pow5[np.where(fast, s, 0)]
+    # m * p as hi * 2**64 + lo, from 32-bit limbs (m < 2**53, p < 2**63).
+    low = _U64(2**32 - 1)
+    m0, m1, p0, p1 = m & low, m >> _U64(32), p & low, p >> _U64(32)
+    t = m0 * p0
+    mid = m0 * p1 + m1 * p0 + (t >> _U64(32))
+    lo = (t & low) | (mid << _U64(32))
+    hi = m1 * p1 + (mid >> _U64(32))
+    q = (hi << (_U64(64) - k)) | (lo >> k)
+    rem = lo & ((_U64(1) << k) - _U64(1))
+    half = _U64(1) << (k - _U64(1))
+    fast &= ((hi >> k) == 0) & (q >= _U64(10**16)) & (q < _U64(10**17))
+    q += (rem > half) | ((rem == half) & (q & _U64(1) == 1))
+    fast &= q < _U64(10**17)
+    lead, r = np.divmod(q, _U64(10**16))
+    upper, lower = np.divmod(r, _U64(10**8))
+    quads = (*np.divmod(upper.astype(np.uint32), np.uint32(10**4)),
+             *np.divmod(lower.astype(np.uint32), np.uint32(10**4)))
+    tz = zeros[quads[3]].astype(np.intp)
+    all_zero = quads[3] == 0
+    for quad in quads[2::-1]:
+        tz += all_zero * zeros[quad]
+        all_zero &= quad == 0
+    nsig = 17 - tz
+
+    c = np.where(fast, e - _CSV_E_MIN, _CSV_ZERO)
+    kept = np.where(fast, np.maximum(nsig, whole[c]), 0)
+    dot = np.where(nsig > whole[c], point[c], -1)
+    out = np.empty((x.size, _CSV_WIDTH), dtype=np.uint8)
+    words = out.view(_U64)
+    np.bitwise_or(head[c, neg], lead_word[np.where(fast, lead, 0)], out=words[:, 0])
+    for w, quad in enumerate(quads):
+        np.bitwise_and(groups[quad], keep[w][kept], out=words[:, w + 1])
+    words[:, 5] = tail[c]
+    dotted = np.flatnonzero(dot >= 0)
+    out.ravel()[dotted * _CSV_WIDTH + 8 + 2 * dot[dotted]] = ord(".")
+    slow = np.flatnonzero(~fast & (x != 0))
+    for i, v in zip(slow.tolist(), x[slow].tolist()):
+        text = b"%.17g" % v
+        out[i, :-1] = 0
+        out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    out[:, -1] = ord(",")
+    out[block.shape[1] - 1 :: block.shape[1], -1] = ord("\n")
+    return out.tobytes().translate(None, b"\0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,15 +427,37 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, workers=None):
             np.add(dst[r0:r1], shift, out=dst[r0:r1])
         return p0, dst
 
+    yield from _ordered_map(fill, len(starts), workers)
+
+
+def _ordered_map(fn, count, workers=None):
+    """Yield fn(0), ..., fn(count - 1) in that order, computed on a
+    thread pool with one worker per usable CPU by default.
+
+    At most two tasks per worker run or wait ahead of the consumer, so
+    a slow consumer holds only a few results.  An exception from fn is
+    raised here, at its index, and the tasks not yet started are
+    cancelled; so are they when the consumer stops early.
+    """
     if workers is None:
         workers = _usable_cpus()
-    workers = max(1, min(workers, len(starts)))
+    workers = max(1, min(workers, count))
     # Imported here, not at the top: a run that samples no paths never
     # loads the pool machinery (about 1 MiB resident with logging).
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fill, range(len(starts)))
+        ahead = deque()
+        try:
+            for i in range(count):
+                ahead.append(pool.submit(fn, i))
+                if len(ahead) > 2 * workers:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
+        finally:
+            for future in ahead:
+                future.cancel()
 
 
 def sample_gbmp_paths(

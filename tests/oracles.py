@@ -8,7 +8,9 @@ helpers stay deliberately independent of the package under test.
 The floating-point references at the end (``piecewise_eval_loop``,
 ``stieltjes_node_formula`` and ``gaussian_moment_loop``) are the plain
 one-piece-at-a-time and one-term-at-a-time computations that the
-package's vectorized code must equal bit for bit.
+package's vectorized code must equal bit for bit; ``to_csv_loop`` is the
+ensemble CSV writer built on Python's own ``%.17g``, whose bytes the
+package's writer must equal.
 """
 
 from fractions import Fraction
@@ -135,3 +137,14 @@ def stieltjes_node_formula(f, w, lo, hi, order):
     nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
     vals = (piecewise_eval_loop(f, nodes) * piecewise_eval_loop(w, nodes)).reshape(-1, order)
     return float(np.dot(vals @ gl_w, half))
+
+
+def to_csv_loop(ensemble, path):
+    """Ensemble CSV by Python's ``%`` formatting: the node times, then one
+    line per path, every value as ``%.17g``."""
+    row = ",".join(["%.17g"] * (ensemble.grid.N + 1)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(row % tuple(ensemble.grid.nodes.tolist()))
+        for r0 in range(0, ensemble.n_paths, 256):
+            block = ensemble.values[r0 : r0 + 256]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))

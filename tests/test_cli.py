@@ -279,6 +279,48 @@ def test_report_missing_file():
     assert run(["report", "--ledger", "/nonexistent/ledger.csv"]) == 2
 
 
+def _ledger_with(tmp_path, body):
+    from feynpath.montecarlo import LEDGER_COLUMNS
+
+    path = tmp_path / "ledger.csv"
+    path.write_text(",".join(LEDGER_COLUMNS) + "\n" + "x,h,1,2,3,0,0,0,0,0,0,true\n" + body)
+    return str(path)
+
+
+@pytest.mark.parametrize("body", ["\n", "a,b,0\n", "x,h,1,2,3,0,0,0,0,0,0,maybe\n"],
+                         ids=["blank-line", "truncated-row", "bad-pass"])
+def test_report_rejects_malformed_rows(tmp_path, capsys, body):
+    code = run(["report", "--ledger", _ledger_with(tmp_path, body)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "ledger line 3" in captured.err
+
+
+def test_simulate_leaves_no_file_when_the_write_fails(tmp_path, monkeypatch, capsys):
+    from feynpath import paths
+
+    path = write_config(tmp_path, std_config())
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", path, "--n", "3000", "--grid", "32", "--out", str(out / "p.csv")]
+    real, calls = paths._csv_rows, []
+
+    def failing(block):
+        calls.append(block.shape[0])
+        if len(calls) == 4:
+            raise RuntimeError("formatter failed")
+        return real(block)
+
+    monkeypatch.setattr(paths, "_csv_rows", failing)
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        run(argv)
+    assert len(calls) >= 4 and os.listdir(out) == []
+
+    monkeypatch.setattr(paths, "_csv_rows", real)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert os.listdir(out) == ["p.csv"]
+
+
 def test_ledger_floats_have_17_digits(tmp_path, capsys):
     cfg = std_config(n=500, grid=64)
     cfg["checks"] = [cfg["checks"][3]]

@@ -1,4 +1,5 @@
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from feynpath import (
     z_shift_path,
 )
 
-from feynpath.paths import CHUNK_PATHS, _SUB_ROWS, _filled_blocks, increment_moments
+from feynpath import paths
+from feynpath.paths import CHUNK_PATHS, _SUB_ROWS, _csv_rows, _filled_blocks, increment_moments
 
 from conftest import pp, random_poly, random_nonvanishing_poly
+from oracles import to_csv_loop
 
 
 @pytest.fixture
@@ -313,6 +316,90 @@ def test_csv_matches_per_value_format(tmp_path, standard, n):
     rows = [grid.nodes, *ens.values]
     ref = "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
     assert (tmp_path / "ens.csv").read_text() == ref
+
+
+def _random_doubles(rng):
+    """Random bit patterns over all finite doubles, and over the biased
+    exponents the formatter's fast path covers (about 1e-12 to 4e15)."""
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
+    anywhere = bits.view(np.float64)
+    biased = rng.integers(1023 - 40, 1023 + 52, size=bits.size).astype(np.uint64)
+    inside = (bits & np.uint64(0x800FFFFFFFFFFFFF)) | (biased << np.uint64(52))
+    return np.concatenate([anywhere[np.isfinite(anywhere)], inside.view(np.float64)])
+
+
+def _powers_of_ten(rng):
+    p = np.array([10.0**k for k in range(-330, 309)])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+def _ties(rng):
+    """c / 2**j with an exact decimal expansion of 18 significant digits
+    ending in 5, so that %.17g rounds a tie; beyond j = 25 no 53-bit c
+    gives one."""
+    out = []
+    for j in range(2, 41):
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        if lo < hi:
+            c = rng.integers(lo, hi, size=500) | 1
+            out.append(c.astype(float) / 2.0**j)
+    x = np.concatenate(out)
+    assert all(len(Decimal(v).as_tuple().digits) == 18 for v in x.tolist())
+    return np.concatenate([x, -x])
+
+
+def _edges(rng):
+    return np.array([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        -1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan,
+        # near or at rounding carries to the next power of ten
+        9.9999999999999995e-05, 9.9999999999999995e-07, 1e-14, 1e-305, 1e98, 1e220,
+        # edges of the fast path and of fixed notation
+        1e-11, 1e-12, 2.0**51, 2.0**52, 2.0**53, 1e15, 1e16, 1e17, 1e-4, 1e-5, 0.5, 1.0, 123.0,
+    ])
+
+
+@pytest.mark.parametrize("values", [_random_doubles, _powers_of_ten, _ties, _edges],
+                         ids=["random-bits", "powers-of-ten", "ties", "edges"])
+def test_csv_formatter_matches_percent_17g(values):
+    x = values(np.random.default_rng(2021))
+    expected = "".join("%.17g\n" % v for v in x.tolist()).encode()
+    assert _csv_rows(x[:, None]) == expected
+
+
+def test_csv_formatter_matches_percent_17g_on_paths(standard):
+    grid = TimeGrid.build(standard, n=64)
+    values = sample_gbmp_paths(standard, grid, 300, 3).values
+    values[1, 1:] *= -1e-6
+    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in values.tolist())
+    assert _csv_rows(values) == expected.encode()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (7, 1)])
+def test_csv_matches_reference_writer(tmp_path, standard, monkeypatch, workers, blocks, extra):
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
+    grid = TimeGrid.build(standard, n=16)
+    step = paths._CSV_BLOCK_VALUES // (grid.N + 1)
+    ens = sample_gbmp_paths(standard, grid, blocks * step + extra, 11)
+    ens.values[0, 1] = -0.0
+    ens.to_csv(tmp_path / "ens.csv")
+    to_csv_loop(ens, tmp_path / "ref.csv")
+    assert (tmp_path / "ens.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_is_written_in_blocks(tmp_path, standard, monkeypatch):
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: 2)
+    grid = TimeGrid.build(standard, n=2048)
+    ens = sample_gbmp_paths(standard, grid, 1024, 5)
+    tracemalloc.start()
+    try:
+        ens.to_csv(tmp_path / "ens.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "ens.csv").stat().st_size > 32 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_binary_is_written_without_a_copy(tmp_path, standard):
