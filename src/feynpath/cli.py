@@ -3,9 +3,13 @@
 One JSON config names the profiles, the Cameron-Martin elements over
 them, and a list of checks to run; command-line flags override the
 config scalars (seed, n_paths, grid_size).  Unknown keys anywhere in the
-config are rejected rather than ignored.  All floats are printed with 17
-significant digits so reruns with the same config bytes produce
+config are rejected rather than ignored, and each check is validated and
+normalized once, when the config is loaded.  All floats are printed with
+17 significant digits so reruns with the same config bytes produce
 byte-identical CSV ledgers.
+
+``run`` is the single error boundary: any FeynpathError a command raises
+(ConfigError included) prints one ``error:`` line and exits with code 2.
 """
 
 from __future__ import annotations
@@ -40,15 +44,6 @@ from .feynman import (
 from .measure import ProfilePair, build_profile, validate_profile
 from .paths import DEFAULT_GRID_N, TimeGrid, sample_gbmp_paths
 from .piecewise import PiecewisePoly
-
-CHECK_KINDS = (
-    "simulate",
-    "feynman",
-    "verify-translation",
-    "verify-parts",
-    "verify-cs",
-    "verify-recurrence",
-)
 
 RECURRENCE_TOL = 1e-10
 
@@ -103,20 +98,21 @@ def _json_17g(value, indent=0):
     raise ConfigError("cannot serialize %r" % (value,))
 
 
-def _number(value, where, integral=False):
-    """A JSON number, not a boolean: a finite float, or with ``integral``
-    an int (a whole float such as 1e5 counts, a fractional one does not)."""
+def _number(value, where, count=False):
+    """A JSON number, not a boolean: a finite float, or with ``count`` a
+    positive int (a whole float such as 1e5 counts, a fractional one does
+    not)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if integral and isinstance(value, int):
+        if count and isinstance(value, int) and value >= 1:
             return value
         try:
             x = float(value)
         except OverflowError:
             x = math.inf
-        if math.isfinite(x) and (not integral or x.is_integer()):
-            return int(x) if integral else x
+        if math.isfinite(x) and (not count or x.is_integer() and x >= 1):
+            return int(x) if count else x
     raise ConfigError("%s must be %s, got %r"
-                      % (where, "an integer" if integral else "a finite number", value))
+                      % (where, "a positive integer" if count else "a finite number", value))
 
 
 def _seed(value, where):
@@ -144,7 +140,6 @@ class ExperimentConfig:
     elements: dict  # name -> (CMElement, profile name)
     checks: list
     config_hash: str
-    raw: dict = field(repr=False)
     # Built once per key and shared by every check of this config.
     _supps: dict = field(default_factory=dict, init=False, repr=False)
     _specs: dict = field(default_factory=dict, init=False, repr=False)
@@ -237,27 +232,63 @@ def _expectation(expect, where):
     return ref, _number(expect.get("tol", 1e-10), where + ".tol")
 
 
-def _simulate_target(config: ExperimentConfig, check: dict, where):
-    """(profile name, format) of a simulate check; the profile defaults to
-    the config's first."""
+def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
+    """A normalized copy of check ``index``: its numbers parsed, ``expect``
+    as (reference, tolerance), its default name filled in and, for
+    ``simulate``, its profile, output file and format resolved.  Errors
+    name a key as ``where`` + key: ``checks[3].`` for a config check,
+    ``--`` for the flags of the simulate command."""
+    label = where.rstrip(".")
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ConfigError("%s: expected an object with a 'kind'" % label)
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _CHECK_KEYS:
+        raise ConfigError("%s: unknown kind %r" % (label, kind))
+    required, optional = _CHECK_KEYS[kind]
+    _expect_keys(obj, label, required + ("kind",), optional + _CHECK_COMMON)
+    check = dict(obj, name=obj.get("name", "%s-%d" % (kind, index)))
+    for key in _CHECK_FLOATS + _CHECK_COUNTS:
+        if key in check:
+            check[key] = _number(check[key], where + key, count=key in _CHECK_COUNTS)
+    if "seed" in check:
+        check["seed"] = _seed(check["seed"], where + "seed")
+    if "expect" in check:
+        check["expect"] = _expectation(check["expect"], where + "expect")
+    if kind != "simulate":
+        return check
+
+    # The profile defaults to the config's first.  The output is a bare
+    # file name inside the output directory, and its suffix, .csv or .bin
+    # in any case, sets the format.
     pname = check.get("profile") or next(iter(config.profiles), None)
-    if pname not in config.profiles:
-        raise ConfigError("%s: unknown profile %r" % (where, pname))
+    if not isinstance(pname, str) or pname not in config.profiles:
+        raise ConfigError("%sprofile: unknown profile %r" % (where, pname))
     fmt = check.get("format", "csv")
     if fmt not in ("csv", "bin"):
-        raise ConfigError("%s: simulate format must be 'csv' or 'bin', got %r" % (where, fmt))
-    return pname, fmt
+        raise ConfigError("%sformat must be 'csv' or 'bin', got %r" % (where, fmt))
+    out = check.get("out", "%s.%s" % (check["name"], fmt))
+    suffix = os.path.splitext(out)[1].lower() if isinstance(out, str) else ""
+    if suffix not in (".csv", ".bin") or out != os.path.basename(out):
+        raise ConfigError("%sout must be a file name ending in .csv or .bin, got %r"
+                          % (where, out))
+    if suffix[1:] != fmt and "format" in check:
+        raise ConfigError("%sformat %r disagrees with out %r" % (where, fmt, out))
+    check.update(profile=pname, out=out, format=suffix[1:])
+    return check
+
+
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc.strerror or exc)) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError("%s is not valid JSON: %s" % (path, exc)) from exc
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("cannot read config: %s" % exc) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config is not valid JSON: %s" % exc) from exc
-
+    raw = _read_json(path)
     _expect_keys(
         raw,
         "config",
@@ -268,15 +299,13 @@ def load_config(path) -> ExperimentConfig:
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     config = ExperimentConfig(
         seed=_seed(raw["seed"], "config.seed"),
-        n_paths=_number(raw.get("n_paths", 10000), "config.n_paths", integral=True),
-        grid_size=_number(raw.get("grid_size", DEFAULT_GRID_N), "config.grid_size",
-                          integral=True),
+        n_paths=_number(raw.get("n_paths", 10000), "config.n_paths", count=True),
+        grid_size=_number(raw.get("grid_size", DEFAULT_GRID_N), "config.grid_size", count=True),
         output_dir=str(raw.get("output_dir", "out")),
         profiles={},
         elements={},
         checks=[],
         config_hash=sha256(canonical).hexdigest()[:12],
-        raw=raw,
     )
     for name, obj in raw["profiles"].items():
         config.profiles[name] = _parse_profile(name, obj)
@@ -291,25 +320,8 @@ def load_config(path) -> ExperimentConfig:
             config.elements[name] = (CMElement(density, config.profiles[pname]), pname)
         except FeynpathError as exc:
             raise ConfigError("%s: %s" % (where, exc)) from exc
-    for i, obj in enumerate(raw["checks"]):
-        where = "checks[%d]" % i
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ConfigError("%s: expected an object with a 'kind'" % where)
-        kind = obj["kind"]
-        if kind not in CHECK_KINDS:
-            raise ConfigError("%s: unknown kind %r" % (where, kind))
-        required, optional = _CHECK_KEYS[kind]
-        _expect_keys(obj, where, required + ("kind",), optional + _CHECK_COMMON)
-        for key in _CHECK_FLOATS + _CHECK_COUNTS:
-            if key in obj:
-                _number(obj[key], "%s.%s" % (where, key), integral=key in _CHECK_COUNTS)
-        if "seed" in obj:
-            _seed(obj["seed"], where + ".seed")
-        if "expect" in obj:
-            _expectation(obj["expect"], where + ".expect")
-        if kind == "simulate":
-            _simulate_target(config, obj, where)
-        config.checks.append(obj)
+    config.checks = [_parse_check(config, obj, "checks[%d]." % i, i)
+                     for i, obj in enumerate(raw["checks"])]
     return config
 
 
@@ -320,34 +332,28 @@ def load_config(path) -> ExperimentConfig:
 def _check_scalars(config: ExperimentConfig, check: dict, overrides: dict):
     """(n_paths, seed, grid_size): a flag wins over the check, the check
     over the config."""
-    def pick(key):
-        layers = (overrides.get(key), check.get(key), getattr(config, key))
-        return next(v for v in layers if v is not None)
-
-    n, seed, grid_n = pick("n_paths"), _seed(pick("seed"), "seed"), pick("grid_size")
-    if n < 1 or grid_n < 1:
-        raise ConfigError("n_paths and grid_size must be positive, got %r and %r"
-                          % (n, grid_n))
-    return int(n), seed, int(grid_n)
+    return tuple(next(v for v in (overrides.get(key), check.get(key), getattr(config, key))
+                      if v is not None)
+                 for key in ("n_paths", "seed", "grid_size"))
 
 
 def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict, out_dir):
-    kind = check["kind"]
-    name = check.get("name", "%s-%d" % (kind, index))
+    """Run check ``index``, as ``load_config`` normalized it (which also
+    filled in its default name); returns (ledger row, result dict)."""
+    kind, name = check["kind"], check["name"]
     n, seed, grid_n = _check_scalars(config, check, overrides)
     result = {"name": name, "kind": kind, "n_paths": n, "seed": seed, "grid_size": grid_n}
 
     if kind == "simulate":
-        pname, fmt = _simulate_target(config, check, name)
-        profile = config.profiles[pname]
+        profile = config.profiles[check["profile"]]
         grid = TimeGrid.build(profile, [e for e, _ in config.elements.values()], n=grid_n)
         ensemble = sample_gbmp_paths(profile, grid, n, seed)
-        dest = os.path.join(out_dir, check.get("out", "%s.%s" % (name, fmt)))
+        dest = os.path.join(out_dir, check["out"])
         # Written under a temporary name and renamed when complete, so a
         # failed or interrupted write leaves no file that looks whole.
         part = dest + ".part"
         try:
-            if fmt == "bin":
+            if check["format"] == "bin":
                 ensemble.to_binary(part)
             else:
                 ensemble.to_csv(part)
@@ -356,7 +362,7 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
             if os.path.exists(part):
                 os.remove(part)
             raise
-        result.update({"profile": pname, "written": dest, "pass": True})
+        result.update({"profile": check["profile"], "written": dest, "pass": True})
         row = mc.ledger_row(name, config.config_hash, lhs=0.0, rhs=0.0,
                             n=n, grid=grid.N, seed=seed, passed=True)
         return row, result
@@ -364,21 +370,13 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
     if kind == "feynman":
         spec = config.spec(check["theta"], check["ks"])
         audit: list = []
-        value = feynman_monomial(spec, float(check["q"]), audit=audit)
-        result.update(
-            {
-                "value": {"re": value.real, "im": value.imag},
-                "q": float(check["q"]),
-                "audit": _plain(audit),
-            }
-        )
-        expect = check.get("expect")
-        if expect is not None:
-            ref, tol = _expectation(expect, "checks.expect")
+        value = feynman_monomial(spec, check["q"], audit=audit)
+        result.update({"value": value, "q": check["q"], "audit": audit})
+        if "expect" in check:
+            ref, tol = check["expect"]
             passed = abs(value - ref) <= tol
         else:
-            ref = value
-            passed = True
+            ref, passed = value, True
         result["pass"] = bool(passed)
         row = mc.ledger_row(name, config.config_hash, lhs=value, rhs=ref,
                             n=0, grid=0, seed=seed, passed=passed)
@@ -386,18 +384,12 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
 
     if kind == "verify-recurrence":
         spec = config.spec(check["theta"], check["ks"])
-        value = feynman_monomial(spec, float(check["q"]))
-        oracle = wick_moment(monomial_summary(spec), ComplexParam.feynman(float(check["q"])))
+        value = feynman_monomial(spec, check["q"])
+        oracle = wick_moment(monomial_summary(spec), ComplexParam.feynman(check["q"]))
         err = abs(value - oracle) / max(1.0, abs(oracle))
         passed = err < RECURRENCE_TOL
-        result.update(
-            {
-                "recurrence": {"re": value.real, "im": value.imag},
-                "oracle": {"re": oracle.real, "im": oracle.imag},
-                "relative_error": err,
-                "pass": bool(passed),
-            }
-        )
+        result.update({"recurrence": value, "oracle": oracle, "relative_error": err,
+                       "pass": bool(passed)})
         row = mc.ledger_row(name, config.config_hash, lhs=value, rhs=oracle,
                             n=0, grid=0, seed=seed, se=0.0, sigma_ratio=0.0, passed=passed)
         return row, result
@@ -417,11 +409,9 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
     if kind == "verify-translation":
         report = mc.verify_translation(F, theta, k1, k2, n, seed, grid=grid)
     elif kind == "verify-parts":
-        report = mc.verify_parts(F, theta, k1, k2, float(check["rho"]), n, seed, grid=grid)
+        report = mc.verify_parts(F, theta, k1, k2, check["rho"], n, seed, grid=grid)
     elif kind == "verify-cs":
-        report = mc.verify_cs_precursor(
-            F, theta, k1, k2, float(check["lambda"]), n, seed, grid=grid
-        )
+        report = mc.verify_cs_precursor(F, theta, k1, k2, check["lambda"], n, seed, grid=grid)
     else:  # pragma: no cover
         raise ConfigError("unhandled check kind %r" % kind)
     result.update(report.to_dict())
@@ -429,65 +419,37 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
     return mc.identity_ledger_row(name, config.config_hash, report), result
 
 
-def _plain(value):
-    """Recursively convert numpy scalars and complex values for output."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands.  Each raises FeynpathError for invalid input; ``run``
+# reports it.
 
 
 def _cmd_validate_profile(args) -> int:
-    try:
-        with open(args.path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
-        if "profiles" in raw:
-            config = load_config(args.path)
-            name = args.profile or next(iter(config.profiles))
-            if name not in config.profiles:
-                raise ConfigError("unknown profile %r" % name)
-            profile = config.profiles[name]
-        else:
-            _expect_keys(raw, "profile", ("T", "a_prime", "b_prime"))
-            a = _parse_poly(raw["a_prime"], "a_prime")
-            b = _parse_poly(raw["b_prime"], "b_prime")
-            profile = ProfilePair.from_derivatives(a, b, _number(raw["T"], "T"))
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    raw = _read_json(args.path)
+    if isinstance(raw, dict) and "profiles" in raw:
+        config = load_config(args.path)
+        name = args.profile or next(iter(config.profiles))
+        if name not in config.profiles:
+            raise ConfigError("unknown profile %r" % name)
+        profile = config.profiles[name]
+    else:
+        _expect_keys(raw, "profile", ("T", "a_prime", "b_prime"))
+        a = _parse_poly(raw["a_prime"], "a_prime")
+        b = _parse_poly(raw["b_prime"], "b_prime")
+        profile = ProfilePair.from_derivatives(a, b, _number(raw["T"], "T"))
     report = validate_profile(profile)
     print(_json_17g(report.to_dict()))
     return 0 if report.passed else 1
 
 
 def _cmd_feynman(args) -> int:
-    try:
-        config = load_config(args.config)
-        theta = args.theta or "theta"
-        if args.ks:
-            ks = args.ks.split(",")
-        else:
-            m = _parse_monomial_arg(args.monomial) if args.monomial else 2
-            ks = ["k%d" % (j + 1) for j in range(m)]
-        spec = config.spec(theta, ks)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    value = feynman_monomial(spec, args.q)
-    print(_json_17g({"re": value.real, "im": value.imag}))
+    config = load_config(args.config)
+    if args.ks:
+        ks = args.ks.split(",")
+    else:
+        m = _parse_monomial_arg(args.monomial) if args.monomial else 2
+        ks = ["k%d" % (j + 1) for j in range(m)]
+    print(_json_17g(feynman_monomial(config.spec(args.theta or "theta", ks), args.q)))
     return 0
 
 
@@ -499,33 +461,22 @@ def _parse_monomial_arg(text):
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    config = load_config(args.config)
     overrides = _overrides(args)
     check = {"kind": "simulate", "name": "simulate", "profile": args.profile}
+    out_dir = config.output_dir
     if args.out:
-        suffix = os.path.splitext(args.out)[1].lower()
-        if suffix not in (".csv", ".bin"):
-            raise ConfigError("--out must end in .csv or .bin, got %r" % args.out)
-        check["out"] = os.path.basename(args.out)
-        check["format"] = suffix[1:]
-    _simulate_target(config, check, "simulate")
-    out_dir = os.path.dirname(args.out) or "." if args.out else config.output_dir
+        out_dir, check["out"] = os.path.split(args.out)
+        out_dir = out_dir or "."
+    check = _parse_check(config, check, "--")
     os.makedirs(out_dir, exist_ok=True)
     row, result = run_check(config, 0, check, overrides, out_dir)
-    print(_json_17g(_plain(result)))
+    print(_json_17g(result))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    config = load_config(args.config)
     overrides = _overrides(args)
     indices = range(len(config.checks)) if args.all or not args.check else args.check
     for i in indices:
@@ -533,17 +484,12 @@ def _cmd_verify(args) -> int:
             raise ConfigError("no check %d: the config has %d" % (i, len(config.checks)))
     out_dir = args.output_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-
-    try:
-        outcomes = [run_check(config, i, config.checks[i], overrides, out_dir) for i in indices]
-    except (ConfigError, FeynpathError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    outcomes = [run_check(config, i, config.checks[i], overrides, out_dir) for i in indices]
 
     # Render every check JSON before anything is written, so a result
     # that cannot be serialized leaves neither a ledger row nor a file.
     rows = [row for row, _ in outcomes]
-    texts = [_json_17g(_plain(result)) + "\n" for _, result in outcomes]
+    texts = [_json_17g(result) + "\n" for _, result in outcomes]
     mc.append_ledger(os.path.join(out_dir, "ledger.csv"), rows)
     all_pass = True
     for i, (_, result), text in zip(indices, outcomes, texts):
@@ -569,16 +515,13 @@ def _cmd_report(args) -> int:
             reader = _csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError, _csv.Error) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        raise ConfigError(str(exc)) from exc
     if not rows or rows[0][1] != mc.LEDGER_COLUMNS:
-        print("error: not a ledger file", file=sys.stderr)
-        return 2
+        raise ConfigError("not a ledger file")
     for line, row in rows[1:]:
         if len(row) != len(mc.LEDGER_COLUMNS) or row[-1] not in ("true", "false"):
-            print("error: ledger line %d: expected %d fields ending in true or false, got %r"
-                  % (line, len(mc.LEDGER_COLUMNS), ",".join(row)), file=sys.stderr)
-            return 2
+            raise ConfigError("ledger line %d: expected %d fields ending in true or false, got %r"
+                              % (line, len(mc.LEDGER_COLUMNS), ",".join(row)))
     body = [row for _, row in rows[1:]]
     failed = [r for r in body if r[-1] != "true"]
     print(
@@ -594,10 +537,11 @@ def _cmd_report(args) -> int:
 
 
 def _overrides(args) -> dict:
+    """The --n, --seed and --grid flags, checked once."""
     return {
-        "n_paths": getattr(args, "n", None),
-        "seed": getattr(args, "seed", None),
-        "grid_size": getattr(args, "grid", None),
+        "n_paths": None if args.n is None else _number(args.n, "--n", count=True),
+        "seed": None if args.seed is None else _seed(args.seed, "--seed"),
+        "grid_size": None if args.grid is None else _number(args.grid, "--grid", count=True),
     }
 
 
@@ -655,12 +599,9 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except FeynpathError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return 2
 
 
 def main() -> None:

@@ -333,6 +333,95 @@ def test_ledger_floats_have_17_digits(tmp_path, capsys):
     assert len(lhs_re.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) >= 15
 
 
+# Check JSONs of a feynman check with expect (so its audit is rendered), a
+# verify-recurrence check and a simulate check, as written before the CLI
+# rendered results through one JSON renderer; "written" is relative to <out>.
+PINNED_CHECK_JSONS = {
+    "check_000_feynman-0.json": """\
+{
+  "audit": [
+    {
+      "cov": [
+        [
+          1.4999999999999998,
+          0.83333333333333326
+        ],
+        [
+          0.83333333333333326,
+          0.58333333333333315
+        ]
+      ],
+      "means": [
+        0.5,
+        0.33333333333333326
+      ],
+      "op": "feynman_monomial",
+      "q": 1,
+      "value": {
+        "im": 0.99999999999999989,
+        "re": 2.2204460492503128e-16
+      }
+    }
+  ],
+  "grid_size": 32,
+  "kind": "feynman",
+  "n_paths": 200,
+  "name": "feynman-0",
+  "pass": true,
+  "q": 1,
+  "seed": 42,
+  "value": {
+    "im": 0.99999999999999989,
+    "re": 2.2204460492503128e-16
+  }
+}
+""",
+    "check_001_verify-recurrence-1.json": """\
+{
+  "grid_size": 32,
+  "kind": "verify-recurrence",
+  "n_paths": 200,
+  "name": "verify-recurrence-1",
+  "oracle": {
+    "im": -0.22569444444444436,
+    "re": -0.22569444444444436
+  },
+  "pass": true,
+  "recurrence": {
+    "im": -0.22569444444444436,
+    "re": -0.22569444444444436
+  },
+  "relative_error": 0,
+  "seed": 42
+}
+""",
+    "check_002_simulate-2.json": """\
+{
+  "grid_size": 8,
+  "kind": "simulate",
+  "n_paths": 3,
+  "name": "simulate-2",
+  "pass": true,
+  "profile": "std",
+  "seed": 42,
+  "written": "<out>/simulate-2.csv"
+}
+""",
+}
+
+
+def test_check_json_bytes_are_pinned(tmp_path, capsys):
+    cfg = std_config(n=200, grid=32)
+    cfg["checks"] = cfg["checks"][:2] + [{"kind": "simulate", "n_paths": 3, "grid_size": 8}]
+    out = tmp_path / "o"
+    assert run(["verify", "--all", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    written = {name: (out / name).read_text().replace(str(out), "<out>")
+               for name in os.listdir(out) if name.startswith("check_")}
+    assert written == PINNED_CHECK_JSONS
+
+
 def test_validate_profile_from_full_config(tmp_path, capsys):
     path = write_config(tmp_path, std_config())
     code = run(["validate-profile", path, "--profile", "std"])
@@ -372,6 +461,7 @@ def _set(cfg, key, value):
         (["verify", "--all"], "grid_size", "abc"),
         (["verify", "--all"], "checks.3.n_paths", "abc"),
         (["verify", "--all"], "checks.3.grid_size", 64.5),
+        (["verify", "--all"], "checks.3.n_paths", 0),
         (["verify", "--all"], "checks.4.seed", "x"),
         (["verify", "--all"], "profiles.std.T", "x"),
         (["verify", "--all"], "checks.3.rho", "x"),
@@ -383,15 +473,23 @@ def _set(cfg, key, value):
         (["verify", "--all"], "checks.0.expect.tol", "x"),
         (["verify", "--all"], "checks.4", {"kind": "simulate", "profile": "nosuch"}),
         (["verify", "--all"], "checks.4", {"kind": "simulate", "format": "parquet"}),
+        (["verify", "--all"], "checks.4", {"kind": "simulate", "out": "../escaped.csv"}),
+        (["verify", "--all"], "checks.4", {"kind": "simulate", "out": "sub/x.csv"}),
+        (["verify", "--all"], "checks.4", {"kind": "simulate", "out": 5}),
+        (["verify", "--all"], "checks.4", {"kind": "simulate", "out": "a.bin", "format": "csv"}),
         (["simulate", "--profile", "nosuch"], None, None),
+        (["feynman", "--q", "0"], None, None),
     ],
     ids=["monomial-not-int", "monomial-negative", "seed-negative", "config-seed-2^64",
          "check-out-of-range", "n-zero", "grid-zero", "n_paths-text", "n_paths-bool",
          "n_paths-fraction", "grid_size-text", "check-n_paths-text", "check-grid_size-fraction",
+         "check-n_paths-zero",
          "check-seed-text",
          "T-text", "rho-text", "lambda-bool", "q-text", "q-nan", "expect-re-text",
          "expect-im-null", "expect-tol-text", "simulate-check-unknown-profile",
-         "simulate-check-unknown-format", "simulate-unknown-profile"],
+         "simulate-check-unknown-format", "simulate-check-out-escapes",
+         "simulate-check-out-in-subdirectory", "simulate-check-out-not-a-string",
+         "simulate-check-format-disagrees-with-out", "simulate-unknown-profile", "feynman-q-zero"],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, key, value):
     cfg = std_config(n=200, grid=32)
@@ -409,6 +507,7 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, argv, key, value):
     if key is not None:
         assert key.split(".")[-1] in captured.err
     assert not (out / "ledger.csv").exists() and not (out / "paths.csv").exists()
+    assert set(os.listdir(tmp_path)) <= {"config.json", "o"}
 
 
 @pytest.mark.parametrize(
@@ -438,11 +537,18 @@ def test_shipped_std_config_runs(tmp_path, capsys):
 
 
 def test_simulate_format_follows_the_suffix_in_any_case(tmp_path, capsys):
-    path = write_config(tmp_path, std_config())
-    for name, is_binary in (("x.BIN", True), ("y.Bin", True), ("z.CSV", False)):
-        dest = tmp_path / name
-        assert run(["simulate", "--config", path, "--n", "3", "--grid", "8",
-                    "--out", str(dest)]) == 0
+    """simulate --out and a simulate check's out take the format from the
+    suffix of the name."""
+    cfg = std_config()
+    cfg["checks"] = [{"kind": "simulate", "out": "a.bin", "n_paths": 3, "grid_size": 8}]
+    path = write_config(tmp_path, cfg)
+    runs = [(["simulate", "--n", "3", "--grid", "8", "--out", str(tmp_path / name)],
+             tmp_path / name, is_binary)
+            for name, is_binary in (("x.BIN", True), ("y.Bin", True), ("z.CSV", False))]
+    runs.append((["verify", "--all", "--output-dir", str(tmp_path / "o")],
+                 tmp_path / "o" / "a.bin", True))
+    for argv, dest, is_binary in runs:
+        assert run(argv + ["--config", path]) == 0
         capsys.readouterr()
         assert (dest.read_bytes()[:8] == b"GBMPENS1") is is_binary
         if not is_binary:
