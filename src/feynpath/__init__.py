@@ -57,7 +57,6 @@ from .feynman import (
     ExpLinear,
     FunctionalSpec,
     GaussianSummary,
-    Monomial,
     MonomialSpec,
     analytic_fsi_monomial,
     cameron_storvick_residual,
@@ -96,7 +95,6 @@ __all__ = [
     "MCReport",
     "MeanCovTable",
     "MeasureKind",
-    "Monomial",
     "MonomialSpec",
     "NonPositiveVariance",
     "PathEnsemble",

@@ -4,9 +4,10 @@ One JSON config names the profiles, the Cameron-Martin elements over
 them, and a list of checks to run; command-line flags override the
 config scalars (seed, n_paths, grid_size).  Unknown keys anywhere in the
 config are rejected rather than ignored, and each check is validated and
-normalized once, when the config is loaded.  All floats are printed with
-17 significant digits so reruns with the same config bytes produce
-byte-identical CSV ledgers.
+normalized once, when the config is loaded: its element names resolved
+and its functional parsed, so a bad check fails before any check runs.
+All floats are printed with 17 significant digits so reruns with the
+same config bytes produce byte-identical CSV ledgers.
 
 ``run`` is the single error boundary: any FeynpathError a command raises
 (ConfigError included) prints one ``error:`` line and exits with code 2.
@@ -29,13 +30,12 @@ except ImportError:
     from hashlib import sha256
 
 from . import montecarlo as mc
-from .cameron_martin import CMElement, SuppElement, odot
+from .cameron_martin import CMElement, SuppElement
 from .errors import ConfigError, FeynpathError
 from .feynman import (
     ComplexParam,
     CosLinear,
     ExpLinear,
-    Monomial,
     MonomialSpec,
     feynman_monomial,
     monomial_summary,
@@ -145,24 +145,36 @@ class ExperimentConfig:
     _specs: dict = field(default_factory=dict, init=False, repr=False)
 
     def element(self, name) -> CMElement:
-        if name not in self.elements:
-            raise ConfigError("unknown element %r" % name)
+        if not isinstance(name, str) or name not in self.elements:
+            raise ConfigError("unknown element %r" % (name,))
         return self.elements[name][0]
 
     def supp(self, name) -> SuppElement:
+        element = self.element(name)
         if name not in self._supps:
-            self._supps[name] = SuppElement(self.element(name))
+            self._supps[name] = SuppElement(element)
         return self._supps[name]
 
     def spec(self, theta, ks) -> MonomialSpec:
         """The monomial over the named elements, one per (theta, ks) in
         order: a permuted ks is its own spec, since the order of the
         inner products can change their rounding."""
+        if not isinstance(ks, (list, tuple)) or not all(isinstance(k, str) for k in ks):
+            raise ConfigError("expected a list of element names, got %r" % (ks,))
+        element = self.element(theta)
         key = (theta, tuple(ks))
         if key not in self._specs:
-            self._specs[key] = MonomialSpec(self.element(theta),
-                                            tuple(self.supp(k) for k in key[1]))
+            self._specs[key] = MonomialSpec(element, tuple(self.supp(k) for k in key[1]))
         return self._specs[key]
+
+
+def _resolved(where, build, *args, **kwargs):
+    """build(*args, **kwargs), with a library error it raises reported
+    as a ConfigError that names ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except FeynpathError as exc:
+        raise ConfigError("%s: %s" % (where, exc)) from exc
 
 
 def _parse_poly(obj, where) -> PiecewisePoly:
@@ -187,11 +199,7 @@ def _parse_profile(name, obj) -> ProfilePair:
     _expect_keys(obj, where, ("T", "a_prime", "b_prime"))
     a = _parse_poly(obj["a_prime"], where + ".a_prime")
     b = _parse_poly(obj["b_prime"], where + ".b_prime")
-    T = _number(obj["T"], where + ".T")
-    try:
-        return build_profile(a, b, T)
-    except FeynpathError as exc:
-        raise ConfigError("%s: %s" % (where, exc)) from exc
+    return _resolved(where, build_profile, a, b, _number(obj["T"], where + ".T"))
 
 
 def _parse_functional(obj, where, config: ExperimentConfig):
@@ -199,17 +207,20 @@ def _parse_functional(obj, where, config: ExperimentConfig):
     kind = obj["type"]
     if kind == "monomial":
         _expect_keys(obj, where, ("type", "theta", "ks"))
-        return Monomial(config.spec(obj["theta"], obj["ks"]))
+        _resolved(where + ".theta", config.element, obj["theta"])
+        return _resolved(where + ".ks", config.spec, obj["theta"], obj["ks"])
     if kind == "exp_linear":
         _expect_keys(obj, where, ("type", "w0", "c"), ("allow_unbounded",))
-        return ExpLinear(
-            config.element(obj["w0"]),
+        return _resolved(
+            where,
+            ExpLinear,
+            _resolved(where + ".w0", config.element, obj["w0"]),
             _complex_from(obj["c"], where + ".c"),
             allow_unbounded=bool(obj.get("allow_unbounded", False)),
         )
     if kind == "cos_linear":
         _expect_keys(obj, where, ("type", "w0"))
-        return CosLinear(config.element(obj["w0"]))
+        return CosLinear(_resolved(where + ".w0", config.element, obj["w0"]))
     raise ConfigError("%s: unknown functional type %r" % (where, kind))
 
 
@@ -234,10 +245,12 @@ def _expectation(expect, where):
 
 def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
     """A normalized copy of check ``index``: its numbers parsed, ``expect``
-    as (reference, tolerance), its default name filled in and, for
-    ``simulate``, its profile, output file and format resolved.  Errors
-    name a key as ``where`` + key: ``checks[3].`` for a config check,
-    ``--`` for the flags of the simulate command."""
+    as (reference, tolerance), its default name filled in, its element
+    names resolved through the config's memo (the names stay), its
+    ``functional`` parsed and, for ``simulate``, its profile, output file
+    and format resolved.  Errors name a key as ``where`` + key:
+    ``checks[3].`` for a config check, ``--`` for the flags of the
+    simulate command."""
     label = where.rstrip(".")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("%s: expected an object with a 'kind'" % label)
@@ -247,6 +260,11 @@ def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
     required, optional = _CHECK_KEYS[kind]
     _expect_keys(obj, label, required + ("kind",), optional + _CHECK_COMMON)
     check = dict(obj, name=obj.get("name", "%s-%d" % (kind, index)))
+    name = check["name"]
+    # The name becomes part of a file name in the output directory.
+    if not isinstance(name, str) or not name or os.path.basename(name) != name or "\0" in name:
+        raise ConfigError("%sname must be a non-empty string without path separators, got %r"
+                          % (where, name))
     for key in _CHECK_FLOATS + _CHECK_COUNTS:
         if key in check:
             check[key] = _number(check[key], where + key, count=key in _CHECK_COUNTS)
@@ -255,6 +273,14 @@ def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
     if "expect" in check:
         check["expect"] = _expectation(check["expect"], where + "expect")
     if kind != "simulate":
+        _resolved(where + "theta", config.element, check["theta"])
+        if "ks" in check:
+            _resolved(where + "ks", config.spec, check["theta"], check["ks"])
+        else:
+            for key in ("k1", "k2"):
+                _resolved(where + key, config.supp, check[key])
+            check["functional"] = _parse_functional(check["functional"], where + "functional",
+                                                    config)
         return check
 
     # The profile defaults to the config's first.  The output is a bare
@@ -295,13 +321,20 @@ def load_config(path) -> ExperimentConfig:
         ("seed", "profiles", "elements", "checks"),
         ("n_paths", "grid_size", "output_dir"),
     )
+    for key, shape in (("profiles", dict), ("elements", dict), ("checks", list)):
+        if not isinstance(raw[key], shape):
+            raise ConfigError("config.%s must be %s, got %r"
+                              % (key, "a list" if shape is list else "an object", raw[key]))
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("config.output_dir must be a non-empty string, got %r" % (output_dir,))
 
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     config = ExperimentConfig(
         seed=_seed(raw["seed"], "config.seed"),
         n_paths=_number(raw.get("n_paths", 10000), "config.n_paths", count=True),
         grid_size=_number(raw.get("grid_size", DEFAULT_GRID_N), "config.grid_size", count=True),
-        output_dir=str(raw.get("output_dir", "out")),
+        output_dir=output_dir,
         profiles={},
         elements={},
         checks=[],
@@ -313,13 +346,11 @@ def load_config(path) -> ExperimentConfig:
         where = "elements.%s" % name
         _expect_keys(obj, where, ("profile", "density"))
         pname = obj["profile"]
-        if pname not in config.profiles:
+        if not isinstance(pname, str) or pname not in config.profiles:
             raise ConfigError("%s: unknown profile %r" % (where, pname))
         density = _parse_poly(obj["density"], where + ".density")
-        try:
-            config.elements[name] = (CMElement(density, config.profiles[pname]), pname)
-        except FeynpathError as exc:
-            raise ConfigError("%s: %s" % (where, exc)) from exc
+        config.elements[name] = (_resolved(where, CMElement, density, config.profiles[pname]),
+                                 pname)
     config.checks = [_parse_check(config, obj, "checks[%d]." % i, i)
                      for i, obj in enumerate(raw["checks"])]
     return config
@@ -394,18 +425,14 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
                             n=0, grid=0, seed=seed, se=0.0, sigma_ratio=0.0, passed=passed)
         return row, result
 
-    # Statistical identity checks share the setup below.
-    F = _parse_functional(check["functional"], "checks.functional", config)
+    # Statistical identity checks share the setup below.  The grid holds
+    # every breakpoint of the config's elements, so those of their
+    # products too.
+    F = check["functional"]
     theta = config.element(check["theta"])
     k1 = config.supp(check["k1"])
     k2 = config.supp(check["k2"])
-    profile = theta.profile
-    grid = TimeGrid.build(
-        profile,
-        [e for e, _ in config.elements.values()]
-        + [odot(theta, k1), odot(theta, k2)],
-        n=grid_n,
-    )
+    grid = TimeGrid.build(theta.profile, [e for e, _ in config.elements.values()], n=grid_n)
     if kind == "verify-translation":
         report = mc.verify_translation(F, theta, k1, k2, n, seed, grid=grid)
     elif kind == "verify-parts":

@@ -124,11 +124,6 @@ class MonomialSpec:
 
 
 @dataclass(frozen=True)
-class Monomial:
-    spec: MonomialSpec
-
-
-@dataclass(frozen=True)
 class ExpLinear:
     """F(x) = exp(c * (w0, x)~); bounded when c is purely imaginary.
 
@@ -154,7 +149,7 @@ class CosLinear:
     w0: CMElement
 
 
-FunctionalSpec = Monomial | ExpLinear | CosLinear
+FunctionalSpec = MonomialSpec | ExpLinear | CosLinear
 
 
 @dataclass(frozen=True)
@@ -405,14 +400,9 @@ def feynman_elements(
 # First variation and the Cameron-Storvick identity.
 
 
-def _as_functional(F):
-    """A bare MonomialSpec stands for its Monomial functional."""
-    return Monomial(F) if isinstance(F, MonomialSpec) else F
-
-
 def _linear_factors(F: FunctionalSpec) -> list[CMElement]:
-    if isinstance(F, Monomial):
-        return F.spec.elements()
+    if isinstance(F, MonomialSpec):
+        return F.elements()
     if isinstance(F, (ExpLinear, CosLinear)):
         return [F.w0]
     raise UnsupportedFunctional("unknown functional %r" % (F,))
@@ -430,7 +420,7 @@ def _value_at(F: FunctionalSpec, v: np.ndarray):
     """F given its factor values v[..., j] = (u_j, x)~, u_j the linear
     factors of F.  The order of the products is part of the contract:
     ledgers are bit-identical only while it stays the same."""
-    if isinstance(F, Monomial):
+    if isinstance(F, MonomialSpec):
         out = np.ones(v.shape[:-1])
         for j in range(v.shape[-1]):
             out = out * v[..., j]
@@ -445,7 +435,7 @@ def _value_at(F: FunctionalSpec, v: np.ndarray):
 def _variation_at(F: FunctionalSpec, v: np.ndarray, d):
     """First variation of F at factor values v, for direction scalars
     d[j] (the change of the j-th factor value along the direction)."""
-    if isinstance(F, Monomial):
+    if isinstance(F, MonomialSpec):
         m = v.shape[-1]
         total = np.zeros(v.shape[:-1])
         for l in range(m):
@@ -489,7 +479,7 @@ def first_variation(
     dir_consts = [cm_inner(odot(u, k2), w) for u in factors]
     if audit is not None:
         audit.append({"op": "first_variation", "direction_scalars": list(dir_consts)})
-    if isinstance(F, Monomial) and F.spec.m <= 1:
+    if isinstance(F, MonomialSpec) and F.m <= 1:
         return dir_consts[0] if dir_consts else 0.0
     if x_path is None or grid is None:
         raise ValueError("a path and grid are required for this functional")
@@ -516,18 +506,16 @@ def cameron_storvick_residual(
     stochastic integrals of explicit elements via the kernel-transport
     identity, so both sides are exact finite expressions.
     """
-    F = _as_functional(F)
-    if not isinstance(F, Monomial):
+    if not isinstance(F, MonomialSpec):
         raise UnsupportedFunctional("closed-form residual needs a monomial")
-    spec = F.spec
     param = ComplexParam.feynman(q)
-    els = spec.elements()
+    els = F.elements()
     base = [as_cm(odot(u, k1)) for u in els]
     theta_k2 = as_cm(odot(theta, k2))
     theta_k1 = odot(theta, k1)
 
     lhs = 0.0 + 0.0j
-    for l in range(spec.m):
+    for l in range(F.m):
         c_l = cm_inner(odot(els[l], k2), theta_k1)
         rest = base[:l] + base[l + 1 :]
         lhs += c_l * feynman_elements(rest, param, method)

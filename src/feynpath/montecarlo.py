@@ -25,15 +25,8 @@ import numpy as np
 
 from .cameron_martin import CMElement, SuppElement, as_cm, cm_inner, inner_with_a, odot
 from .errors import BadDomain, ProfileMismatch
-from .feynman import (
-    ExpLinear,
-    FunctionalSpec,
-    _as_functional,
-    _linear_factors,
-    _value_at,
-    _variation_at,
-)
-from .paths import DEFAULT_GRID_N, TimeGrid, left_density, stream_increments
+from .feynman import ExpLinear, FunctionalSpec, _linear_factors, _value_at, _variation_at
+from .paths import TimeGrid, left_density, stream_increments
 
 DEFAULT_SIGMA_THRESHOLD = 3.0
 _EXACT_TOL = 1e-12
@@ -101,15 +94,17 @@ def _mean_se(vals: np.ndarray):
     return mean, float(np.sqrt(var / n))
 
 
-def _pwz_columns(elements, profile, grid: TimeGrid, n: int, seed: int) -> np.ndarray:
-    """U[i, j] = stochastic integral of elements[j] along path i, streamed."""
+def _columns(F: FunctionalSpec, k, profile, grid: TimeGrid, n, seed, extra=()) -> np.ndarray:
+    """U[i, j] = (u_j (.) k, x)~ along path i for the linear factors u_j
+    of F, then one column per element of ``extra``; streamed."""
+    elements = [odot(u, k) for u in _linear_factors(F)] + list(extra)
     dens = np.column_stack([left_density(e, grid) for e in elements])
     return np.concatenate([c for _, c in stream_increments(profile, grid, n, seed, onto=dens)])
 
 
 def _functional_profile(F: FunctionalSpec):
     factors = _linear_factors(F)
-    return as_cm(factors[0]).profile if factors else F.spec.theta.profile
+    return as_cm(factors[0]).profile if factors else F.theta.profile
 
 
 def _functional_assumptions(F: FunctionalSpec) -> tuple[str, ...]:
@@ -148,11 +143,17 @@ def _identity_report(lhs_vals, rhs_vals, n, grid, seed, threshold, t0, assumptio
     )
 
 
-def _default_grid(profile, F: FunctionalSpec, extra, grid, n=DEFAULT_GRID_N):
-    if grid is not None:
-        return grid
-    elements = list(_linear_factors(F)) + [as_cm(e) for e in extra]
-    return TimeGrid.build(profile, elements, n=n)
+def _profile_and_grid(F: FunctionalSpec, elements, grid):
+    """F's profile, once every element is checked to share it, and the
+    grid: the given one, or a default grid through every breakpoint of
+    F's linear factors and the elements."""
+    profile = _functional_profile(F)
+    for e in elements:
+        if as_cm(e).profile != profile:
+            raise ProfileMismatch("all elements must share the functional's profile")
+    if grid is None:
+        grid = TimeGrid.build(profile, list(_linear_factors(F)) + [as_cm(e) for e in elements])
+    return profile, grid
 
 
 def mc_fsi(
@@ -168,16 +169,12 @@ def mc_fsi(
     lam = float(lambda_real)
     if not lam > 0.0:
         raise BadDomain("lambda must be a positive real, got %r" % lambda_real)
-    profile = _functional_profile(F)
-    if as_cm(k).profile != profile:
-        raise ProfileMismatch("k lives over a different profile than F")
-    grid = _default_grid(profile, F, [k], grid)
-    factors = [odot(u, k) for u in _linear_factors(F)]
+    profile, grid = _profile_and_grid(F, [k], grid)
     t0 = time.perf_counter()
-    if not factors:
+    if not _linear_factors(F):
         vals = np.ones(n)
     else:
-        vals = _value_at(F, lam**-0.5 * _pwz_columns(factors, profile, grid, n, seed))
+        vals = _value_at(F, lam**-0.5 * _columns(F, k, profile, grid, n, seed))
     return _report(vals, n, grid, seed, t0, _functional_assumptions(F))
 
 
@@ -196,20 +193,10 @@ def verify_translation(
     expectation, with the densities' exact inner products in the weight.
     Both sides share one ensemble.
     """
-    profile = _functional_profile(F)
-    _require_profiles(profile, theta, k1, k2)
-    grid = _default_grid(profile, F, [theta, k1, k2], grid)
-    factors = _linear_factors(F)
-    theta_k1 = odot(theta, k1)
-    theta_k2 = as_cm(odot(theta, k2))
-    shift_consts = [cm_inner(odot(u, k2), theta_k1) for u in factors]
-    weight = float(np.exp(-0.5 * cm_inner(theta_k2, theta_k2) - inner_with_a(theta_k2)))
-
-    t0 = time.perf_counter()
-    elements = [odot(u, k1) for u in factors] + [theta_k2]
-    cols = _pwz_columns(elements, profile, grid, n, seed)
+    grid, shift, theta_k2, pairing_a, t0, cols = _identity_setup(F, theta, k1, k2, n, seed, grid)
+    weight = float(np.exp(-0.5 * cm_inner(theta_k2, theta_k2) - pairing_a))
     v = cols[:, :-1]
-    lhs_vals = _value_at(F, v + shift_consts)
+    lhs_vals = _value_at(F, v + shift)
     rhs_vals = weight * _value_at(F, v) * np.exp(cols[:, -1])
     return _identity_report(
         lhs_vals, rhs_vals, n, grid, seed, threshold, t0, _functional_assumptions(F)
@@ -274,29 +261,26 @@ def _parts_engine(F, theta, k1, k2, rho, n, seed, grid):
     grid used and the start time: the variation of F at rho-scaled paths
     in direction rho Z_{k2}(theta (.) k1, .), and
     ((theta (.) k2, x)~ - (theta (.) k2, a)) F at the same paths."""
-    F = _as_functional(F)
-    profile = _functional_profile(F)
-    _require_profiles(profile, theta, k1, k2)
-    grid = _default_grid(profile, F, [theta, k1, k2], grid)
-    factors = _linear_factors(F)
-    theta_k1 = odot(theta, k1)
-    theta_k2 = as_cm(odot(theta, k2))
-    d = [rho * cm_inner(odot(u, k2), theta_k1) for u in factors]
-    pairing_a = inner_with_a(theta_k2)
-
-    t0 = time.perf_counter()
-    elements = [odot(u, k1) for u in factors] + [theta_k2]
-    cols = _pwz_columns(elements, profile, grid, n, seed)
+    grid, d, _, pairing_a, t0, cols = _identity_setup(F, theta, k1, k2, n, seed, grid)
     v = rho * cols[:, :-1]
-    lhs_vals = _variation_at(F, v, d)
+    lhs_vals = _variation_at(F, v, [rho * c for c in d])
     rhs_vals = (cols[:, -1] - pairing_a) * _value_at(F, v)
     return lhs_vals, rhs_vals, grid, t0
 
 
-def _require_profiles(profile, *elements):
-    for e in elements:
-        if as_cm(e).profile != profile:
-            raise ProfileMismatch("all elements must share the functional's profile")
+def _identity_setup(F, theta, k1, k2, n, seed, grid):
+    """What the translation and parts identities share: the grid used,
+    the exact scalars (u (.) k2, theta (.) k1) for the linear factors u
+    of F, theta (.) k2 and its pairing with a, the start time, and the
+    columns (u (.) k1, x)~ per factor followed by (theta (.) k2, x)~."""
+    profile, grid = _profile_and_grid(F, [theta, k1, k2], grid)
+    theta_k1 = odot(theta, k1)
+    theta_k2 = as_cm(odot(theta, k2))
+    consts = [cm_inner(odot(u, k2), theta_k1) for u in _linear_factors(F)]
+    pairing_a = inner_with_a(theta_k2)
+    t0 = time.perf_counter()
+    cols = _columns(F, k1, profile, grid, n, seed, extra=[theta_k2])
+    return grid, consts, theta_k2, pairing_a, t0, cols
 
 
 # ---------------------------------------------------------------------------

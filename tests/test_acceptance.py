@@ -16,7 +16,6 @@ from feynpath import (
     ComplexParam,
     CosLinear,
     MeasureKind,
-    Monomial,
     MonomialSpec,
     SuppElement,
     TimeGrid,
@@ -161,7 +160,7 @@ def test_criterion_5_cameron_storvick_residual(std_elements):
     for ka, kb in ((b, b), (k1, k2), (k2, k1)):
         for m in range(5):
             ks = tuple((k1, k2)[j % 2] for j in range(m))
-            F = Monomial(MonomialSpec(theta, ks))
+            F = MonomialSpec(theta, ks)
             for q in (1.0, -2.0, 3.0):
                 worst = max(worst, abs(cameron_storvick_residual(F, theta, ka, kb, q)))
     elapsed = time.perf_counter() - t0
@@ -227,13 +226,13 @@ def test_criterion_7_statistical_suite(standard, std_elements):
     # (b) translation identity for a bounded and a linear functional.
     r1 = verify_translation(CosLinear(theta), theta, k1, k2, N_STAT, 20261, grid=grid)
     r2 = verify_translation(
-        Monomial(MonomialSpec(theta, (k1,))), theta, k1, k2, N_STAT, 20282, grid=grid
+        MonomialSpec(theta, (k1,)), theta, k1, k2, N_STAT, 20282, grid=grid
     )
     ok &= r1.passed and r2.passed
     notes.append("translation sigma %.2f/%.2f" % (r1.sigma_ratio, r2.sigma_ratio))
 
     # (c) integration by parts at two path scales.
-    F2 = Monomial(MonomialSpec(theta, (k1, k2)))
+    F2 = MonomialSpec(theta, (k1, k2))
     sigmas_c = []
     for i, rho in enumerate((1.0, 2.0)):
         r = verify_parts(F2, theta, k1, k2, rho, N_STAT, 20273 + i, grid=grid)
@@ -256,7 +255,7 @@ def test_criterion_7_statistical_suite(standard, std_elements):
     spec = MonomialSpec(theta, (k1, k2))
     devs = []
     for i, lam in enumerate((1.0, 2.0)):
-        rep = mc_fsi(Monomial(spec), b, lam, N_STAT, 20267 + i, grid=grid)
+        rep = mc_fsi(spec, b, lam, N_STAT, 20267 + i, grid=grid)
         want = analytic_fsi_monomial(spec, lam)
         dev = abs(rep.estimate - want) / rep.std_error
         ok &= dev < 3.0

@@ -178,10 +178,10 @@ def test_element_serialization(standard):
 
 
 def test_first_variation_audit(std_elements):
-    from feynpath import first_variation, Monomial, MonomialSpec
+    from feynpath import first_variation, MonomialSpec
 
     theta, k1, k2 = std_elements
     audit = []
-    first_variation(Monomial(MonomialSpec(theta, (k1,))), k1, k2, None, theta, audit=audit)
+    first_variation(MonomialSpec(theta, (k1,)), k1, k2, None, theta, audit=audit)
     assert audit[0]["op"] == "first_variation"
     assert len(audit[0]["direction_scalars"]) == 1

@@ -102,11 +102,27 @@ def test_load_config_resolves_names(tmp_path):
     cfg = std_config()
     cfg["checks"][0]["ks"] = ["nope"]
     path = write_config(tmp_path, cfg)
-    config = load_config(path)
-    with pytest.raises(ConfigError, match="nope"):
-        from feynpath.cli import run_check
+    with pytest.raises(ConfigError, match=r"checks\[0\]\.ks: unknown element 'nope'"):
+        load_config(path)
 
-        run_check(config, 0, config.checks[0], {}, str(tmp_path))
+
+def test_unknown_element_in_the_last_check_fails_before_any_check_runs(
+    tmp_path, capsys, monkeypatch
+):
+    import feynpath.cli as cli
+
+    ran = []
+    original = cli.run_check
+    monkeypatch.setattr(cli, "run_check", lambda *args: ran.append(args[1]) or original(*args))
+    cfg = std_config(n=200, grid=32)
+    cfg["checks"][-1]["theta"] = "nosuch"
+    out = tmp_path / "o"
+    code = run(["verify", "--all", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and ran == [] and captured.out == ""
+    assert captured.err == "error: checks[4].theta: unknown element 'nosuch'\n"
+    assert not out.exists()
 
 
 def test_one_spec_per_theta_and_ks_order(tmp_path, capsys, monkeypatch):
@@ -479,6 +495,29 @@ def _set(cfg, key, value):
         (["verify", "--all"], "checks.4", {"kind": "simulate", "out": "a.bin", "format": "csv"}),
         (["simulate", "--profile", "nosuch"], None, None),
         (["feynman", "--q", "0"], None, None),
+        (["verify", "--all"], "checks.0.name", "../x"),
+        (["verify", "--all"], "checks.0.name", "a/b"),
+        (["verify", "--all"], "checks.0.name", ""),
+        (["verify", "--all"], "checks.0.name", 5),
+        (["verify", "--all"], "checks.0.name", "a\0b"),
+        (["verify", "--all"], "profiles", []),
+        (["verify", "--all"], "elements", []),
+        (["verify", "--all"], "checks", 5),
+        (["verify", "--all"], "checks", {}),
+        (["verify", "--all"], "output_dir", ""),
+        (["verify", "--all"], "output_dir", 5),
+        (["verify", "--all"], "checks.4.theta", "nosuch"),
+        (["verify", "--all"], "checks.1.ks", "k1"),
+        (["verify", "--all"], "checks.1.ks", ["k1", "nosuch"]),
+        (["verify", "--all"], "checks.2.k2", "nosuch"),
+        (["verify", "--all"], "checks.3.k1", ["k1"]),
+        (["verify", "--all"], "checks.2.functional.w0", "nosuch"),
+        (["verify", "--all"], "checks.3.functional.ks", ["nosuch"]),
+        (["verify", "--all"], "checks.3.functional.theta", "nosuch"),
+        (["verify", "--all"], "checks.4.functional",
+         {"type": "exp_linear", "w0": "theta", "c": {"re": "x", "im": 0.0}}),
+        (["verify", "--all"], "checks.4.functional",
+         {"type": "exp_linear", "w0": "theta", "c": {"re": 1.0, "im": 0.0}}),
     ],
     ids=["monomial-not-int", "monomial-negative", "seed-negative", "config-seed-2^64",
          "check-out-of-range", "n-zero", "grid-zero", "n_paths-text", "n_paths-bool",
@@ -489,7 +528,13 @@ def _set(cfg, key, value):
          "expect-im-null", "expect-tol-text", "simulate-check-unknown-profile",
          "simulate-check-unknown-format", "simulate-check-out-escapes",
          "simulate-check-out-in-subdirectory", "simulate-check-out-not-a-string",
-         "simulate-check-format-disagrees-with-out", "simulate-unknown-profile", "feynman-q-zero"],
+         "simulate-check-format-disagrees-with-out", "simulate-unknown-profile", "feynman-q-zero",
+         "name-parent-dir", "name-with-separator", "name-empty", "name-not-a-string", "name-nul",
+         "profiles-list", "elements-list", "checks-number", "checks-object",
+         "output_dir-empty", "output_dir-number", "theta-unknown", "ks-a-string",
+         "ks-unknown", "k2-unknown", "k1-a-list", "functional-w0-unknown",
+         "functional-ks-unknown", "functional-theta-unknown", "functional-c-text",
+         "functional-unbounded-exp"],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, key, value):
     cfg = std_config(n=200, grid=32)

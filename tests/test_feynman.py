@@ -10,7 +10,6 @@ from feynpath import (
     CosLinear,
     ExpLinear,
     GaussianSummary,
-    Monomial,
     MonomialSpec,
     PiecewisePoly,
     SuppElement,
@@ -336,7 +335,7 @@ def test_audit_records_scalars(std_spec):
 
 def test_first_variation_linear_functional(std_elements):
     theta, k1, k2 = std_elements
-    F = Monomial(MonomialSpec(theta, (k1,)))
+    F = MonomialSpec(theta, (k1,))
     # direction theta (.) k1: the variation is the constant pairing 5/6
     got = first_variation(F, k1, k2, None, odot(theta, k1))
     want = cm_inner(odot(theta, k2), odot(theta, k1))
@@ -346,7 +345,7 @@ def test_first_variation_linear_functional(std_elements):
 
 def test_first_variation_constant_functional(std_elements):
     theta, k1, k2 = std_elements
-    F = Monomial(MonomialSpec(theta, ()))
+    F = MonomialSpec(theta, ())
     assert first_variation(F, k1, k2, None, theta) == 0.0
 
 
@@ -362,7 +361,7 @@ def test_first_variation_matches_finite_difference(standard, std_elements):
     grid = TimeGrid.build(standard, n=2048)
     ens = sample_gbmp_paths(standard, grid, 3, 55)
     w = odot(theta, k1)
-    m3 = Monomial(MonomialSpec(theta, (k1, k2, k1)))
+    m3 = MonomialSpec(theta, (k1, k2, k1))
     for F in (m3, CosLinear(theta), ExpLinear(theta, 0.5 + 0.0j, allow_unbounded=True)):
         # evaluate the variation on the transported argument paths
         from feynpath import z_process_path
@@ -375,7 +374,7 @@ def test_first_variation_matches_finite_difference(standard, std_elements):
 
 def test_first_variation_needs_path_for_higher_degree(std_elements):
     theta, k1, k2 = std_elements
-    F = Monomial(MonomialSpec(theta, (k1, k2)))
+    F = MonomialSpec(theta, (k1, k2))
     with pytest.raises(ValueError):
         first_variation(F, k1, k2, None, theta)
 
@@ -398,7 +397,7 @@ def test_cs_residual_closed_form(std_elements):
     for ka, kb in configs:
         for m in range(0, 5):
             ks = tuple((k1, k2)[j % 2] for j in range(m))
-            F = Monomial(MonomialSpec(theta, ks))
+            F = MonomialSpec(theta, ks)
             for q in (1.0, -2.0, 3.0):
                 res = cameron_storvick_residual(F, theta, ka, kb, q)
                 assert abs(res) < 1e-10
@@ -406,14 +405,14 @@ def test_cs_residual_closed_form(std_elements):
 
 def test_cs_residual_constant_functional(std_elements):
     theta, k1, k2 = std_elements
-    F = Monomial(MonomialSpec(theta, ()))
+    F = MonomialSpec(theta, ())
     res = cameron_storvick_residual(F, theta, k1, k2, 2.0)
     assert abs(res) < 1e-12
 
 
 def test_cs_residual_wick_route(std_elements):
     theta, k1, k2 = std_elements
-    F = Monomial(MonomialSpec(theta, (k1, k2, k1)))
+    F = MonomialSpec(theta, (k1, k2, k1))
     res = cameron_storvick_residual(F, theta, k1, k2, 1.0, method="wick")
     assert abs(res) < 1e-10
 
@@ -421,7 +420,7 @@ def test_cs_residual_wick_route(std_elements):
 def test_cs_residual_rejects_zero_q(std_elements):
     theta, k1, k2 = std_elements
     with pytest.raises(ZeroParameter):
-        cameron_storvick_residual(Monomial(MonomialSpec(theta, ())), theta, k1, k2, 0.0)
+        cameron_storvick_residual(MonomialSpec(theta, ()), theta, k1, k2, 0.0)
 
 
 def test_corollary_rearrangement(std_elements):

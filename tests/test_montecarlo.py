@@ -8,15 +8,19 @@ from feynpath import (
     CMElement,
     CosLinear,
     ExpLinear,
-    Monomial,
     MonomialSpec,
     TimeGrid,
     analytic_fsi_monomial,
+    cameron_storvick_residual,
     cm_inner,
+    first_variation,
+    functional_value,
     identity_element,
     inner_with_a,
     mc_fsi,
     odot,
+    pwz_integral,
+    sample_gbmp_paths,
     verify_cs_precursor,
     verify_parts,
     verify_translation,
@@ -37,8 +41,8 @@ GRID_SMALL = 256
 
 # Functionals of the std elements, for the identities that take any F.
 FUNCTIONALS = {
-    "m1": lambda theta, k1, k2: Monomial(MonomialSpec(theta, (k1,))),
-    "m2": lambda theta, k1, k2: Monomial(MonomialSpec(theta, (k1, k2))),
+    "m1": lambda theta, k1, k2: MonomialSpec(theta, (k1,)),
+    "m2": lambda theta, k1, k2: MonomialSpec(theta, (k1, k2)),
     "cos": lambda theta, k1, k2: CosLinear(theta),
     "exp1j": lambda theta, k1, k2: ExpLinear(theta, 1j),
 }
@@ -51,9 +55,33 @@ def ctx(standard, std_elements):
     return standard, theta, k1, k2, grid
 
 
+def test_a_monomial_spec_is_the_functional(ctx):
+    """A MonomialSpec goes wherever a functional is expected, unwrapped."""
+    profile, theta, k1, k2, grid = ctx
+    F = MonomialSpec(theta, (k1, k2))
+    for report in (
+        verify_translation(F, theta, k1, k2, N_SMALL, 7, grid=grid),
+        verify_parts(F, theta, k1, k2, 1.0, N_SMALL, 7, grid=grid),
+        verify_cs_precursor(F, theta, k1, k2, 4.0, N_SMALL, 7, grid=grid),
+    ):
+        assert report.passed and report.diff_se > 0.0
+    rep = mc_fsi(F, identity_element(profile), 1.0, N_SMALL, 7, grid=grid)
+    assert abs(rep.estimate - analytic_fsi_monomial(F, 1.0)) < 3 * rep.std_error + 2.0 / GRID_SMALL
+
+    x = sample_gbmp_paths(profile, grid, 3, 7).values
+    factors = F.elements()
+    v = [pwz_integral(u, x, grid) for u in factors]
+    np.testing.assert_array_equal(functional_value(F, x, grid), v[0] * v[1])
+    at = [pwz_integral(odot(u, k1), x, grid) for u in factors]
+    d = [cm_inner(odot(u, k2), theta) for u in factors]
+    np.testing.assert_allclose(first_variation(F, k1, k2, x, theta, grid),
+                               d[0] * at[1] + d[1] * at[0], rtol=1e-12)
+    assert abs(cameron_storvick_residual(F, theta, k1, k2, 1.0)) < 1e-10
+
+
 def test_mc_constant_functional_is_exact(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, ()))
+    F = MonomialSpec(theta, ())
     rep = mc_fsi(F, identity_element(profile), 1.0, 500, 3, grid=grid)
     assert rep.estimate == 1.0
     assert rep.std_error == 0.0
@@ -63,7 +91,7 @@ def test_mc_centered_gaussian_mean(wiener):
     theta = CMElement(pp([1.0]), wiener)
     k1 = identity_element(wiener)
     grid = TimeGrid.build(wiener, n=GRID_SMALL)
-    F = Monomial(MonomialSpec(theta, (k1,)))
+    F = MonomialSpec(theta, (k1,))
     rep = mc_fsi(F, k1, 1.0, N_SMALL, 5, grid=grid)
     assert abs(rep.estimate) < 3 * rep.std_error
 
@@ -72,7 +100,7 @@ def test_mc_matches_closed_form(ctx):
     profile, theta, k1, k2, grid = ctx
     spec = MonomialSpec(theta, (k1, k2))
     for lam in (1.0, 2.0):
-        rep = mc_fsi(Monomial(spec), identity_element(profile), lam, 20000, 11, grid=grid)
+        rep = mc_fsi(spec, identity_element(profile), lam, 20000, 11, grid=grid)
         want = analytic_fsi_monomial(spec, lam)
         # the closed form is exact: 3 combined standard errors plus grid bias
         assert abs(rep.estimate - want) < 3 * rep.std_error + 2.0 / GRID_SMALL
@@ -80,14 +108,14 @@ def test_mc_matches_closed_form(ctx):
 
 def test_mc_rejects_bad_lambda(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, (k1,)))
+    F = MonomialSpec(theta, (k1,))
     with pytest.raises(BadDomain):
         mc_fsi(F, k1, 0.0, 100, 1, grid=grid)
 
 
 def test_mc_determinism(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, (k1, k2)))
+    F = MonomialSpec(theta, (k1, k2))
     a = mc_fsi(F, k1, 1.0, 4000, 17, grid=grid)
     b = mc_fsi(F, k1, 1.0, 4000, 17, grid=grid)
     assert a.estimate == b.estimate and a.std_error == b.std_error
@@ -95,7 +123,7 @@ def test_mc_determinism(ctx):
 
 def test_se_scaling_with_n(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, (k1,)))
+    F = MonomialSpec(theta, (k1,))
     se1 = mc_fsi(F, k1, 1.0, 20000, 19, grid=grid).std_error
     se2 = mc_fsi(F, k1, 1.0, 40000, 19, grid=grid).std_error
     assert se1 / se2 == pytest.approx(np.sqrt(2.0), rel=0.10)
@@ -103,7 +131,7 @@ def test_se_scaling_with_n(ctx):
 
 def test_grid_bias_below_noise(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, (k1, k2)))
+    F = MonomialSpec(theta, (k1, k2))
     coarse = TimeGrid.build(profile, n=GRID_SMALL // 2)
     fine = TimeGrid.build(profile, n=GRID_SMALL)
     a = mc_fsi(F, identity_element(profile), 1.0, 20000, 23, grid=coarse)
@@ -114,7 +142,7 @@ def test_grid_bias_below_noise(ctx):
 def test_translation_null_shift_is_pathwise_exact(ctx):
     profile, theta, k1, k2, grid = ctx
     zero = CMElement(pp([0.0]), profile)
-    F = Monomial(MonomialSpec(theta, (k1,)))
+    F = MonomialSpec(theta, (k1,))
     report = verify_translation(F, zero, k1, k2, 2000, 29, grid=grid)
     assert report.discrepancy <= 1e-12
     assert report.sigma_ratio == 0.0
@@ -123,7 +151,7 @@ def test_translation_null_shift_is_pathwise_exact(ctx):
 
 def test_translation_monomial_closed_form(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, (k1,)))
+    F = MonomialSpec(theta, (k1,))
     report = verify_translation(F, theta, k1, k2, N_SMALL, 31, grid=grid)
     assert report.passed
     # closed form of the shifted mean
@@ -141,7 +169,7 @@ def test_translation_cos_functional(ctx):
 
 def test_parts_constant_functional(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, ()))
+    F = MonomialSpec(theta, ())
     report = verify_parts(F, theta, k1, k2, 1.0, N_SMALL, 41, grid=grid)
     # LHS is identically zero; RHS is centered
     assert report.lhs.estimate == 0.0 and report.lhs.std_error == 0.0
@@ -150,7 +178,7 @@ def test_parts_constant_functional(ctx):
 
 def test_parts_linear_functional_rho_one(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, (k1,)))
+    F = MonomialSpec(theta, (k1,))
     report = verify_parts(F, theta, k1, k2, 1.0, N_SMALL, 43, grid=grid)
     assert report.passed
     # the variation is deterministic: the pairing 5/6 up to summation ulps
@@ -160,7 +188,7 @@ def test_parts_linear_functional_rho_one(ctx):
 
 def test_parts_scaled_monomial(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, (k1, k2)))
+    F = MonomialSpec(theta, (k1, k2))
     report = verify_parts(F, theta, k1, k2, 2.0, N_SMALL, 47, grid=grid)
     assert report.sigma_ratio < 3.0
 
@@ -177,7 +205,7 @@ def test_parts_scaled_bounded_functional(ctx, kind, rho):
 
 def test_parts_rejects_nonpositive_rho(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, (k1,)))
+    F = MonomialSpec(theta, (k1,))
     with pytest.raises(BadDomain):
         verify_parts(F, theta, k1, k2, 0.0, 100, 1, grid=grid)
 
@@ -185,7 +213,7 @@ def test_parts_rejects_nonpositive_rho(ctx):
 def test_cs_precursor_reduces_to_parts_at_unit_lambda(ctx):
     profile, theta, k1, k2, grid = ctx
     spec = MonomialSpec(theta, (k1, k2))
-    parts = verify_parts(Monomial(spec), theta, k1, k2, 1.0, N_SMALL, 53, grid=grid)
+    parts = verify_parts(spec, theta, k1, k2, 1.0, N_SMALL, 53, grid=grid)
     precursor = verify_cs_precursor(spec, theta, k1, k2, 1.0, N_SMALL, 53, grid=grid)
     assert precursor.lhs.estimate == parts.lhs.estimate
     assert precursor.rhs.estimate == parts.rhs.estimate
@@ -241,7 +269,7 @@ def test_imaginary_exponential_translation(ctx):
 
 def test_report_serialization(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, (k1,)))
+    F = MonomialSpec(theta, (k1,))
     report = verify_parts(F, theta, k1, k2, 1.0, 2000, 73, grid=grid)
     d = report.to_dict()
     text = json.dumps(d)
@@ -253,7 +281,7 @@ def test_report_serialization(ctx):
 
 def test_sigma_ratio_recomputes_from_diff_se(ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, (k1, k2)))
+    F = MonomialSpec(theta, (k1, k2))
     report = verify_parts(F, theta, k1, k2, 2.0, 2000, 83, grid=grid)
     assert report.diff_se > 0.0
     assert report.discrepancy / report.diff_se == report.sigma_ratio
@@ -263,7 +291,7 @@ def test_sigma_ratio_recomputes_from_diff_se(ctx):
 
 def test_ledger_round_trip(tmp_path, ctx):
     profile, theta, k1, k2, grid = ctx
-    F = Monomial(MonomialSpec(theta, (k1,)))
+    F = MonomialSpec(theta, (k1,))
     report = verify_parts(F, theta, k1, k2, 1.0, 1000, 79, grid=grid)
     rows = [
         identity_ledger_row("parts-demo", "abc123", report),
