@@ -115,6 +115,12 @@ def _number(value, where, count=False):
                       % (where, "a positive integer" if count else "a finite number", value))
 
 
+def _boolean(value, where):
+    if not isinstance(value, bool):
+        raise ConfigError("%s must be true or false, got %r" % (where, value))
+    return value
+
+
 def _seed(value, where):
     if isinstance(value, bool) or not (isinstance(value, int) and 0 <= value < 2**64):
         raise ConfigError("%s must be an integer in [0, 2^64), got %r" % (where, value))
@@ -216,7 +222,8 @@ def _parse_functional(obj, where, config: ExperimentConfig):
             ExpLinear,
             _resolved(where + ".w0", config.element, obj["w0"]),
             _complex_from(obj["c"], where + ".c"),
-            allow_unbounded=bool(obj.get("allow_unbounded", False)),
+            allow_unbounded=_boolean(obj.get("allow_unbounded", False),
+                                     where + ".allow_unbounded"),
         )
     if kind == "cos_linear":
         _expect_keys(obj, where, ("type", "w0"))
@@ -368,6 +375,15 @@ def _check_scalars(config: ExperimentConfig, check: dict, overrides: dict):
                  for key in ("n_paths", "seed", "grid_size"))
 
 
+def _grid(config: ExperimentConfig, profile: ProfilePair, grid_n: int) -> TimeGrid:
+    """The n-interval grid on profile's horizon, holding every breakpoint
+    of the config's elements over that profile (or an equal one), so
+    those of their products too.  Elements over other profiles may live
+    on another horizon and are left out."""
+    elements = [e for e, _ in config.elements.values() if e.profile == profile]
+    return TimeGrid.build(profile, elements, n=grid_n)
+
+
 def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict, out_dir):
     """Run check ``index``, as ``load_config`` normalized it (which also
     filled in its default name); returns (ledger row, result dict)."""
@@ -377,7 +393,7 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
 
     if kind == "simulate":
         profile = config.profiles[check["profile"]]
-        grid = TimeGrid.build(profile, [e for e, _ in config.elements.values()], n=grid_n)
+        grid = _grid(config, profile, grid_n)
         ensemble = sample_gbmp_paths(profile, grid, n, seed)
         dest = os.path.join(out_dir, check["out"])
         # Written under a temporary name and renamed when complete, so a
@@ -425,14 +441,12 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
                             n=0, grid=0, seed=seed, se=0.0, sigma_ratio=0.0, passed=passed)
         return row, result
 
-    # Statistical identity checks share the setup below.  The grid holds
-    # every breakpoint of the config's elements, so those of their
-    # products too.
+    # Statistical identity checks share the setup below.
     F = check["functional"]
     theta = config.element(check["theta"])
     k1 = config.supp(check["k1"])
     k2 = config.supp(check["k2"])
-    grid = TimeGrid.build(theta.profile, [e for e, _ in config.elements.values()], n=grid_n)
+    grid = _grid(config, theta.profile, grid_n)
     if kind == "verify-translation":
         report = mc.verify_translation(F, theta, k1, k2, n, seed, grid=grid)
     elif kind == "verify-parts":

@@ -5,26 +5,33 @@ mean function with density a' and b is the strictly increasing variance
 function with density b' > 0, both anchored at 0.  Integrals against the
 measures da, db, d|a| and d[b + |a|] reduce to weighted dt-integrals with
 piecewise-polynomial weights a', b', |a'| and b' + |a'|, evaluated by
-16-node Gauss-Legendre quadrature per sub-piece.  That rule is exact
-through joint degree 31; an integrand of higher joint degree raises
-TooLargeDegree rather than return an inexact value.
+Gauss-Legendre quadrature per sub-piece with enough nodes for the
+integrand's joint degree, so every integral is exact up to rounding.
+Profiles are validated against the exact minimum of b', not samples.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DomainMismatch, NonPositiveVariance, TooLargeDegree
+from .errors import DomainMismatch, NonPositiveVariance
 from .piecewise import PiecewisePoly
 
+# Fewest Gauss-Legendre nodes per sub-piece.  Low joint degrees would be
+# exact with fewer, but fewer nodes round differently and would change
+# the last bits of every ledger and check JSON value computed today.
 GAUSS_ORDER = 16
-# Highest degree of f times the weight that the rule integrates exactly.
-MAX_JOINT_DEGREE = 2 * GAUSS_ORDER - 1
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+
+
+@cache
+def _gauss_legendre(order: int):
+    """Nodes and weights of the order-node rule on [-1, 1], exact through
+    degree 2 * order - 1."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 class MeasureKind(enum.Enum):
@@ -110,7 +117,8 @@ class ProfilePair:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Diagnostics for a profile pair; failures are carried, not raised."""
+    """Diagnostics for a profile pair; failures are carried, not raised.
+    ``b_prime_min`` is the minimum of b' on [0, T], exact up to rounding."""
 
     a_prime_l2_sq: float
     cc2_value: float
@@ -134,20 +142,20 @@ class ValidationReport:
 
 
 def build_profile(a_prime, b_prime, T) -> ProfilePair:
-    """Validating constructor: rejects profiles with b' <= 0 anywhere
-    sampled (quadrature nodes plus nudged piece endpoints)."""
+    """Validating constructor: rejects profiles whose b' has a minimum
+    <= 0 on [0, T]."""
     profile = ProfilePair.from_derivatives(a_prime, b_prime, T)
     report = validate_profile(profile)
     if not report.b_prime_positive:
         raise NonPositiveVariance(
-            "b' must be positive on [0, %r]; sampled minimum %r"
+            "b' must be positive on [0, %r]; minimum %r"
             % (T, report.b_prime_min)
         )
     return profile
 
 
 def validate_profile(profile: ProfilePair) -> ValidationReport:
-    bmin = float(np.min(profile.b_prime(_check_nodes(profile))))
+    bmin = profile.b_prime.minimum()
     l2 = (profile.a_prime * profile.a_prime).definite_integral()
     finite = bool(np.isfinite(l2) and np.isfinite(profile.cc2_value))
     return ValidationReport(
@@ -159,18 +167,6 @@ def validate_profile(profile: ProfilePair) -> ValidationReport:
     )
 
 
-def _check_nodes(profile: ProfilePair) -> np.ndarray:
-    """Positivity check nodes: per-piece quadrature nodes and the piece
-    endpoints nudged inward by a few ulps (continuity of b' makes this a
-    sampling check, not a proof)."""
-    bp = profile.b_prime.breakpoints
-    lo, hi = bp[:-1], bp[1:]
-    nodes = (0.5 * (hi - lo)[:, None] * _GL_X[None, :] + 0.5 * (hi + lo)[:, None]).ravel()
-    nudge = 4 * np.finfo(float).eps * max(1.0, profile.T)
-    edges = np.concatenate([bp, np.minimum(bp + nudge, profile.T), np.maximum(bp - nudge, 0.0)])
-    return np.concatenate([nodes, edges])
-
-
 def stieltjes_integral(
     f: PiecewisePoly,
     kind: MeasureKind,
@@ -180,12 +176,11 @@ def stieltjes_integral(
 ) -> float:
     """Integral of f over [lo, hi] against the selected measure.
 
-    Exact (up to rounding) whenever f times the weight density is
-    polynomial of joint degree at most MAX_JOINT_DEGREE on each
-    sub-piece, which holds for every input this library constructs;
-    beyond that it raises TooLargeDegree.  Each sub-piece lies inside
-    one piece of f and one of the weight, looked up once at its start,
-    so both are evaluated at its nodes without a per-node search.
+    Exact up to rounding: f times the weight density is a polynomial on
+    each sub-piece, integrated exactly by a rule of (joint degree) // 2
+    + 1 nodes, and never fewer than GAUSS_ORDER.  Each sub-piece lies
+    inside one piece of f and one of the weight, looked up once at its
+    start, so both are evaluated at its nodes without a per-node search.
     """
     hi = profile.T if hi is None else float(hi)
     lo = float(lo)
@@ -196,19 +191,14 @@ def stieltjes_integral(
     if lo == hi:
         return 0.0
     w = profile.weight(kind)
-    joint = f.degree + w.degree
-    if joint > MAX_JOINT_DEGREE:
-        raise TooLargeDegree(
-            "integrand of joint degree %d against %s: %d-node quadrature is "
-            "exact only through degree %d" % (joint, kind.value, GAUSS_ORDER, MAX_JOINT_DEGREE)
-        )
+    gl_x, gl_w = _gauss_legendre(max(GAUSS_ORDER, (f.degree + w.degree) // 2 + 1))
     cuts = np.union1d(f.breakpoints, w.breakpoints)
     cuts = cuts[(cuts > lo) & (cuts < hi)]
     cuts = np.concatenate([[lo], cuts, [hi]])
     half = 0.5 * np.diff(cuts)
     mid = 0.5 * (cuts[:-1] + cuts[1:])
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
+    nodes = mid[:, None] + half[:, None] * gl_x[None, :]
     fi = f._piece_index(cuts[:-1])[:, None]
     wi = w._piece_index(cuts[:-1])[:, None]
     vals = f._eval_pieces(nodes, fi) * w._eval_pieces(nodes, wi)
-    return float(np.dot(vals @ _GL_W, half))
+    return float(np.dot(vals @ gl_w, half))

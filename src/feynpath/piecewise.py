@@ -6,7 +6,7 @@ breakpoints, with coefficients stored in ascending powers of the global
 time variable.  The class is closed under addition, products, exact
 antiderivatives, and absolute value (pieces are split at interior sign
 changes), which keeps every weighted integral downstream exactly
-computable by fixed-order quadrature.
+computable by Gauss-Legendre quadrature.
 
 Evaluation at a breakpoint takes the value of the piece on the right;
 at the right endpoint T it takes the value of the last piece.  Calls,
@@ -25,9 +25,9 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainMismatch
 
-# Tolerances for root classification inside ``abs``.  Roots count as real
-# when their imaginary part is below _ROOT_IMAG_TOL relative to scale, and
-# as interior when further than _ROOT_EDGE_TOL * piece width from an edge.
+# Root classification in ``abs`` and ``minimum``: roots count as real when
+# their imaginary part is below _ROOT_IMAG_TOL relative to scale, and as
+# interior when further than _ROOT_EDGE_TOL * piece width from an edge.
 _ROOT_IMAG_TOL = 1e-9
 _ROOT_EDGE_TOL = 1e-12
 
@@ -251,6 +251,14 @@ class PiecewisePoly:
         hi = self.T if hi is None else float(hi)
         F = self.antiderivative()
         return F(hi) - F(lo)
+
+    def minimum(self) -> float:
+        """Least value over the pieces, each on its closed interval: at its
+        two ends and at the real roots of its derivative inside it."""
+        return min(
+            float(npoly.polyval([lo, hi] + _real_roots_inside(npoly.polyder(c), lo, hi), c).min())
+            for c, lo, hi in zip(self.coeffs, self.breakpoints[:-1], self.breakpoints[1:])
+        )
 
     def __abs__(self) -> "PiecewisePoly":
         """Exact |f|: pieces split at interior real roots, signs flipped

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from feynpath.cli import run, load_config, _json_17g
@@ -518,6 +519,9 @@ def _set(cfg, key, value):
          {"type": "exp_linear", "w0": "theta", "c": {"re": "x", "im": 0.0}}),
         (["verify", "--all"], "checks.4.functional",
          {"type": "exp_linear", "w0": "theta", "c": {"re": 1.0, "im": 0.0}}),
+        (["verify", "--all"], "checks.4.functional",
+         {"type": "exp_linear", "w0": "theta", "c": {"re": 1.0, "im": 0.0},
+          "allow_unbounded": "no"}),
     ],
     ids=["monomial-not-int", "monomial-negative", "seed-negative", "config-seed-2^64",
          "check-out-of-range", "n-zero", "grid-zero", "n_paths-text", "n_paths-bool",
@@ -534,7 +538,7 @@ def _set(cfg, key, value):
          "output_dir-empty", "output_dir-number", "theta-unknown", "ks-a-string",
          "ks-unknown", "k2-unknown", "k1-a-list", "functional-w0-unknown",
          "functional-ks-unknown", "functional-theta-unknown", "functional-c-text",
-         "functional-unbounded-exp"],
+         "functional-unbounded-exp", "functional-allow_unbounded-text"],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, key, value):
     cfg = std_config(n=200, grid=32)
@@ -657,3 +661,40 @@ def test_failed_verify_leaves_no_partial_output(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2 and "non-finite" in captured.err and captured.out == ""
     assert os.listdir(out) == []
+
+
+def test_checks_build_their_grid_from_their_own_profile(tmp_path, capsys):
+    """An element over a profile with another horizon changes no row but
+    the config hash: each check's grid holds only the breakpoints of the
+    elements over its own profile."""
+    cfg = json.loads(STD_JSON.read_text())
+    cfg["checks"].append({"kind": "simulate", "n_paths": 7, "grid_size": 8})
+    wide = json.loads(json.dumps(cfg))
+    half = {"breakpoints": [0.0, 0.7, 2.0], "coeffs": [[1.0], [0.5]]}
+    wide["profiles"]["long"] = {"T": 2.0, "a_prime": {"breakpoints": [0.0, 2.0],
+                                                      "coeffs": [[0.0]]}, "b_prime": half}
+    wide["elements"]["far"] = {"profile": "long", "density": half}
+    rows = {}
+    for name, c in (("std", cfg), ("wide", wide)):
+        path, out = write_config(tmp_path, c, name + ".json"), tmp_path / name
+        assert run(["verify", "--all", "--n", "50", "--grid", "16", "--config", path,
+                    "--output-dir", str(out)]) == 0
+        ledger = (out / "ledger.csv").read_text()
+        rows[name] = ledger.replace(load_config(path).config_hash, "<hash>")
+    assert rows["wide"] == rows["std"]
+
+
+def test_degree_8_densities_run_feynman_and_recurrence(tmp_path, capsys):
+    """theta and k1 of degree 8 put joint degree 33 into the Cameron-Martin
+    products; the closed-form checks are exact there too."""
+    dens = {"breakpoints": [0.0, 1.0], "coeffs": [[0.5**j for j in range(9)]]}
+    cfg = std_config()
+    cfg["elements"]["theta"]["density"] = dens
+    cfg["elements"]["k1"]["density"] = dens
+    del cfg["checks"][0]["expect"]
+    path = write_config(tmp_path, cfg)
+    assert run(["feynman", "--config", path, "--q", "1"]) == 0
+    value = json.loads(capsys.readouterr().out)
+    assert np.isfinite([value["re"], value["im"]]).all()
+    assert run(["verify", "--config", path, "--check", "0", "1",
+                "--output-dir", str(tmp_path / "o")]) == 0

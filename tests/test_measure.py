@@ -1,18 +1,20 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from feynpath import (
     DomainMismatch,
     MeasureKind,
     NonPositiveVariance,
     ProfilePair,
-    TooLargeDegree,
     build_profile,
     stieltjes_integral,
     validate_profile,
 )
 
-from feynpath.measure import GAUSS_ORDER, MAX_JOINT_DEGREE
+from feynpath.measure import GAUSS_ORDER
 from feynpath.piecewise import PiecewisePoly
 
 from oracles import frac_coeffs, product_integral, stieltjes_node_formula
@@ -180,16 +182,83 @@ def test_stieltjes_equals_node_formula_bit_for_bit():
                 assert got == want and np.signbit(got) == np.signbit(want)
 
 
-def test_stieltjes_raises_past_exact_degree(wiener, standard):
+def test_stieltjes_exact_past_degree_31(wiener, standard):
+    """Joint degree 32, one past what 16 nodes integrate exactly, is
+    integrated exactly by the larger rule its degree asks for."""
     rng = np.random.default_rng(22)
     f = pp(rng.uniform(0.5, 1.0, size=17))  # degree 16
-    assert MAX_JOINT_DEGREE == 31
-    with pytest.raises(TooLargeDegree, match=r"joint degree 32\b.*degree 31\b"):
-        stieltjes_integral(f * f, MeasureKind.DB, wiener)
-    # degree 16 times the degree-15 part is exact and still accepted
     g = pp(rng.uniform(0.5, 1.0, size=16))
-    want = float(product_integral(0, 1, frac_coeffs(f.coeffs[0]), frac_coeffs(g.coeffs[0])))
+    fc, gc = frac_coeffs(f.coeffs[0]), frac_coeffs(g.coeffs[0])
+    want = float(product_integral(0, 1, fc, fc))
+    assert stieltjes_integral(f * f, MeasureKind.DB, wiener) == pytest.approx(want, rel=1e-12)
+    # degree 16 times the degree-15 part is exact on the 16-node rule
+    want = float(product_integral(0, 1, fc, gc))
     assert stieltjes_integral(f * g, MeasureKind.DB, wiener) == pytest.approx(want, rel=1e-12)
-    # b' = 1 + t raises the joint degree by one
-    with pytest.raises(TooLargeDegree, match="joint degree 32"):
-        stieltjes_integral(f * g, MeasureKind.DB, standard)
+    # b' = 1 + t raises the joint degree to 32
+    want = float(product_integral(0, 1, fc, gc, [1, 1]))
+    assert stieltjes_integral(f * g, MeasureKind.DB, standard) == pytest.approx(want, rel=1e-12)
+
+
+def _exact_integral(f, w, lo, hi):
+    """Integral of f * w over [lo, hi] in rational arithmetic, piece by
+    piece of the common refinement, from the stored float coefficients."""
+    inner = np.union1d(f.breakpoints, w.breakpoints)
+    cuts = [lo] + [x for x in inner.tolist() if lo < x < hi] + [hi]
+    total = Fraction(0)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        i = np.searchsorted(f.breakpoints, a, side="right") - 1
+        j = np.searchsorted(w.breakpoints, a, side="right") - 1
+        total += product_integral(a, b, frac_coeffs(f.coeffs[i]), frac_coeffs(w.coeffs[j]))
+    return float(total)
+
+
+@pytest.mark.parametrize("joint", [33, 61])
+def test_stieltjes_exact_at_high_joint_degree(joint):
+    """Every measure kind at joint degree 33 and 61, over the whole
+    horizon and sub-ranges that cut pieces: equal to the rational oracle
+    to 1e-12 relative, and bit for bit to the node formula at the order
+    the degree asks for."""
+    # a' changes sign at 0.25 and 0.8, so |a'| has more pieces than a'
+    a_prime = PiecewisePoly([0.0, 0.6, 1.0], [[-0.25, 1.0], [-1.2, 1.2, 0.5]])
+    b_prime = PiecewisePoly([0.0, 0.45, 1.0], [[1.0, 0.5, 0.5], [2.0, -1.0, 0.25]])
+    profile = build_profile(a_prime, b_prime, 1.0)
+    rng = np.random.default_rng(joint)
+    f = PiecewisePoly([0.0, 0.35, 0.7, 1.0],
+                      [rng.uniform(0.5, 1.0, size=joint - 1) for _ in range(3)])
+    order = joint // 2 + 1
+    assert order > GAUSS_ORDER
+    for kind in MeasureKind:
+        w = profile.weight(kind)
+        assert f.degree + w.degree == joint
+        for lo, hi in [(0.0, 1.0), (0.13, 0.81), (0.4, 0.7), (0.5, 0.55)]:
+            got = stieltjes_integral(f, kind, profile, lo, hi)
+            assert got == pytest.approx(_exact_integral(f, w, lo, hi), rel=1e-12)
+            assert got == stieltjes_node_formula(f, w, lo, hi, order)
+
+
+def test_build_profile_rejects_dip_below_zero():
+    """b' = t^2 - t + 0.249999 is -1e-6 at t = 0.5 only, between the
+    sampled nodes of a 16-point rule."""
+    dip = pp([0.249999, -1.0, 1.0])
+    with pytest.raises(NonPositiveVariance, match=r"; minimum -1\.0\d*e-06"):
+        build_profile(pp([0.0]), dip, 1.0)
+    report = validate_profile(ProfilePair.from_derivatives(pp([0.0]), dip, 1.0))
+    assert report.b_prime_min == pytest.approx(-1e-6, rel=1e-9)
+    assert not report.b_prime_positive and not report.passed
+
+
+@pytest.mark.parametrize("eps", [1e-9, -1e-9])
+def test_positivity_follows_the_sign_near_double_roots(eps):
+    """b' = (t - 0.3)^2 (t - 0.7)^2 + eps: its minima are the two double
+    roots, found from the cubic derivative's companion matrix."""
+    square = npoly.polymul([-0.3, 1.0], [-0.7, 1.0])
+    coeffs = npoly.polyadd(npoly.polymul(square, square), [eps])
+    profile = ProfilePair.from_derivatives(pp([0.0]), pp(coeffs), 1.0)
+    report = validate_profile(profile)
+    assert report.b_prime_min == pytest.approx(eps, rel=1e-6)
+    assert report.passed is (eps > 0)
+    if eps > 0:
+        assert build_profile(pp([0.0]), pp(coeffs), 1.0) == profile
+    else:
+        with pytest.raises(NonPositiveVariance):
+            build_profile(pp([0.0]), pp(coeffs), 1.0)

@@ -190,3 +190,18 @@ def test_has_zero_piece():
     assert PiecewisePoly([0.0, 0.5, 1.0], [[0.0], [1.0]]).has_zero_piece()
     assert not pp([0.0, 1.0]).has_zero_piece()
     assert pp([0.0]).is_zero()
+
+
+def test_minimum_at_piece_ends_and_critical_points():
+    # a piece's right end counts although the next piece owns the breakpoint
+    f = PiecewisePoly([0.0, 0.5, 1.0], [[1.0, 1.0], [0.5, 1.0]])
+    assert f.minimum() == 1.0 and f(0.5) == 1.0
+    assert PiecewisePoly([0.0, 0.5, 1.0], [[2.0, -3.0], [3.0]]).minimum() == 0.5
+    # interior minimum of (t - 0.4)^2 + 0.1 at t = 0.4, and constants
+    assert pp([0.26, -0.8, 1.0]).minimum() == pytest.approx(0.1, rel=1e-15)
+    assert pp([-2.0]).minimum() == -2.0
+    # cubic t^3 - 1.2 t^2 + 0.3 t + 0.5: its local minimum at
+    # (2.4 + sqrt(2.16)) / 6, about 0.46, is below both ends
+    c = [0.5, 0.3, -1.2, 1.0]
+    want = float(poly_eval(c, (2.4 + np.sqrt(2.16)) / 6.0))
+    assert want < 0.47 and pp(c).minimum() == pytest.approx(want, rel=1e-14)
