@@ -288,6 +288,7 @@ def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
                 _resolved(where + key, config.supp, check[key])
             check["functional"] = _parse_functional(check["functional"], where + "functional",
                                                     config)
+            _require_theta_profile(config, check, obj["functional"], where)
         return check
 
     # The profile defaults to the config's first.  The output is a bare
@@ -308,6 +309,20 @@ def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
         raise ConfigError("%sformat %r disagrees with out %r" % (where, fmt, out))
     check.update(profile=pname, out=out, format=suffix[1:])
     return check
+
+
+def _require_theta_profile(config: ExperimentConfig, check, functional, where):
+    """An identity check compares elements over one profile: k1, k2 and
+    the functional's element must be over the theta element's profile.
+    Raised at load, so no check of the config runs."""
+    fkey = "theta" if isinstance(check["functional"], MonomialSpec) else "w0"
+    named = (("k1", check["k1"]), ("k2", check["k2"]), ("functional." + fkey, functional[fkey]))
+    theta, pname = config.elements[check["theta"]]
+    for key, name in named:
+        element, other = config.elements[name]
+        if element.profile != theta.profile:
+            raise ConfigError("%s%s: element %r is over profile %r, not over profile %r of "
+                              "theta %r" % (where, key, name, other, pname, check["theta"]))
 
 
 def _read_json(path):

@@ -20,6 +20,10 @@ rows do not change when more paths are requested.  The same keying lets
 the projected and the materializing streams run their blocks on a thread
 pool with results that do not depend on the number of threads.
 
+A materialized ensemble is a private anonymous mapping of its own,
+unmapped when the last view of it goes, so its memory returns to the
+operating system when it is released.
+
 The CSV writer formats blocks of rows on the same pool.  Its formatter
 computes Python's ``%.17g`` text in numpy, exactly rounded with integer
 arithmetic, and hands every value that its exact fast path does not
@@ -29,6 +33,7 @@ cover to Python's own ``%``; the bytes are those of ``"%.17g" % x``.
 from __future__ import annotations
 
 import functools
+import mmap
 import os
 import struct
 import threading
@@ -417,6 +422,10 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, workers=None):
         rows = min(CHUNK_PATHS, n_paths - p0)
         z = getattr(scratch, "z", None)
         if z is None:
+            # From malloc, not _mapped_zeros: freeing it raises glibc's
+            # mmap threshold above the CSV formatter's per-block
+            # temporaries, which otherwise are trimmed and faulted in
+            # again for every block.
             z = scratch.z = np.empty((sub, sdb.size))
         gen = _block_generator(seed, block)
         dst = dest(p0, rows)
@@ -428,6 +437,29 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, workers=None):
         return p0, dst
 
     yield from _ordered_map(fill, len(starts), workers)
+
+
+def _mapped_zeros(shape) -> np.ndarray:
+    """A zero-filled, writeable, C-contiguous float64 array of ``shape``
+    over a private anonymous mapping of its own.
+
+    The array's base owns the mapping, which is unmapped when the last
+    view goes, so the pages return to the operating system at once.
+    Through malloc, a large freed buffer raises glibc's mmap threshold,
+    and the next one of that size lands on the heap and stays resident
+    after it is freed.  The mapping is private, not Python's default
+    shared one, which is shmem-backed and slower to fill; huge pages are
+    advised where the platform has them, as numpy does for its own large
+    arrays.  Without MAP_PRIVATE, and for a shape with no elements (or
+    a negative one, which np.zeros rejects), this is np.zeros.
+    """
+    size = int(np.prod(shape))
+    if size < 1 or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(shape)
+    buf = mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
 
 
 def _ordered_map(fn, count, workers=None):
@@ -465,12 +497,13 @@ def sample_gbmp_paths(
 ) -> PathEnsemble:
     """Materialize an ensemble of sampled paths (x(0) = 0).
 
-    Memory is n_paths * (N+1) doubles: the blocks fill their increments
-    straight into the rows of the ensemble, which are then summed in
-    place.  Use :func:`stream_increments` for estimates over very large
-    ensembles.
+    Memory is n_paths * (N+1) doubles in a mapping of their own, given
+    back to the operating system when the last view of ``values`` goes:
+    the blocks fill their increments straight into the rows of the
+    ensemble, which are then summed in place.  Use
+    :func:`stream_increments` for estimates over very large ensembles.
     """
-    values = np.zeros((n_paths, grid.N + 1))
+    values = _mapped_zeros((n_paths, grid.N + 1))
     for _, inc in stream_increments(profile, grid, n_paths, seed, out=values[:, 1:]):
         np.cumsum(inc, axis=1, out=inc)
     return PathEnsemble(grid=grid, values=values, seed=seed, profile=profile)

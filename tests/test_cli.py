@@ -14,6 +14,10 @@ STD_JSON = pathlib.Path(__file__).resolve().parents[1] / "configs" / "std.json"
 UNIT = {"breakpoints": [0.0, 1.0], "coeffs": [[1.0]]}
 RAMP = {"breakpoints": [0.0, 1.0], "coeffs": [[0.0, 1.0]]}
 ONE_PLUS_T = {"breakpoints": [0.0, 1.0], "coeffs": [[1.0, 1.0]]}
+# A T = 2 profile and an element over it, for checks that mix profiles.
+LONG = {"T": 2.0, "a_prime": {"breakpoints": [0.0, 2.0], "coeffs": [[0.0, 1.0]]},
+        "b_prime": {"breakpoints": [0.0, 2.0], "coeffs": [[1.0, 1.0]]}}
+FAR = {"profile": "long", "density": {"breakpoints": [0.0, 2.0], "coeffs": [[1.0]]}}
 
 
 def std_config(n=2000, grid=128, out="out"):
@@ -522,6 +526,10 @@ def _set(cfg, key, value):
         (["verify", "--all"], "checks.4.functional",
          {"type": "exp_linear", "w0": "theta", "c": {"re": 1.0, "im": 0.0},
           "allow_unbounded": "no"}),
+        (["verify", "--all"], "checks.4.k2", "far"),
+        (["verify", "--all"], "checks.2.k1", "far"),
+        (["verify", "--all"], "checks.2.functional.w0", "far"),
+        (["verify", "--all"], "checks.3.theta", "far"),
     ],
     ids=["monomial-not-int", "monomial-negative", "seed-negative", "config-seed-2^64",
          "check-out-of-range", "n-zero", "grid-zero", "n_paths-text", "n_paths-bool",
@@ -538,10 +546,14 @@ def _set(cfg, key, value):
          "output_dir-empty", "output_dir-number", "theta-unknown", "ks-a-string",
          "ks-unknown", "k2-unknown", "k1-a-list", "functional-w0-unknown",
          "functional-ks-unknown", "functional-theta-unknown", "functional-c-text",
-         "functional-unbounded-exp", "functional-allow_unbounded-text"],
+         "functional-unbounded-exp", "functional-allow_unbounded-text",
+         "k2-over-another-profile", "k1-over-another-profile",
+         "functional-w0-over-another-profile", "theta-over-another-profile"],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, key, value):
     cfg = std_config(n=200, grid=32)
+    if value == "far":
+        cfg["profiles"]["long"], cfg["elements"]["far"] = LONG, FAR
     if key is not None:
         _set(cfg, key, value)
     out = tmp_path / "o"

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal
 
@@ -130,6 +134,71 @@ def test_filled_stream_is_bit_identical_to_serial(standard, grid256, workers):
         np.cumsum(rows, axis=1, out=rows)
     assert np.array_equal(values, ref)
     assert np.array_equal(sample_gbmp_paths(standard, grid256, n, 31).values, ref)
+
+
+# Samples and drops three 4000 x 1024 ensembles, reading VmRSS after each
+# release, then drops a fourth while a view of its values is held.
+_RELEASE_SCRIPT = """
+import gc, json
+import numpy as np
+from feynpath import PiecewisePoly, TimeGrid, build_profile, sample_gbmp_paths
+
+def rss_mib():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+
+poly = PiecewisePoly.from_coeffs
+profile = build_profile(poly([0.0, 1.0], 1.0), poly([1.0, 1.0], 1.0), 1.0)
+grid = TimeGrid.build(profile, n=1024)
+released = []
+for seed in range(3):
+    sample_gbmp_paths(profile, grid, 4000, seed)
+    gc.collect()
+    released.append(rss_mib())
+ensemble = sample_gbmp_paths(profile, grid, 4000, 3)
+view = ensemble.values
+flags = [view.flags.writeable, view.flags.c_contiguous, str(view.dtype),
+         bool(np.all(view[:, 0] == 0.0))]
+head, total = view[:64].copy(), float(view.sum())
+del ensemble
+gc.collect()
+kept = bool(np.array_equal(view[:64], head) and float(view.sum()) == total)
+held = rss_mib()
+del view
+gc.collect()
+print(json.dumps({"released": released, "flags": flags, "kept": kept,
+                  "held": held, "dropped": rss_mib()}))
+"""
+
+
+@pytest.fixture(scope="module")
+def release_rss():
+    if not sys.platform.startswith("linux") or not os.path.exists("/proc/self/status"):
+        pytest.skip("reads VmRSS from /proc, which only Linux has")
+    src = os.path.dirname(os.path.dirname(paths.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _RELEASE_SCRIPT], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return json.loads(done.stdout)
+
+
+def test_released_ensembles_return_memory(release_rss):
+    """A dropped ensemble's pages go back to the operating system, so RSS
+    does not grow from one ensemble to the next (through malloc, the
+    second and later ones would stay resident, about 31 MiB each)."""
+    first, _, third = release_rss["released"]
+    assert third - first <= 8.0
+
+
+def test_ensemble_values_outlive_the_ensemble(release_rss):
+    """The mapping lives as long as any view of values: the view keeps
+    its data after the ensemble is collected, and the pages (31 MiB)
+    go back only when the view goes too."""
+    assert release_rss["flags"] == [True, True, "float64", True]
+    assert release_rss["kept"]
+    assert release_rss["held"] - release_rss["dropped"] >= 24.0
 
 
 def test_filled_stream_rejects_misshaped_output(standard, grid256):
