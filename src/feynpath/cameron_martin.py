@@ -10,10 +10,10 @@ mean function a, indicator elements, and Gram-Schmidt orthonormalization
 against the db inner product.
 
 Kernel elements (admissible for building Gaussian processes from paths)
-are wrapped in :class:`SuppElement`, which certifies a density of bounded
-variation that is nonzero almost everywhere.  For piecewise polynomials
-both conditions reduce to "no piece is identically zero"; isolated zeros
-are fine.
+are the subclass :class:`SuppElement` of CMElement, whose constructor
+certifies a density of bounded variation that is nonzero almost
+everywhere.  For piecewise polynomials both conditions reduce to "no
+piece is identically zero"; isolated zeros are fine.
 """
 
 from __future__ import annotations
@@ -66,49 +66,30 @@ class CMElement:
 
 
 @dataclass(frozen=True, eq=False)
-class SuppElement:
-    """Kernel element: density of bounded variation, nonzero a.e."""
-
-    base: CMElement
+class SuppElement(CMElement):
+    """Kernel element: a Cameron-Martin element whose density has bounded
+    variation and is nonzero a.e."""
 
     def __post_init__(self):
-        if self.base.density.has_zero_piece():
+        super().__post_init__()
+        if self.density.has_zero_piece():
             raise SupportViolation(
                 "density vanishes identically on a piece of positive length"
             )
 
-    @property
-    def density(self) -> PiecewisePoly:
-        return self.base.density
 
-    @property
-    def profile(self) -> ProfilePair:
-        return self.base.profile
-
-    def __eq__(self, other):
-        if not isinstance(other, SuppElement):
-            return NotImplemented
-        return self.base == other.base
-
-    __hash__ = None
-
-
-def as_cm(x) -> CMElement:
-    return x.base if isinstance(x, SuppElement) else x
-
-
-def _require_same_profile(*xs):
-    profiles = [as_cm(x).profile for x in xs]
-    first = profiles[0]
-    for p in profiles[1:]:
-        if p != first:
+def _require_same_profile(*xs) -> ProfilePair:
+    """The profile all of xs live over; ProfileMismatch if they differ."""
+    first = xs[0].profile
+    for x in xs[1:]:
+        if x.profile != first:
             raise ProfileMismatch("elements live over different profiles")
     return first
 
 
 def identity_element(profile: ProfilePair) -> SuppElement:
     """The variance function b: unit density, identity of the product."""
-    return SuppElement(CMElement(PiecewisePoly.constant(1.0, profile.T), profile))
+    return SuppElement(PiecewisePoly.constant(1.0, profile.T), profile)
 
 
 def odot(w, k: SuppElement):
@@ -120,18 +101,14 @@ def odot(w, k: SuppElement):
     if not isinstance(k, SuppElement):
         raise TypeError("right factor must be a SuppElement")
     profile = _require_same_profile(w, k)
-    out = CMElement(as_cm(w).density * k.density, profile)
-    if isinstance(w, SuppElement):
-        return SuppElement(out)
-    return out
+    cls = SuppElement if isinstance(w, SuppElement) else CMElement
+    return cls(w.density * k.density, profile)
 
 
 def cm_inner(w1, w2) -> float:
     """Inner product: integral of Dw1 Dw2 db."""
     profile = _require_same_profile(w1, w2)
-    return stieltjes_integral(
-        as_cm(w1).density * as_cm(w2).density, MeasureKind.DB, profile
-    )
+    return stieltjes_integral(w1.density * w2.density, MeasureKind.DB, profile)
 
 
 def inner_with_a(w) -> float:
@@ -140,7 +117,6 @@ def inner_with_a(w) -> float:
     The mean function a is generally not a Cameron-Martin element, so
     this is a standalone Stieltjes functional rather than cm_inner.
     """
-    w = as_cm(w)
     return stieltjes_integral(w.density, MeasureKind.DA, w.profile)
 
 
@@ -162,7 +138,7 @@ def gram_schmidt(ws, drop_tol: float = GRAM_SCHMIDT_DROP_TOL) -> list[CMElement]
     profile = _require_same_profile(*ws)
     out: list[CMElement] = []
     for w in ws:
-        v = as_cm(w).density
+        v = w.density
         input_norm = np.sqrt(
             max(stieltjes_integral(v * v, MeasureKind.DB, profile), 0.0)
         )

@@ -16,6 +16,7 @@ same config bytes produce byte-identical CSV ledgers.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -158,7 +159,7 @@ class ExperimentConfig:
     def supp(self, name) -> SuppElement:
         element = self.element(name)
         if name not in self._supps:
-            self._supps[name] = SuppElement(element)
+            self._supps[name] = SuppElement(element.density, element.profile)
         return self._supps[name]
 
     def spec(self, theta, ks) -> MonomialSpec:
@@ -247,7 +248,10 @@ _CHECK_COUNTS = ("n_paths", "grid_size")
 def _expectation(expect, where):
     """(reference value, tolerance) of a feynman check's ``expect``."""
     ref = _complex_from(expect, where, optional=("tol",))
-    return ref, _number(expect.get("tol", 1e-10), where + ".tol")
+    tol = _number(expect.get("tol", 1e-10), where + ".tol")
+    if tol < 0.0:
+        raise ConfigError("%s.tol must be non-negative, got %r" % (where, tol))
+    return ref, tol
 
 
 def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
@@ -275,6 +279,11 @@ def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
     for key in _CHECK_FLOATS + _CHECK_COUNTS:
         if key in check:
             check[key] = _number(check[key], where + key, count=key in _CHECK_COUNTS)
+    if "q" in check:
+        _resolved(where + "q", ComplexParam.feynman, check["q"])
+    for key in ("rho", "lambda"):
+        if key in check and check[key] <= 0.0:
+            raise ConfigError("%s%s must be positive, got %r" % (where, key, check[key]))
     if "seed" in check:
         check["seed"] = _seed(check["seed"], where + "seed")
     if "expect" in check:
@@ -489,6 +498,9 @@ def _cmd_validate_profile(args) -> int:
             raise ConfigError("unknown profile %r" % name)
         profile = config.profiles[name]
     else:
+        if args.profile is not None:
+            raise ConfigError("--profile %r: %s is a bare profile, not a config"
+                              % (args.profile, args.path))
         _expect_keys(raw, "profile", ("T", "a_prime", "b_prime"))
         a = _parse_poly(raw["a_prime"], "a_prime")
         b = _parse_poly(raw["b_prime"], "b_prime")
@@ -538,7 +550,12 @@ def _cmd_verify(args) -> int:
     for i in indices:
         if not 0 <= i < len(config.checks):
             raise ConfigError("no check %d: the config has %d" % (i, len(config.checks)))
+        if list(indices).count(i) > 1:
+            raise ConfigError("--check: check %d is listed more than once" % i)
     out_dir = args.output_dir or config.output_dir
+    ledger = os.path.join(out_dir, "ledger.csv")
+    if os.path.exists(ledger) and os.path.getsize(ledger):  # rows go under its header only
+        _ledger_rows(ledger)
     os.makedirs(out_dir, exist_ok=True)
     outcomes = [run_check(config, i, config.checks[i], overrides, out_dir) for i in indices]
 
@@ -546,7 +563,7 @@ def _cmd_verify(args) -> int:
     # that cannot be serialized leaves neither a ledger row nor a file.
     rows = [row for row, _ in outcomes]
     texts = [_json_17g(result) + "\n" for _, result in outcomes]
-    mc.append_ledger(os.path.join(out_dir, "ledger.csv"), rows)
+    mc.append_ledger(ledger, rows)
     all_pass = True
     for i, (_, result), text in zip(indices, outcomes, texts):
         dest = os.path.join(out_dir, "check_%03d_%s.json" % (i, result["name"]))
@@ -557,28 +574,34 @@ def _cmd_verify(args) -> int:
         "config_hash": config.config_hash,
         "checks_run": len(rows),
         "all_pass": all_pass,
-        "ledger": os.path.join(out_dir, "ledger.csv"),
+        "ledger": ledger,
     }
     print(_json_17g(summary))
     return 0 if all_pass else 1
 
 
-def _cmd_report(args) -> int:
-    import csv as _csv
-
+def _ledger_rows(path) -> list:
+    """(line number, row) of each row below the header of the ledger at
+    path; a ConfigError when the file cannot be read or does not start
+    with the ledger header."""
     try:
-        with open(args.ledger, newline="") as fh:
-            reader = _csv.reader(fh)
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader]
-    except (OSError, UnicodeDecodeError, _csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(str(exc)) from exc
     if not rows or rows[0][1] != mc.LEDGER_COLUMNS:
-        raise ConfigError("not a ledger file")
-    for line, row in rows[1:]:
+        raise ConfigError("%s is not a ledger file" % path)
+    return rows[1:]
+
+
+def _cmd_report(args) -> int:
+    rows = _ledger_rows(args.ledger)
+    for line, row in rows:
         if len(row) != len(mc.LEDGER_COLUMNS) or row[-1] not in ("true", "false"):
             raise ConfigError("ledger line %d: expected %d fields ending in true or false, got %r"
                               % (line, len(mc.LEDGER_COLUMNS), ",".join(row)))
-    body = [row for _, row in rows[1:]]
+    body = [row for _, row in rows]
     failed = [r for r in body if r[-1] != "true"]
     print(
         _json_17g(

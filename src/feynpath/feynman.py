@@ -36,14 +36,13 @@ import numpy as np
 from .cameron_martin import (
     CMElement,
     SuppElement,
-    as_cm,
+    _require_same_profile,
     cm_inner,
     inner_with_a,
     odot,
 )
 from .errors import (
     BadDomain,
-    ProfileMismatch,
     TooLargeDegree,
     UnsupportedFunctional,
     ZeroParameter,
@@ -100,9 +99,7 @@ class MonomialSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "ks", tuple(self.ks))
-        for k in self.ks:
-            if as_cm(k).profile != self.theta.profile:
-                raise ProfileMismatch("monomial factors over different profiles")
+        _require_same_profile(self.theta, *self.ks)
 
     @property
     def m(self) -> int:
@@ -115,7 +112,7 @@ class MonomialSpec:
     def _elements(self) -> tuple[CMElement, ...]:
         """odot(theta, k) once per distinct k; repeats share the product."""
         distinct, slots = _distinct(self.ks)
-        products = [as_cm(odot(self.theta, k)) for k in distinct]
+        products = [odot(self.theta, k) for k in distinct]
         return tuple(products[s] for s in slots)
 
     @cached_property
@@ -204,7 +201,7 @@ def summary_of_elements(elements) -> GaussianSummary:
     the result equals the all-pairs computation bit for bit.  The
     arrays are read-only, as a spec hands out its summary more than once.
     """
-    distinct, slots = _distinct([as_cm(e) for e in elements])
+    distinct, slots = _distinct(elements)
     m = len(slots)
     pairings = [inner_with_a(e) for e in distinct]
     mean = np.array([pairings[s] for s in slots])
@@ -408,6 +405,12 @@ def _linear_factors(F: FunctionalSpec) -> list[CMElement]:
     raise UnsupportedFunctional("unknown functional %r" % (F,))
 
 
+def _direction_scalars(F: FunctionalSpec, k2: SuppElement, w) -> list[float]:
+    """(u (.) k2, w) per linear factor u of F: the change of the factor
+    value (u (.) k1, x)~ along the direction Z_{k2}(w, .)."""
+    return [cm_inner(odot(u, k2), w) for u in _linear_factors(F)]
+
+
 def _factor_stack(factors, path_values, grid: TimeGrid) -> np.ndarray:
     """v[..., j] = (factors[j], x)~ along one path or a stack of paths."""
     vals = [pwz_integral(u, path_values, grid) for u in factors]
@@ -475,15 +478,14 @@ def first_variation(
     depend on x (monomials of degree <= 1) x_path may be None and a
     scalar is returned; otherwise per-path values are returned.
     """
-    factors = _linear_factors(F)
-    dir_consts = [cm_inner(odot(u, k2), w) for u in factors]
+    dir_consts = _direction_scalars(F, k2, w)
     if audit is not None:
         audit.append({"op": "first_variation", "direction_scalars": list(dir_consts)})
     if isinstance(F, MonomialSpec) and F.m <= 1:
         return dir_consts[0] if dir_consts else 0.0
     if x_path is None or grid is None:
         raise ValueError("a path and grid are required for this functional")
-    v = _factor_stack([odot(u, k1) for u in factors], x_path, grid)
+    v = _factor_stack([odot(u, k1) for u in _linear_factors(F)], x_path, grid)
     return _variation_at(F, v, dir_consts)
 
 
@@ -509,14 +511,11 @@ def cameron_storvick_residual(
     if not isinstance(F, MonomialSpec):
         raise UnsupportedFunctional("closed-form residual needs a monomial")
     param = ComplexParam.feynman(q)
-    els = F.elements()
-    base = [as_cm(odot(u, k1)) for u in els]
-    theta_k2 = as_cm(odot(theta, k2))
-    theta_k1 = odot(theta, k1)
+    base = [odot(u, k1) for u in F.elements()]
+    theta_k2 = odot(theta, k2)
 
     lhs = 0.0 + 0.0j
-    for l in range(F.m):
-        c_l = cm_inner(odot(els[l], k2), theta_k1)
+    for l, c_l in enumerate(_direction_scalars(F, k2, odot(theta, k1))):
         rest = base[:l] + base[l + 1 :]
         lhs += c_l * feynman_elements(rest, param, method)
 

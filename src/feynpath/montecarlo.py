@@ -17,15 +17,16 @@ identities, not something a sampler can certify; reports carry an
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cameron_martin import CMElement, SuppElement, as_cm, cm_inner, inner_with_a, odot
-from .errors import BadDomain, ProfileMismatch
-from .feynman import ExpLinear, FunctionalSpec, _linear_factors, _value_at, _variation_at
+from .cameron_martin import (CMElement, SuppElement, _require_same_profile, cm_inner,
+                             inner_with_a, odot)
+from .errors import BadDomain
+from .feynman import (ExpLinear, FunctionalSpec, _direction_scalars, _linear_factors, _value_at,
+                      _variation_at)
 from .paths import TimeGrid, left_density, stream_increments
 
 DEFAULT_SIGMA_THRESHOLD = 3.0
@@ -102,11 +103,6 @@ def _columns(F: FunctionalSpec, k, profile, grid: TimeGrid, n, seed, extra=()) -
     return np.concatenate([c for _, c in stream_increments(profile, grid, n, seed, onto=dens)])
 
 
-def _functional_profile(F: FunctionalSpec):
-    factors = _linear_factors(F)
-    return as_cm(factors[0]).profile if factors else F.theta.profile
-
-
 def _functional_assumptions(F: FunctionalSpec) -> tuple[str, ...]:
     notes = ["integrability of the compared functionals is assumed, not tested"]
     if isinstance(F, ExpLinear) and abs(complex(F.c).real) > 0.0:
@@ -114,7 +110,7 @@ def _functional_assumptions(F: FunctionalSpec) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def _report(vals, n, grid, seed, t0, assumptions=()):
+def _report(F, vals, n, grid, seed, t0):
     mean, se = _mean_se(vals)
     return MCReport(
         estimate=mean,
@@ -123,13 +119,13 @@ def _report(vals, n, grid, seed, t0, assumptions=()):
         grid_size=grid.N,
         seed=seed,
         wall_time=time.perf_counter() - t0,
-        assumptions=tuple(assumptions),
+        assumptions=_functional_assumptions(F),
     )
 
 
-def _identity_report(lhs_vals, rhs_vals, n, grid, seed, threshold, t0, assumptions=()):
-    lhs = _report(lhs_vals, n, grid, seed, t0, assumptions)
-    rhs = _report(rhs_vals, n, grid, seed, t0, assumptions)
+def _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, threshold, t0):
+    lhs = _report(F, lhs_vals, n, grid, seed, t0)
+    rhs = _report(F, rhs_vals, n, grid, seed, t0)
     diff_mean, diff_se = _mean_se(lhs_vals - rhs_vals)
     discrepancy = abs(diff_mean)
     scale = max(1.0, abs(lhs.estimate), abs(rhs.estimate))
@@ -147,12 +143,10 @@ def _profile_and_grid(F: FunctionalSpec, elements, grid):
     """F's profile, once every element is checked to share it, and the
     grid: the given one, or a default grid through every breakpoint of
     F's linear factors and the elements."""
-    profile = _functional_profile(F)
-    for e in elements:
-        if as_cm(e).profile != profile:
-            raise ProfileMismatch("all elements must share the functional's profile")
+    factors = _linear_factors(F)
+    profile = _require_same_profile(*(factors or [F.theta]), *elements)
     if grid is None:
-        grid = TimeGrid.build(profile, list(_linear_factors(F)) + [as_cm(e) for e in elements])
+        grid = TimeGrid.build(profile, factors + list(elements))
     return profile, grid
 
 
@@ -175,7 +169,7 @@ def mc_fsi(
         vals = np.ones(n)
     else:
         vals = _value_at(F, lam**-0.5 * _columns(F, k, profile, grid, n, seed))
-    return _report(vals, n, grid, seed, t0, _functional_assumptions(F))
+    return _report(F, vals, n, grid, seed, t0)
 
 
 def verify_translation(
@@ -198,9 +192,7 @@ def verify_translation(
     v = cols[:, :-1]
     lhs_vals = _value_at(F, v + shift)
     rhs_vals = weight * _value_at(F, v) * np.exp(cols[:, -1])
-    return _identity_report(
-        lhs_vals, rhs_vals, n, grid, seed, threshold, t0, _functional_assumptions(F)
-    )
+    return _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, threshold, t0)
 
 
 def verify_parts(
@@ -221,9 +213,7 @@ def verify_parts(
     if not rho > 0.0:
         raise BadDomain("rho must be positive, got %r" % rho)
     lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, rho, n, seed, grid)
-    return _identity_report(
-        lhs_vals, rhs_vals, n, grid, seed, threshold, t0, _functional_assumptions(F)
-    )
+    return _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, threshold, t0)
 
 
 def verify_cs_precursor(
@@ -250,10 +240,7 @@ def verify_cs_precursor(
         raise BadDomain("lambda must be a positive real, got %r" % lambda_real)
     lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, lam**-0.5, n, seed, grid)
     root = lam**0.5
-    return _identity_report(
-        root * lhs_vals, root * rhs_vals, n, grid, seed, threshold, t0,
-        _functional_assumptions(F),
-    )
+    return _identity_report(F, root * lhs_vals, root * rhs_vals, n, grid, seed, threshold, t0)
 
 
 def _parts_engine(F, theta, k1, k2, rho, n, seed, grid):
@@ -274,9 +261,8 @@ def _identity_setup(F, theta, k1, k2, n, seed, grid):
     of F, theta (.) k2 and its pairing with a, the start time, and the
     columns (u (.) k1, x)~ per factor followed by (theta (.) k2, x)~."""
     profile, grid = _profile_and_grid(F, [theta, k1, k2], grid)
-    theta_k1 = odot(theta, k1)
-    theta_k2 = as_cm(odot(theta, k2))
-    consts = [cm_inner(odot(u, k2), theta_k1) for u in _linear_factors(F)]
+    theta_k2 = odot(theta, k2)
+    consts = _direction_scalars(F, k2, odot(theta, k1))
     pairing_a = inner_with_a(theta_k2)
     t0 = time.perf_counter()
     cols = _columns(F, k1, profile, grid, n, seed, extra=[theta_k2])
@@ -348,10 +334,10 @@ def identity_ledger_row(name: str, config_hash: str, report: IdentityReport) -> 
 
 
 def append_ledger(path, rows):
-    """Append rows, writing the header when the file does not exist yet."""
-    new_file = not os.path.exists(path)
+    """Append rows, writing the header first when the file is missing or
+    empty."""
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if new_file:
+        if fh.tell() == 0:
             writer.writerow(LEDGER_COLUMNS)
         writer.writerows(rows)

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cameron_martin import CMElement, SuppElement, as_cm
-from .errors import GridMismatch, NonPositiveVariance, ProfileMismatch
+from .cameron_martin import CMElement, SuppElement, _require_same_profile
+from .errors import GridMismatch, NonPositiveVariance
 from .measure import ProfilePair
 
 DEFAULT_GRID_N = 1024
@@ -511,7 +511,7 @@ def sample_gbmp_paths(
 
 def left_density(w, grid: TimeGrid) -> np.ndarray:
     """Density of w evaluated at the left endpoint of every grid interval."""
-    poly = as_cm(w).density if isinstance(w, (CMElement, SuppElement)) else w
+    poly = w.density if isinstance(w, CMElement) else w
     grid.require_breakpoints(poly)
     return poly(grid.nodes[:-1])
 
@@ -536,20 +536,16 @@ def z_process_path(k: SuppElement, path_values: np.ndarray, grid: TimeGrid):
 def z_shift_path(k: SuppElement, w: CMElement, grid: TimeGrid) -> np.ndarray:
     """Deterministic path Z_k(w, .) of a Cameron-Martin element w:
     t -> integral of Dk Dw db over [0, t], by exact quadrature."""
-    wc = as_cm(w)
-    if wc.profile != as_cm(k).profile:
-        raise ProfileMismatch("k and w live over different profiles")
-    prim = (wc.density * as_cm(k).density * wc.profile.b_prime).antiderivative()
+    profile = _require_same_profile(w, k)
+    prim = (w.density * k.density * profile.b_prime).antiderivative()
     return prim(grid.nodes)
 
 
 def gamma_beta(k: SuppElement, grid: TimeGrid) -> MeanCovTable:
     """Mean function gamma_k (integral of Dk da) and variance function
     beta_k (integral of Dk^2 db) at the grid nodes, exactly."""
-    kc = as_cm(k)
-    profile = kc.profile
-    gamma = (kc.density * profile.a_prime).antiderivative()(grid.nodes)
-    beta = (kc.density * kc.density * profile.b_prime).antiderivative()(grid.nodes)
+    gamma = (k.density * k.profile.a_prime).antiderivative()(grid.nodes)
+    beta = (k.density * k.density * k.profile.b_prime).antiderivative()(grid.nodes)
     return MeanCovTable(grid=grid, gamma=gamma, beta=beta)
 
 

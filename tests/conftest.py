@@ -34,8 +34,8 @@ def standard():
 def std_elements(standard):
     """The standard test triple: D(theta) = 1, D(k1) = 1, D(k2) = t."""
     theta = CMElement(pp([1.0]), standard)
-    k1 = SuppElement(CMElement(pp([1.0]), standard))
-    k2 = SuppElement(CMElement(pp([0.0, 1.0]), standard))
+    k1 = SuppElement(pp([1.0]), standard)
+    k2 = SuppElement(pp([0.0, 1.0]), standard)
     return theta, k1, k2
 
 

@@ -59,8 +59,8 @@ def standard():
 @pytest.fixture(scope="module")
 def std_elements(standard):
     theta = CMElement(pp([1.0]), standard)
-    k1 = SuppElement(CMElement(pp([1.0]), standard))
-    k2 = SuppElement(CMElement(pp([0.0, 1.0]), standard))
+    k1 = SuppElement(pp([1.0]), standard)
+    k2 = SuppElement(pp([0.0, 1.0]), standard)
     return theta, k1, k2
 
 
@@ -70,9 +70,9 @@ def test_criterion_1_product_algebra(standard):
     b = identity_element(standard)
     worst = 0.0
     for _ in range(100):
-        w = SuppElement(CMElement(random_nonvanishing_poly(rng, max_degree=3), standard))
-        k1 = SuppElement(CMElement(random_nonvanishing_poly(rng), standard))
-        k2 = SuppElement(CMElement(random_nonvanishing_poly(rng), standard))
+        w = SuppElement(random_nonvanishing_poly(rng, max_degree=3), standard)
+        k1 = SuppElement(random_nonvanishing_poly(rng), standard)
+        k2 = SuppElement(random_nonvanishing_poly(rng), standard)
         worst = max(worst, odot(w, b).density.coeff_error(w.density))
         worst = max(worst, odot(w, k1).density.coeff_error(odot(k1, w).density))
         left = odot(odot(w, k1), k2).density
@@ -127,7 +127,7 @@ def test_criterion_3_recurrence_equals_moment_oracle(standard):
         m = int(rng.integers(0, 9))
         theta = CMElement(random_nonvanishing_poly(rng), profile)
         ks = tuple(
-            SuppElement(CMElement(random_nonvanishing_poly(rng), profile))
+            SuppElement(random_nonvanishing_poly(rng), profile)
             for _ in range(m)
         )
         spec = MonomialSpec(theta, ks)

@@ -3,18 +3,24 @@ import pytest
 
 from feynpath import (
     CMElement,
+    CosLinear,
+    DomainMismatch,
     MeasureKind,
+    MonomialSpec,
     PiecewisePoly,
     ProfileMismatch,
     SuppElement,
     SupportViolation,
+    TimeGrid,
     cm_inner,
     gram_schmidt,
     identity_element,
     inner_with_a,
+    mc_fsi,
     odot,
     phi_t,
     stieltjes_integral,
+    z_shift_path,
 )
 
 from conftest import pp, random_poly, random_nonvanishing_poly
@@ -44,7 +50,7 @@ def test_odot_identity(standard):
 
 def test_odot_by_unit_density(standard):
     w = CMElement(pp([1.0]), standard)
-    k = SuppElement(CMElement(pp([0.0, 1.0]), standard))
+    k = SuppElement(pp([0.0, 1.0]), standard)
     assert odot(w, k).density.coeff_error(pp([0.0, 1.0])) == 0.0
 
 
@@ -52,10 +58,10 @@ def test_odot_commutative_associative(standard):
     rng = np.random.default_rng(21)
     for _ in range(20):
         w = CMElement(random_poly(rng, max_degree=2), standard)
-        k1 = SuppElement(CMElement(random_nonvanishing_poly(rng), standard))
-        k2 = SuppElement(CMElement(random_nonvanishing_poly(rng), standard))
+        k1 = SuppElement(random_nonvanishing_poly(rng), standard)
+        k2 = SuppElement(random_nonvanishing_poly(rng), standard)
         wk = odot(w, k1)
-        kw = odot(k1.base, SuppElement(CMElement(w.density, standard))) if not w.density.has_zero_piece() else None
+        kw = odot(k1, SuppElement(w.density, standard)) if not w.density.has_zero_piece() else None
         if kw is not None:
             assert wk.density.coeff_error(kw.density) <= 1e-13
         left = odot(odot(w, k1), k2)
@@ -64,8 +70,8 @@ def test_odot_commutative_associative(standard):
 
 
 def test_odot_supp_closure(standard):
-    k1 = SuppElement(CMElement(pp([1.0]), standard))
-    k2 = SuppElement(CMElement(pp([0.0, 1.0]), standard))
+    k1 = SuppElement(pp([1.0]), standard)
+    k2 = SuppElement(pp([0.0, 1.0]), standard)
     prod = odot(k1, k2)
     assert isinstance(prod, SuppElement)
 
@@ -113,9 +119,43 @@ def test_phi_t_primitive_is_clamped_time(wiener):
 
 def test_supp_membership(standard):
     with pytest.raises(SupportViolation):
-        SuppElement(CMElement(PiecewisePoly([0.0, 0.5, 1.0], [[0.0], [1.0]]), standard))
+        SuppElement(PiecewisePoly([0.0, 0.5, 1.0], [[0.0], [1.0]]), standard)
     # isolated zero at t=0 is fine
-    SuppElement(CMElement(pp([0.0, 1.0]), standard))
+    SuppElement(pp([0.0, 1.0]), standard)
+
+
+def test_a_kernel_element_is_a_cm_element(standard, wiener):
+    """Supp is a subset of the Cameron-Martin space: a kernel element is a
+    CMElement, equal to the plain element with its density and profile."""
+    assert issubclass(SuppElement, CMElement)
+    k = SuppElement(pp([0.0, 1.0]), standard)
+    w = CMElement(pp([0.0, 1.0]), standard)
+    assert k == w and w == k and k == SuppElement(pp([0.0, 1.0]), standard)
+    assert k != CMElement(pp([0.0, 1.0]), wiener) and k != CMElement(pp([1.0]), standard)
+    assert k.norm_sq() == w.norm_sq() and k.to_dict() == w.to_dict()
+    with pytest.raises(TypeError):
+        hash(k)
+    with pytest.raises(DomainMismatch):  # the parent's check runs first
+        SuppElement(PiecewisePoly([0.0, 2.0], [[1.0]]), standard)
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        lambda k, far: odot(far, k),
+        lambda k, far: cm_inner(k, far),
+        lambda k, far: gram_schmidt([k, far]),
+        lambda k, far: MonomialSpec(k, (k, far)),
+        lambda k, far: z_shift_path(k, far, TimeGrid.build(k.profile, n=8)),
+        lambda k, far: mc_fsi(CosLinear(k), far, 1.0, 4, 0),
+        lambda k, far: mc_fsi(MonomialSpec(k, ()), far, 1.0, 4, 0),
+    ],
+    ids=["odot", "cm_inner", "gram_schmidt", "MonomialSpec", "z_shift_path",
+         "mc_fsi", "mc_fsi-degree-0"],
+)
+def test_every_site_rejects_mixed_profiles(standard, wiener, site):
+    with pytest.raises(ProfileMismatch):
+        site(SuppElement(pp([1.0]), standard), identity_element(wiener))
 
 
 def test_gram_schmidt_normalizes(wiener):
@@ -164,7 +204,7 @@ def test_product_norm_identity(standard):
     rng = np.random.default_rng(24)
     for _ in range(10):
         w = CMElement(random_poly(rng, max_degree=2), standard)
-        k = SuppElement(CMElement(random_nonvanishing_poly(rng), standard))
+        k = SuppElement(random_nonvanishing_poly(rng), standard)
         lhs = odot(w, k).norm_sq()
         dens = w.density * k.density
         rhs = stieltjes_integral(dens * dens, MeasureKind.DB, standard)

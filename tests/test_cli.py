@@ -572,6 +572,88 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, argv, key, value):
 
 
 @pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("checks.0.q", 0.0, "checks[0].q"),
+        ("checks.1.q", 0, "checks[1].q"),
+        ("checks.3.rho", 0.0, "checks[3].rho"),
+        ("checks.3.rho", -1.0, "checks[3].rho"),
+        ("checks.4.lambda", 0, "checks[4].lambda"),
+        ("checks.4.lambda", -4.0, "checks[4].lambda"),
+        ("checks.0.expect.tol", -1e-12, "checks[0].expect.tol"),
+    ],
+    ids=["feynman-q-zero", "recurrence-q-zero", "rho-zero", "rho-negative", "lambda-zero",
+         "lambda-negative", "tol-negative"],
+)
+def test_parameter_domain_is_checked_before_any_check_runs(
+    tmp_path, capsys, monkeypatch, key, value, named
+):
+    import feynpath.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_check", lambda *args: ran.append(args[1]))
+    cfg = std_config(n=200, grid=32)
+    _set(cfg, key, value)
+    out = tmp_path / "o"
+    code = run(["verify", "--all", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and ran == [] and captured.out == ""
+    assert captured.err.startswith("error: %s" % named)
+    assert not out.exists()
+
+
+def test_verify_writes_the_header_into_an_empty_ledger(tmp_path, capsys):
+    cfg = std_config()
+    cfg["checks"] = cfg["checks"][:2]
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "ledger.csv").write_text("")
+    code = run(["verify", "--all", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert run(["report", "--ledger", str(out / "ledger.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == 2
+
+
+def test_verify_appends_under_no_foreign_header(tmp_path, capsys, monkeypatch):
+    import feynpath.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_check", lambda *args: ran.append(args[1]))
+    out = tmp_path / "o"
+    out.mkdir()
+    ledger = out / "ledger.csv"
+    ledger.write_text("name,value\nx,1\n")
+    code = run(["verify", "--all", "--config", write_config(tmp_path, std_config()),
+                "--output-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and ran == [] and captured.out == ""
+    assert captured.err.startswith("error: %s is not a ledger file" % ledger)
+    assert ledger.read_text() == "name,value\nx,1\n" and os.listdir(out) == ["ledger.csv"]
+
+
+def test_verify_rejects_a_duplicate_check_index(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run(["verify", "--config", write_config(tmp_path, std_config(n=200, grid=32)),
+                "--check", "1", "0", "1", "--output-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --check: check 1 is listed more than once\n"
+    assert not out.exists()
+
+
+def test_validate_profile_rejects_profile_flag_on_a_bare_profile(tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"T": 1.0, "a_prime": RAMP, "b_prime": ONE_PLUS_T}))
+    code = run(["validate-profile", str(path), "--profile", "nosuch"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --profile 'nosuch': ")
+
+
+@pytest.mark.parametrize(
     "functional",
     [{"type": "cos_linear", "w0": "theta"}, {"type": "exp_linear", "w0": "theta",
                                              "c": {"re": 0.0, "im": 1.0}}],

@@ -33,7 +33,6 @@ from feynpath import (
     z_shift_path,
 )
 import feynpath.feynman as feynman_module
-from feynpath.cameron_martin import as_cm
 from feynpath.feynman import feynman_elements, summary_of_elements
 
 from conftest import pp, random_nonvanishing_poly
@@ -49,7 +48,7 @@ def std_spec(std_elements):
 def _random_spec(rng, profile, m):
     theta = CMElement(random_nonvanishing_poly(rng), profile)
     ks = tuple(
-        SuppElement(CMElement(random_nonvanishing_poly(rng), profile))
+        SuppElement(random_nonvanishing_poly(rng), profile)
         for _ in range(m)
     )
     return MonomialSpec(theta, ks)
@@ -202,7 +201,8 @@ def test_summary_of_elements_computes_each_distinct_pair_once(monkeypatch, std_e
     inner product per ordered pair, and the summary has the bits of the
     all-pairs computation."""
     theta, k1, k2 = std_elements
-    a, b, c = theta, k2.base, odot(k2.base, k2)
+    a, b = theta, CMElement(k2.density, k2.profile)
+    c = odot(b, k2)
     b_copy = CMElement(PiecewisePoly(b.density.breakpoints, b.density.coeffs), b.profile)
     els = [a, b, a, c, b_copy, a, k2]
     slots = [0, 1, 0, 2, 1, 0, 1]
@@ -234,8 +234,7 @@ def test_summary_of_elements_computes_each_distinct_pair_once(monkeypatch, std_e
 
 def test_spec_builds_products_and_summary_once(monkeypatch, std_elements):
     theta, k1, k2 = std_elements
-    k2_copy = SuppElement(CMElement(PiecewisePoly(k2.density.breakpoints, k2.density.coeffs),
-                                    k2.profile))
+    k2_copy = SuppElement(PiecewisePoly(k2.density.breakpoints, k2.density.coeffs), k2.profile)
     spec = MonomialSpec(theta, (k1, k2, k1, k2_copy, k2))
     want = [odot(theta, k) for k in spec.ks]
     fresh = feynman_monomial(MonomialSpec(theta, spec.ks), -2.0)
@@ -243,7 +242,7 @@ def test_spec_builds_products_and_summary_once(monkeypatch, std_elements):
     monkeypatch.setattr(feynman_module, "odot", lambda w, k: odots.append(k) or odot(w, k))
     els = spec.elements()
     assert len(odots) == 2 and els[0] is els[2] and els[1] is els[3] is els[4]
-    assert all(e == as_cm(w) for e, w in zip(els, want))
+    assert all(e == w for e, w in zip(els, want))
     summary = monomial_summary(spec)
     assert monomial_summary(spec) is summary and len(odots) == 2
     calls = []
@@ -299,7 +298,7 @@ def test_analytic_fsi_at_unit_lambda_is_plain_moment(std_spec):
 def test_analytic_fsi_zero_mean_pair(wiener):
     theta = CMElement(pp([1.0]), wiener)
     k1 = identity_element(wiener)
-    k2 = SuppElement(CMElement(pp([0.0, 1.0]), wiener))
+    k2 = SuppElement(pp([0.0, 1.0]), wiener)
     spec = MonomialSpec(theta, (k1, k2))
     s = monomial_summary(spec)
     got = analytic_fsi_monomial(spec, 2.0)

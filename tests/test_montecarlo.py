@@ -51,7 +51,7 @@ FUNCTIONALS = {
 @pytest.fixture
 def ctx(standard, std_elements):
     theta, k1, k2 = std_elements
-    grid = TimeGrid.build(standard, [theta, k1.base, k2.base], n=GRID_SMALL)
+    grid = TimeGrid.build(standard, [theta, k1, k2], n=GRID_SMALL)
     return standard, theta, k1, k2, grid
 
 

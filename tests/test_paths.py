@@ -285,7 +285,7 @@ def test_z_process_identity_kernel(standard, grid256):
 
 def test_z_process_constant_scaling(standard, grid256):
     ens = sample_gbmp_paths(standard, grid256, 4, 22)
-    k = SuppElement(CMElement(pp([2.5]), standard))
+    k = SuppElement(pp([2.5]), standard)
     assert np.allclose(
         z_process_path(k, ens.values, grid256), 2.5 * ens.values, atol=1e-12
     )
@@ -297,7 +297,7 @@ def test_kernel_transport_identity(standard, grid256):
     ens = sample_gbmp_paths(standard, grid256, 50, 23)
     for _ in range(5):
         w = CMElement(random_poly(rng, max_pieces=1, max_degree=2), standard)
-        k = SuppElement(CMElement(random_nonvanishing_poly(rng), standard))
+        k = SuppElement(random_nonvanishing_poly(rng), standard)
         z = z_process_path(k, ens.values, grid256)
         lhs = pwz_integral(w, z, grid256)
         rhs = pwz_integral(odot(w, k), ens.values, grid256)
@@ -308,7 +308,7 @@ def test_z_process_covariance_law(wiener):
     grid = TimeGrid.build(wiener, n=256)
     n = 20000
     ens = sample_gbmp_paths(wiener, grid, n, 71)
-    k = SuppElement(CMElement(pp([0.0, 1.0]), wiener))  # beta(t) = t^3/3
+    k = SuppElement(pp([0.0, 1.0]), wiener)  # beta(t) = t^3/3
     z = z_process_path(k, ens.values, grid)
     table = gamma_beta(k, grid)
     for s, t in ((0.25, 0.75), (0.5, 0.5), (1.0, 0.5)):
@@ -322,7 +322,7 @@ def test_z_process_covariance_law(wiener):
 
 def test_z_process_consistent_with_indicator_products(standard, grid256):
     ens = sample_gbmp_paths(standard, grid256, 3, 29)
-    k = SuppElement(CMElement(pp([1.0, 0.5]), standard))
+    k = SuppElement(pp([1.0, 0.5]), standard)
     z = z_process_path(k, ens.values, grid256)
     for t in (0.25, 0.5, 1.0):
         i = int(np.flatnonzero(grid256.nodes == t)[0])
@@ -340,7 +340,7 @@ def test_z_shift_paths(standard, wiener):
     w = CMElement(pp([1.0]), wiener)
     assert np.allclose(z_shift_path(b, w, grid), grid.nodes, atol=1e-15)
     # Dk = t, Dw = 1 over b' = 1: cumulative integral is t^2/2
-    k = SuppElement(CMElement(pp([0.0, 1.0]), wiener))
+    k = SuppElement(pp([0.0, 1.0]), wiener)
     assert np.allclose(z_shift_path(k, w, grid), 0.5 * grid.nodes**2, atol=1e-14)
     with pytest.raises(ProfileMismatch):
         z_shift_path(k, CMElement(pp([1.0]), standard), grid)
@@ -348,7 +348,7 @@ def test_z_shift_paths(standard, wiener):
 
 def test_gamma_beta_exact_values(wiener, standard):
     grid = TimeGrid.build(standard, n=32)
-    k = SuppElement(CMElement(pp([1.0]), standard))
+    k = SuppElement(pp([1.0]), standard)
     table = gamma_beta(k, grid)
     t = grid.nodes
     assert np.allclose(table.gamma, 0.5 * t**2, atol=1e-14)
