@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -582,16 +583,21 @@ def _cmd_verify(args) -> int:
 
 def _ledger_rows(path) -> list:
     """(line number, row) of each row below the header of the ledger at
-    path; a ConfigError when the file cannot be read or does not start
-    with the ledger header."""
+    path; a ConfigError when the file cannot be read, does not start
+    with the ledger header or does not end in a newline (a row appended
+    to it would join its last line)."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [(reader.line_num, row) for row in reader]
+            text = fh.read()
+        reader = csv.reader(io.StringIO(text, newline=""))
+        rows = [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(str(exc)) from exc
     if not rows or rows[0][1] != mc.LEDGER_COLUMNS:
         raise ConfigError("%s is not a ledger file" % path)
+    if not text.endswith("\n"):
+        raise ConfigError("%s does not end in a newline, so a new row would join its last line"
+                          % path)
     return rows[1:]
 
 

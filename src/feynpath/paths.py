@@ -17,12 +17,14 @@ Randomness is counter-based: path rows are organized in fixed blocks of
 stream keyed by (seed, j).  Ensembles are therefore bit-identical for a
 given (seed, grid, n_paths) regardless of scheduling, and the first n
 rows do not change when more paths are requested.  The same keying lets
-the projected and the materializing streams run their blocks on a thread
-pool with results that do not depend on the number of threads.
+the projected and the path streams run their blocks on a thread pool
+with results that do not depend on the number of threads, and lets an
+ensemble be kept as its recipe: its writers sample each block again and
+write it once, with about one block per worker in memory.
 
-A materialized ensemble is a private anonymous mapping of its own,
-unmapped when the last view of it goes, so its memory returns to the
-operating system when it is released.
+A materialized ensemble, and each streamed block, is a private anonymous
+mapping of its own, unmapped when the last view of it goes, so its
+memory returns to the operating system when it is released.
 
 The CSV writer formats blocks of rows on the same pool.  Its formatter
 computes Python's ``%.17g`` text in numpy, exactly rounded with integer
@@ -104,16 +106,41 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Sampled paths: values[p, i] is path p at grid node i (column 0 zero)."""
+    """An ensemble of sampled paths, kept as its recipe: the paths on
+    ``grid`` of the process with profile ``profile``, drawn from the
+    Philox streams of ``seed``.  The constructor checks the recipe
+    (``n_paths >= 1``, the seed, b increasing on the grid).
+
+    ``values[p, i]`` is path p at grid node i (column 0 zero), built in
+    full on first access and kept.  The writers do not build it: they
+    sample the paths again block by block and write each block once,
+    unless ``values`` is already there, when they write it instead.
+    Either way the bytes are the same."""
 
     grid: TimeGrid
-    values: np.ndarray
+    n_paths: int
     seed: int
     profile: ProfilePair
 
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
+    def __post_init__(self):
+        _checked_moments(self.profile, self.grid, self.n_paths, self.seed)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The (n_paths, N+1) path values, in a mapping of their own that
+        is given back to the operating system when the last view goes."""
+        values = _mapped_zeros((self.n_paths, self.grid.N + 1))
+        for _ in stream_increments(self.profile, self.grid, self.n_paths, self.seed,
+                                   out=values, paths=True):
+            pass
+        return values
+
+    def _blocks(self):
+        """(first path, path values) per block of rows, in order: all of
+        ``values`` when it is built, else each block freshly sampled."""
+        if "values" in vars(self):
+            return [(0, self.values)]
+        return stream_increments(self.profile, self.grid, self.n_paths, self.seed, paths=True)
 
     def to_csv(self, path):
         """First row is the node times, then one row per path.  Every
@@ -124,15 +151,17 @@ class PathEnsemble:
         number of workers and only a few blocks of text are in memory
         at a time."""
         step = max(1, _CSV_BLOCK_VALUES // (self.grid.N + 1))
-        starts = range(0, self.n_paths, step)
-
-        def rows(i):
-            return _csv_rows(self.values[starts[i] : starts[i] + step])
-
         with open(path, "wb") as fh:
             fh.write(_csv_rows(self.grid.nodes[None, :]))
-            for text in _ordered_map(rows, len(starts)):
-                fh.write(text)
+            for _, block in self._blocks():
+                starts = range(0, block.shape[0], step)
+
+                def rows(i):
+                    return _csv_rows(block[starts[i] : starts[i] + step])
+
+                for text in _ordered_map(rows, len(starts)):
+                    fh.write(text)
+                del block  # so at most workers + 1 blocks are alive
 
     def to_binary(self, path):
         """Compact layout: magic, N, n_paths, seed (little-endian u64),
@@ -141,7 +170,9 @@ class PathEnsemble:
             fh.write(_BINARY_MAGIC)
             fh.write(struct.pack("<QQQ", self.grid.N, self.n_paths, self.seed))
             fh.write(np.ascontiguousarray(self.grid.nodes, dtype="<f8"))
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8"))
+            for _, block in self._blocks():
+                fh.write(np.ascontiguousarray(block, dtype="<f8"))
+                del block  # so at most workers + 1 blocks are alive
 
     @staticmethod
     def read_binary(path):
@@ -326,8 +357,19 @@ def increment_moments(profile: ProfilePair, grid: TimeGrid):
     return da, db
 
 
+def _checked_moments(profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int):
+    """(da, sqrt(db)) of the ensemble recipe (profile, grid, n_paths,
+    seed), which raises here unless the recipe is valid."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    _check_seed(seed)
+    da, db = increment_moments(profile, grid)
+    return da, np.sqrt(db)
+
+
 def stream_increments(
-    profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int, onto=None, out=None
+    profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int, onto=None, out=None,
+    paths=False,
 ):
     """Yield (first_path_index, increments) chunks of the path ensemble.
 
@@ -346,17 +388,19 @@ def stream_increments(
     straight into its rows of ``out`` and the chunks are
     (first_path_index, view of those rows of out).
 
-    With ``onto`` or ``out`` the blocks run on a thread pool with one
-    worker per usable CPU, bit-identical for any worker count and to the
-    serial form.
+    With ``paths``, the chunks are (first_path_index, path values): rows
+    of N+1 values, 0 and then the running sums of the row's increments.
+    They are the chunk's rows of ``out``, then an (n_paths, N+1) float64
+    array, or else fresh arrays, each over a mapping of its own.
+
+    With ``onto``, ``out`` or ``paths`` the blocks run on a thread pool
+    with one worker per usable CPU, bit-identical for any worker count
+    and to the serial form.  At most one block per worker is computed
+    ahead of the consumer.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    _check_seed(seed)
-    da, db = increment_moments(profile, grid)
-    sdb = np.sqrt(db)
-    if onto is not None or out is not None:
-        yield from _filled_blocks(da, sdb, n_paths, seed, onto=onto, out=out)
+    da, sdb = _checked_moments(profile, grid, n_paths, seed)
+    if onto is not None or out is not None or paths:
+        yield from _filled_blocks(da, sdb, n_paths, seed, onto=onto, out=out, paths=paths)
         return
     n_steps = grid.N
     z = np.empty((min(CHUNK_PATHS, n_paths), n_steps))
@@ -380,23 +424,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, workers=None):
-    """Yield (p0, rows) per block, in block order, for exactly one of
-    ``onto`` (rows are fresh projected columns) or ``out`` (rows are a
-    view of the block's rows of out, holding its increments).
+def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False, workers=None):
+    """Yield (p0, rows) per block, in block order, for ``onto`` (rows are
+    fresh projected columns) or for ``out`` and ``paths``: rows are the
+    block's rows of out, holding its increments, or with ``paths`` its
+    path values, in the rows of out or in a fresh block.
 
     Each block's Philox stream fills a per-worker _SUB_ROWS x N scratch
     buffer z one sub-block at a time; numpy continues the stream across
     the fills, so the normals equal those of one whole-block fill.  Each
     sub-block becomes ``op(z, factor) + shift`` in its destination rows:
     ``z @ (sqrt(db) * onto) + da @ onto`` or ``z * sqrt(db) + da``, the
-    latter in the serial stream's operation order.  Workers run numpy
+    latter in the serial stream's operation order, and for path values
+    in columns 1: and then summed along each row.  Workers run numpy
     only, and a block's arithmetic does not depend on which worker runs
     it, so any ``workers`` gives the same bits.
     """
-    if (onto is None) == (out is None):
-        raise ValueError("give exactly one of onto and out")
     if onto is not None:
+        if out is not None or paths:
+            raise ValueError("onto takes neither out nor paths")
         onto = np.asarray(onto, dtype=float)
         if onto.ndim != 2 or onto.shape[0] != sdb.size:
             raise ValueError("onto must be an (N, c) matrix over the grid intervals")
@@ -405,13 +451,21 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, workers=None):
         def dest(p0, rows):
             return np.empty((rows, onto.shape[1]))
     else:
-        if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                and out.shape == (n_paths, sdb.size)):
-            raise ValueError("out must be an (n_paths, N) float64 array")
         op, factor, shift = np.multiply, sdb, da
+        width = sdb.size + 1 if paths else sdb.size
+        if out is not None:
+            if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                    and out.shape == (n_paths, width)):
+                raise ValueError("out must be an (n_paths, %s) float64 array"
+                                 % ("N + 1" if paths else "N"))
 
-        def dest(p0, rows):
-            return out[p0 : p0 + rows]
+            def dest(p0, rows):
+                return out[p0 : p0 + rows]
+        elif paths:
+            def dest(p0, rows):
+                return _mapped_zeros((rows, width))
+        else:
+            raise ValueError("give onto, out or paths")
 
     starts = range(0, n_paths, CHUNK_PATHS)
     sub = min(_SUB_ROWS, n_paths)
@@ -429,11 +483,17 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, workers=None):
             z = scratch.z = np.empty((sub, sdb.size))
         gen = _block_generator(seed, block)
         dst = dest(p0, rows)
+        inc = dst
+        if paths:
+            dst[:, 0] = 0.0
+            inc = dst[:, 1:]
         for r0 in range(0, rows, sub):
             r1 = min(r0 + sub, rows)
             gen.standard_normal(out=z[: r1 - r0])
-            op(z[: r1 - r0], factor, out=dst[r0:r1])
-            np.add(dst[r0:r1], shift, out=dst[r0:r1])
+            op(z[: r1 - r0], factor, out=inc[r0:r1])
+            np.add(inc[r0:r1], shift, out=inc[r0:r1])
+            if paths:
+                np.cumsum(inc[r0:r1], axis=1, out=inc[r0:r1])
         return p0, dst
 
     yield from _ordered_map(fill, len(starts), workers)
@@ -466,8 +526,9 @@ def _ordered_map(fn, count, workers=None):
     """Yield fn(0), ..., fn(count - 1) in that order, computed on a
     thread pool with one worker per usable CPU by default.
 
-    At most two tasks per worker run or wait ahead of the consumer, so
-    a slow consumer holds only a few results.  An exception from fn is
+    At most one task per worker runs or waits ahead of the consumer, so
+    a consumer that drops each result before it asks for the next holds
+    at most workers + 1 results at once.  An exception from fn is
     raised here, at its index, and the tasks not yet started are
     cancelled; so are they when the consumer stops early.
     """
@@ -483,7 +544,7 @@ def _ordered_map(fn, count, workers=None):
         try:
             for i in range(count):
                 ahead.append(pool.submit(fn, i))
-                if len(ahead) > 2 * workers:
+                if len(ahead) > workers:
                     yield ahead.popleft().result()
             while ahead:
                 yield ahead.popleft().result()
@@ -495,18 +556,16 @@ def _ordered_map(fn, count, workers=None):
 def sample_gbmp_paths(
     profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int
 ) -> PathEnsemble:
-    """Materialize an ensemble of sampled paths (x(0) = 0).
+    """The ensemble of n_paths sampled paths (x(0) = 0) on grid.
 
-    Memory is n_paths * (N+1) doubles in a mapping of their own, given
-    back to the operating system when the last view of ``values`` goes:
-    the blocks fill their increments straight into the rows of the
-    ensemble, which are then summed in place.  Use
+    Nothing is sampled here: the ensemble is its recipe, checked now, so
+    that an invalid one raises before anything is written.  Its writers
+    sample it block by block, with about one block of CHUNK_PATHS rows
+    per worker, plus one, in memory at a time; its ``values`` hold all
+    n_paths * (N+1) doubles, built on first access.  Use
     :func:`stream_increments` for estimates over very large ensembles.
     """
-    values = _mapped_zeros((n_paths, grid.N + 1))
-    for _, inc in stream_increments(profile, grid, n_paths, seed, out=values[:, 1:]):
-        np.cumsum(inc, axis=1, out=inc)
-    return PathEnsemble(grid=grid, values=values, seed=seed, profile=profile)
+    return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed, profile=profile)
 
 
 def left_density(w, grid: TimeGrid) -> np.ndarray:

@@ -10,10 +10,15 @@ The floating-point references at the end (``piecewise_eval_loop``,
 one-piece-at-a-time and one-term-at-a-time computations that the
 package's vectorized code must equal bit for bit; ``to_csv_loop`` is the
 ensemble CSV writer built on Python's own ``%.17g``, whose bytes the
-package's writer must equal.
+package's writer must equal, and ``to_binary_loop`` the binary writer
+built on ``struct`` and ``tobytes``.  ``serial_ensemble`` builds the
+paths those writers read from the package's serial increment stream
+and ``np.cumsum``, one block after another with no thread pool.
 """
 
+import struct
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -148,3 +153,25 @@ def to_csv_loop(ensemble, path):
         for r0 in range(0, ensemble.n_paths, 256):
             block = ensemble.values[r0 : r0 + 256]
             fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+
+
+def serial_ensemble(profile, grid, n_paths, seed):
+    """The grid, n_paths, seed and values of an ensemble, its values the
+    running sums of the serial stream's increments along each row."""
+    from feynpath import stream_increments
+
+    values = np.zeros((n_paths, grid.N + 1))
+    for p0, inc in stream_increments(profile, grid, n_paths, seed):
+        values[p0 : p0 + inc.shape[0], 1:] = np.cumsum(inc, axis=1)
+    return SimpleNamespace(grid=grid, n_paths=n_paths, seed=seed, values=values)
+
+
+def to_binary_loop(ensemble, path):
+    """Ensemble binary one row at a time: magic, N, n_paths and seed as
+    little-endian u64, then the nodes and each path as little-endian f64."""
+    with open(path, "wb") as fh:
+        fh.write(b"GBMPENS1")
+        fh.write(struct.pack("<QQQ", ensemble.grid.N, ensemble.n_paths, ensemble.seed))
+        fh.write(ensemble.grid.nodes.astype("<f8").tobytes())
+        for row in ensemble.values:
+            fh.write(row.astype("<f8").tobytes())

@@ -634,6 +634,45 @@ def test_verify_appends_under_no_foreign_header(tmp_path, capsys, monkeypatch):
     assert ledger.read_text() == "name,value\nx,1\n" and os.listdir(out) == ["ledger.csv"]
 
 
+def _unterminated_ledger(kind):
+    """A ledger whose last line has no newline: the bare header, or a
+    ledger cut off inside its second row."""
+    from feynpath.montecarlo import LEDGER_COLUMNS
+
+    header = ",".join(LEDGER_COLUMNS)
+    if kind == "header":
+        return header
+    return header + "\nx,h,1,2,3,0,0,0,0,0,0,true\ny,h,1,2"
+
+
+@pytest.mark.parametrize("kind", ["header", "truncated-row"])
+def test_verify_refuses_a_ledger_without_a_final_newline(tmp_path, capsys, monkeypatch, kind):
+    import feynpath.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_check", lambda *args: ran.append(args[1]))
+    out = tmp_path / "o"
+    out.mkdir()
+    ledger = out / "ledger.csv"
+    ledger.write_text(_unterminated_ledger(kind))
+    code = run(["verify", "--all", "--config", write_config(tmp_path, std_config()),
+                "--output-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and ran == [] and captured.out == ""
+    assert captured.err.startswith("error: %s does not end in a newline" % ledger)
+    assert ledger.read_text() == _unterminated_ledger(kind) and os.listdir(out) == ["ledger.csv"]
+
+
+@pytest.mark.parametrize("kind", ["header", "truncated-row"])
+def test_report_refuses_a_ledger_without_a_final_newline(tmp_path, capsys, kind):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(_unterminated_ledger(kind))
+    code = run(["report", "--ledger", str(ledger)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: %s does not end in a newline" % ledger)
+
+
 def test_verify_rejects_a_duplicate_check_index(tmp_path, capsys):
     out = tmp_path / "o"
     code = run(["verify", "--config", write_config(tmp_path, std_config(n=200, grid=32)),

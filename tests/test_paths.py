@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -34,7 +35,7 @@ from feynpath import paths
 from feynpath.paths import CHUNK_PATHS, _SUB_ROWS, _csv_rows, _filled_blocks, increment_moments
 
 from conftest import pp, random_poly, random_nonvanishing_poly
-from oracles import to_csv_loop
+from oracles import serial_ensemble, to_binary_loop, to_csv_loop
 
 
 @pytest.fixture
@@ -154,7 +155,7 @@ profile = build_profile(poly([0.0, 1.0], 1.0), poly([1.0, 1.0], 1.0), 1.0)
 grid = TimeGrid.build(profile, n=1024)
 released = []
 for seed in range(3):
-    sample_gbmp_paths(profile, grid, 4000, seed)
+    sample_gbmp_paths(profile, grid, 4000, seed).values
     gc.collect()
     released.append(rss_mib())
 ensemble = sample_gbmp_paths(profile, grid, 4000, 3)
@@ -482,6 +483,119 @@ def test_binary_is_written_without_a_copy(tmp_path, standard):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+STREAMED_N = 2 * CHUNK_PATHS + 301
+
+
+@pytest.fixture(scope="module")
+def streamed_oracle(tmp_path_factory):
+    """Grid, CSV and binary bytes of the 3-block ensemble at seed 37,
+    written by the oracles from the serial stream."""
+    profile = build_profile(pp([0.0, 1.0]), pp([1.0, 1.0]), 1.0)
+    grid = TimeGrid.build(profile, n=16)
+    ens = serial_ensemble(profile, grid, STREAMED_N, 37)
+    out = tmp_path_factory.mktemp("oracle")
+    to_csv_loop(ens, out / "ref.csv")
+    to_binary_loop(ens, out / "ref.bin")
+    return grid, (out / "ref.csv").read_bytes(), (out / "ref.bin").read_bytes()
+
+
+@pytest.mark.parametrize("touched", [False, True], ids=["streamed", "values-touched"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_written_files_equal_the_serial_oracle(tmp_path, standard, monkeypatch, streamed_oracle,
+                                              workers, touched):
+    """Both writers give the oracle's bytes at any worker count, whether
+    they stream the blocks or write values built before."""
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
+    grid, ref_csv, ref_bin = streamed_oracle
+    ens = sample_gbmp_paths(standard, grid, STREAMED_N, 37)
+    if touched:
+        assert ens.values.shape == (STREAMED_N, grid.N + 1)
+    ens.to_csv(tmp_path / "ens.csv")
+    ens.to_binary(tmp_path / "ens.bin")
+    assert (tmp_path / "ens.csv").read_bytes() == ref_csv
+    assert (tmp_path / "ens.bin").read_bytes() == ref_bin
+    assert ("values" in vars(ens)) == touched
+
+
+@pytest.mark.parametrize("suffix", ["bin", "csv"])
+def test_a_failed_block_leaves_no_file(tmp_path, monkeypatch, suffix):
+    from feynpath.cli import run
+
+    real, seen = paths._block_generator, []
+
+    def failing(seed, block):
+        seen.append(block)
+        if block == 2:
+            raise RuntimeError("block 2 failed")
+        return real(seed, block)
+
+    monkeypatch.setattr(paths, "_block_generator", failing)
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "std.json"
+    dest = tmp_path / ("paths." + suffix)
+    with pytest.raises(RuntimeError, match="block 2 failed"):
+        run(["simulate", "--config", str(config), "--n", str(3 * CHUNK_PATHS), "--grid", "16",
+             "--out", str(dest)])
+    assert 2 in seen
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "n, seed, b_prime, error",
+    [(0, 1, [1.0, 1.0], ValueError), (4, -1, [1.0, 1.0], ValueError),
+     (4, 1.5, [1.0, 1.0], TypeError), (4, 1, [1.0, -2.0], NonPositiveVariance)],
+    ids=["no-paths", "negative-seed", "float-seed", "b-decreasing"],
+)
+def test_an_invalid_recipe_raises_before_any_file(tmp_path, n, seed, b_prime, error):
+    profile = ProfilePair.from_derivatives(pp([0.0, 1.0]), pp(b_prime), 1.0)
+    grid = TimeGrid.build(profile, n=16)
+    dest = tmp_path / "ens.bin"
+    with pytest.raises(error):
+        sample_gbmp_paths(profile, grid, n, seed).to_binary(dest)
+    with pytest.raises(error):
+        PathEnsemble(grid, n, seed, profile)
+    assert not dest.exists()
+
+
+# Writes a 10-block ensemble in a process held to at most two CPUs, so
+# that (CPUs + 2) blocks stay below half the ensemble, after a small
+# write that loads the thread pool, and reports how far ru_maxrss (KiB
+# on Linux) rose during the large write.
+_STREAM_RSS_SCRIPT = """
+import json, os, resource, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+from feynpath import PiecewisePoly, TimeGrid, build_profile, sample_gbmp_paths
+from feynpath.paths import CHUNK_PATHS, _usable_cpus
+
+poly = PiecewisePoly.from_coeffs
+profile = build_profile(poly([0.0, 1.0], 1.0), poly([1.0, 1.0], 1.0), 1.0)
+grid = TimeGrid.build(profile, n=256)
+dest = sys.argv[1]
+sample_gbmp_paths(profile, grid, 300, 0).to_binary(dest)
+n = 10 * CHUNK_PATHS
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sample_gbmp_paths(profile, grid, n, 1).to_binary(dest)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"grown": 1024 * (after - before), "cpus": _usable_cpus(),
+                  "block": 8 * CHUNK_PATHS * (grid.N + 1), "ensemble": 8 * n * (grid.N + 1),
+                  "written": os.path.getsize(dest)}))
+"""
+
+
+def test_binary_writer_holds_a_few_blocks(tmp_path):
+    """While a 10-block ensemble is written, RSS grows by about one block
+    per worker plus the one being written, not by the ensemble."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss is in KiB and CPU affinity is settable on Linux only")
+    src = os.path.dirname(os.path.dirname(paths.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _STREAM_RSS_SCRIPT, str(tmp_path / "ens.bin")],
+                          env=env, check=True, capture_output=True, text=True, timeout=120)
+    got = json.loads(done.stdout)
+    assert got["written"] == 32 + 8 * 257 + got["ensemble"]
+    assert got["grown"] < (got["cpus"] + 2) * got["block"]
+    assert got["grown"] < got["ensemble"] / 2
 
 
 @pytest.mark.parametrize(
