@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +152,7 @@ class ExperimentConfig:
     # Built once per key and shared by every check of this config.
     _supps: dict = field(default_factory=dict, init=False, repr=False)
     _specs: dict = field(default_factory=dict, init=False, repr=False)
+    _grids: dict = field(default_factory=dict, init=False, repr=False)
 
     def element(self, name) -> CMElement:
         if not isinstance(name, str) or name not in self.elements:
@@ -174,6 +176,19 @@ class ExperimentConfig:
         if key not in self._specs:
             self._specs[key] = MonomialSpec(element, tuple(self.supp(k) for k in key[1]))
         return self._specs[key]
+
+    def grid(self, pname, grid_n) -> TimeGrid:
+        """The grid_n-interval grid on the horizon of profile ``pname``,
+        holding every breakpoint of the config's elements over that
+        profile (or an equal one), so those of their products too.
+        Elements over other profiles may live on another horizon and are
+        left out."""
+        key = (pname, grid_n)
+        if key not in self._grids:
+            profile = self.profiles[pname]
+            elements = [e for e, _ in self.elements.values() if e.profile == profile]
+            self._grids[key] = TimeGrid.build(profile, elements, n=grid_n)
+        return self._grids[key]
 
 
 def _resolved(where, build, *args, **kwargs):
@@ -400,25 +415,22 @@ def _check_scalars(config: ExperimentConfig, check: dict, overrides: dict):
                  for key in ("n_paths", "seed", "grid_size"))
 
 
-def _grid(config: ExperimentConfig, profile: ProfilePair, grid_n: int) -> TimeGrid:
-    """The n-interval grid on profile's horizon, holding every breakpoint
-    of the config's elements over that profile (or an equal one), so
-    those of their products too.  Elements over other profiles may live
-    on another horizon and are left out."""
-    elements = [e for e, _ in config.elements.values() if e.profile == profile]
-    return TimeGrid.build(profile, elements, n=grid_n)
+_IDENTITY_KINDS = ("verify-translation", "verify-parts", "verify-cs")
 
 
-def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict, out_dir):
+def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict, out_dir,
+              columns=None):
     """Run check ``index``, as ``load_config`` normalized it (which also
-    filled in its default name); returns (ledger row, result dict)."""
+    filled in its default name); returns (ledger row, result dict).  An
+    identity check takes its drawn ``columns`` when they are given (see
+    ``_run_shared``) and draws its own otherwise."""
     kind, name = check["kind"], check["name"]
     n, seed, grid_n = _check_scalars(config, check, overrides)
     result = {"name": name, "kind": kind, "n_paths": n, "seed": seed, "grid_size": grid_n}
 
     if kind == "simulate":
         profile = config.profiles[check["profile"]]
-        grid = _grid(config, profile, grid_n)
+        grid = config.grid(check["profile"], grid_n)
         ensemble = sample_gbmp_paths(profile, grid, n, seed)
         dest = os.path.join(out_dir, check["out"])
         # Written under a temporary name and renamed when complete, so a
@@ -471,13 +483,15 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
     theta = config.element(check["theta"])
     k1 = config.supp(check["k1"])
     k2 = config.supp(check["k2"])
-    grid = _grid(config, theta.profile, grid_n)
+    grid = config.grid(config.elements[check["theta"]][1], grid_n)
     if kind == "verify-translation":
-        report = mc.verify_translation(F, theta, k1, k2, n, seed, grid=grid)
+        report = mc.verify_translation(F, theta, k1, k2, n, seed, grid=grid, columns=columns)
     elif kind == "verify-parts":
-        report = mc.verify_parts(F, theta, k1, k2, check["rho"], n, seed, grid=grid)
+        report = mc.verify_parts(F, theta, k1, k2, check["rho"], n, seed, grid=grid,
+                                 columns=columns)
     elif kind == "verify-cs":
-        report = mc.verify_cs_precursor(F, theta, k1, k2, check["lambda"], n, seed, grid=grid)
+        report = mc.verify_cs_precursor(F, theta, k1, k2, check["lambda"], n, seed, grid=grid,
+                                        columns=columns)
     else:  # pragma: no cover
         raise ConfigError("unhandled check kind %r" % kind)
     result.update(report.to_dict())
@@ -558,7 +572,7 @@ def _cmd_verify(args) -> int:
     if os.path.exists(ledger) and os.path.getsize(ledger):  # rows go under its header only
         _ledger_rows(ledger)
     os.makedirs(out_dir, exist_ok=True)
-    outcomes = [run_check(config, i, config.checks[i], overrides, out_dir) for i in indices]
+    outcomes = _run_checks(config, indices, overrides, out_dir)
 
     # Render every check JSON before anything is written, so a result
     # that cannot be serialized leaves neither a ledger row nor a file.
@@ -579,6 +593,62 @@ def _cmd_verify(args) -> int:
     }
     print(_json_17g(summary))
     return 0 if all_pass else 1
+
+
+def _run_checks(config: ExperimentConfig, indices, overrides: dict, out_dir) -> list:
+    """The outcomes of the checks at ``indices``, in that order.
+
+    The identity checks are grouped by the stream they sample, their
+    (profile, grid_size, n_paths, seed) after the flags, and each group
+    is drawn once and run one group at a time, in the order of its first
+    check; every other check runs alone."""
+    groups: dict = {}
+    for i in indices:
+        check = config.checks[i]
+        if check["kind"] in _IDENTITY_KINDS:
+            n, seed, grid_n = _check_scalars(config, check, overrides)
+            key = (config.elements[check["theta"]][1], grid_n, n, seed)
+        else:
+            key = i
+        groups.setdefault(key, []).append(i)
+    outcomes = {}
+    for key, members in groups.items():
+        if isinstance(key, tuple):
+            outcomes.update(_run_shared(config, members, key, overrides, out_dir))
+        else:
+            outcomes[key] = run_check(config, key, config.checks[key], overrides, out_dir)
+    return [outcomes[i] for i in indices]
+
+
+def _run_shared(config: ExperimentConfig, members, key, overrides: dict, out_dir) -> dict:
+    """{index: outcome} of the identity checks ``members`` of one stream
+    ``key``, from one draw.  Checks whose density matrices have equal
+    bytes share one read-only columns array, which is dropped after the
+    last of them; a matrix is never merged with another (see the
+    montecarlo module).  Each result gets a ``draw`` object: the draw's
+    seconds and the names of the checks it served."""
+    pname, grid_n, n, seed = key
+    grid = config.grid(pname, grid_n)
+    slots, uses = {}, []
+    for i in members:
+        check = config.checks[i]
+        dens = mc.identity_densities(check["functional"], config.element(check["theta"]),
+                                     config.supp(check["k1"]), config.supp(check["k2"]), grid)
+        uses.append(slots.setdefault((dens.shape, dens.tobytes()), (len(slots), dens))[0])
+    t0 = time.perf_counter()
+    columns = mc.draw_columns(config.profiles[pname], grid, n, seed,
+                              [dens for _, dens in slots.values()])
+    draw = {"wall_time": time.perf_counter() - t0,
+            "shared_by": [config.checks[i]["name"] for i in members]}
+    last = {slot: pos for pos, slot in enumerate(uses)}
+    outcomes = {}
+    for pos, (i, slot) in enumerate(zip(members, uses)):
+        row, result = run_check(config, i, config.checks[i], overrides, out_dir, columns[slot])
+        if last[slot] == pos:
+            columns[slot] = None
+        result["draw"] = draw
+        outcomes[i] = (row, result)
+    return outcomes
 
 
 def _ledger_rows(path) -> list:

@@ -9,6 +9,18 @@ stays bounded and results are independent of batching; accumulation
 uses numpy's pairwise summation over per-path values, which is
 deterministic for a given (seed, grid, n).
 
+A check sees the paths only through their stochastic-integral columns,
+the projections of the increments onto the check's density matrix
+(``identity_densities``).  The ensemble is keyed by (profile, grid, n,
+seed), so checks with the same key can share one draw:
+``draw_columns`` fills each block's normals once and projects them
+onto every distinct matrix, and the identity checks take the result as
+``columns=``.  Only whole matrices whose bytes are equal are shared.
+Columns are never merged into a wider matrix or picked out of one,
+because the bits of a BLAS product can depend on the width of the
+matrix; so a shared draw gives every check the same columns, to the
+bit, as a draw of its own.
+
 Integrability of the compared functionals is a hypothesis of the
 identities, not something a sampler can certify; reports carry an
 ``assumptions`` field naming what was taken on faith.
@@ -35,7 +47,12 @@ _EXACT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MCReport:
-    """One Monte Carlo estimate with its combined standard error."""
+    """One Monte Carlo estimate with its combined standard error.
+
+    ``wall_time`` is the seconds from the drawn columns to the estimate:
+    the per-path evaluation and the reduction, not the draw, which may
+    be shared with other checks (``feynpath verify`` reports it as the
+    check's ``draw``)."""
 
     estimate: complex
     std_error: float
@@ -90,17 +107,39 @@ def _mean_se(vals: np.ndarray):
     mean = complex(vals.mean())
     if n < 2:
         return mean, 0.0
-    centered = vals - mean
-    var = float(np.mean(centered.real**2) + np.mean(centered.imag**2)) * n / (n - 1)
+    if np.iscomplexobj(vals):
+        centered = vals - mean
+        sq = np.mean(centered.real**2) + np.mean(centered.imag**2)
+    else:  # the same bits without a complex temporary: the imaginary part adds 0.0
+        sq = np.mean((vals - mean.real) ** 2)
+    var = float(sq) * n / (n - 1)
     return mean, float(np.sqrt(var / n))
 
 
-def _columns(F: FunctionalSpec, k, profile, grid: TimeGrid, n, seed, extra=()) -> np.ndarray:
-    """U[i, j] = (u_j (.) k, x)~ along path i for the linear factors u_j
-    of F, then one column per element of ``extra``; streamed."""
-    elements = [odot(u, k) for u in _linear_factors(F)] + list(extra)
-    dens = np.column_stack([left_density(e, grid) for e in elements])
-    return np.concatenate([c for _, c in stream_increments(profile, grid, n, seed, onto=dens)])
+def _densities(elements, grid: TimeGrid) -> np.ndarray:
+    return np.column_stack([left_density(e, grid) for e in elements])
+
+
+def draw_columns(profile, grid: TimeGrid, n: int, seed: int, densities) -> list:
+    """The stochastic-integral columns of n paths of (profile, grid,
+    seed) on each (N, c_i) density matrix: one read-only (n, c_i) array
+    per matrix, from one pass over the Philox stream.  Each matrix's
+    columns are bit-identical to a draw onto that matrix alone."""
+    out = [np.empty((n, np.shape(D)[1])) for D in densities]
+    for p0, chunks in stream_increments(profile, grid, n, seed, onto=tuple(densities)):
+        for cols, chunk in zip(out, chunks):
+            cols[p0 : p0 + chunk.shape[0]] = chunk
+    for cols in out:
+        cols.flags.writeable = False
+    return out
+
+
+def identity_densities(F: FunctionalSpec, theta: CMElement, k1: SuppElement, k2: SuppElement,
+                       grid: TimeGrid) -> np.ndarray:
+    """The (N, c) matrix the translation, parts and cs-precursor checks
+    of F project onto: the left densities of u (.) k1 for the linear
+    factors u of F, then of theta (.) k2."""
+    return _densities([odot(u, k1) for u in _linear_factors(F)] + [odot(theta, k2)], grid)
 
 
 def _functional_assumptions(F: FunctionalSpec) -> tuple[str, ...]:
@@ -164,11 +203,12 @@ def mc_fsi(
     if not lam > 0.0:
         raise BadDomain("lambda must be a positive real, got %r" % lambda_real)
     profile, grid = _profile_and_grid(F, [k], grid)
+    factors = _linear_factors(F)
+    if factors:
+        (cols,) = draw_columns(profile, grid, n, seed,
+                               [_densities([odot(u, k) for u in factors], grid)])
     t0 = time.perf_counter()
-    if not _linear_factors(F):
-        vals = np.ones(n)
-    else:
-        vals = _value_at(F, lam**-0.5 * _columns(F, k, profile, grid, n, seed))
+    vals = _value_at(F, lam**-0.5 * cols) if factors else np.ones(n)
     return _report(F, vals, n, grid, seed, t0)
 
 
@@ -181,13 +221,22 @@ def verify_translation(
     seed: int,
     grid: TimeGrid | None = None,
     threshold: float = DEFAULT_SIGMA_THRESHOLD,
+    *,
+    columns: np.ndarray | None = None,
 ) -> IdentityReport:
     """Translation identity: shifting Z_{k1}-paths by the deterministic
     path Z_{k2}(theta (.) k1, .) equals an exponentially reweighted
     expectation, with the densities' exact inner products in the weight.
     Both sides share one ensemble.
+
+    ``columns``, when given, are the n paths' columns on
+    ``identity_densities(F, theta, k1, k2, grid)`` as ``draw_columns``
+    makes them from (grid, n, seed); otherwise they are drawn here.  A
+    shape other than (n, c) of that matrix raises ValueError.  The same
+    holds for verify_parts and verify_cs_precursor.
     """
-    grid, shift, theta_k2, pairing_a, t0, cols = _identity_setup(F, theta, k1, k2, n, seed, grid)
+    grid, shift, theta_k2, pairing_a, t0, cols = _identity_setup(F, theta, k1, k2, n, seed, grid,
+                                                                 columns)
     weight = float(np.exp(-0.5 * cm_inner(theta_k2, theta_k2) - pairing_a))
     v = cols[:, :-1]
     lhs_vals = _value_at(F, v + shift)
@@ -205,6 +254,8 @@ def verify_parts(
     seed: int,
     grid: TimeGrid | None = None,
     threshold: float = DEFAULT_SIGMA_THRESHOLD,
+    *,
+    columns: np.ndarray | None = None,
 ) -> IdentityReport:
     """Integration-by-parts identity at path scale rho > 0: the mean of
     the first variation of F at rho-scaled Z_{k1}-paths (direction
@@ -212,7 +263,7 @@ def verify_parts(
     rho = float(rho)
     if not rho > 0.0:
         raise BadDomain("rho must be positive, got %r" % rho)
-    lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, rho, n, seed, grid)
+    lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns)
     return _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, threshold, t0)
 
 
@@ -226,6 +277,8 @@ def verify_cs_precursor(
     seed: int,
     grid: TimeGrid | None = None,
     threshold: float = DEFAULT_SIGMA_THRESHOLD,
+    *,
+    columns: np.ndarray | None = None,
 ) -> IdentityReport:
     """Real-lambda precursor of the Cameron-Storvick identity: the
     variation at lambda^{-1/2}-scaled paths (direction unscaled) against
@@ -238,35 +291,41 @@ def verify_cs_precursor(
     lam = float(lambda_real)
     if not lam > 0.0:
         raise BadDomain("lambda must be a positive real, got %r" % lambda_real)
-    lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, lam**-0.5, n, seed, grid)
+    lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, lam**-0.5, n, seed, grid,
+                                                 columns)
     root = lam**0.5
     return _identity_report(F, root * lhs_vals, root * rhs_vals, n, grid, seed, threshold, t0)
 
 
-def _parts_engine(F, theta, k1, k2, rho, n, seed, grid):
+def _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns):
     """Per-path sides of integration by parts at path scale rho, with the
     grid used and the start time: the variation of F at rho-scaled paths
     in direction rho Z_{k2}(theta (.) k1, .), and
     ((theta (.) k2, x)~ - (theta (.) k2, a)) F at the same paths."""
-    grid, d, _, pairing_a, t0, cols = _identity_setup(F, theta, k1, k2, n, seed, grid)
+    grid, d, _, pairing_a, t0, cols = _identity_setup(F, theta, k1, k2, n, seed, grid, columns)
     v = rho * cols[:, :-1]
     lhs_vals = _variation_at(F, v, [rho * c for c in d])
     rhs_vals = (cols[:, -1] - pairing_a) * _value_at(F, v)
     return lhs_vals, rhs_vals, grid, t0
 
 
-def _identity_setup(F, theta, k1, k2, n, seed, grid):
+def _identity_setup(F, theta, k1, k2, n, seed, grid, columns):
     """What the translation and parts identities share: the grid used,
     the exact scalars (u (.) k2, theta (.) k1) for the linear factors u
     of F, theta (.) k2 and its pairing with a, the start time, and the
-    columns (u (.) k1, x)~ per factor followed by (theta (.) k2, x)~."""
+    columns (u (.) k1, x)~ per factor followed by (theta (.) k2, x)~:
+    the given ``columns``, once their shape is checked, or a draw."""
     profile, grid = _profile_and_grid(F, [theta, k1, k2], grid)
     theta_k2 = odot(theta, k2)
     consts = _direction_scalars(F, k2, odot(theta, k1))
     pairing_a = inner_with_a(theta_k2)
-    t0 = time.perf_counter()
-    cols = _columns(F, k1, profile, grid, n, seed, extra=[theta_k2])
-    return grid, consts, theta_k2, pairing_a, t0, cols
+    if columns is None:
+        (columns,) = draw_columns(profile, grid, n, seed,
+                                  [identity_densities(F, theta, k1, k2, grid)])
+    elif np.shape(columns) != (n, len(consts) + 1):
+        raise ValueError("columns must be (n, c) = %r for this check's density matrix, got %r"
+                         % ((n, len(consts) + 1), np.shape(columns)))
+    return grid, consts, theta_k2, pairing_a, time.perf_counter(), columns
 
 
 # ---------------------------------------------------------------------------

@@ -381,7 +381,13 @@ def stream_increments(
     (first_path_index, columns) instead: the increments projected onto
     the c columns, computed straight from the normals as
     ``z @ (sqrt(db) * onto) + da @ onto`` without building the increments.
-    The columns are fresh arrays.
+    The columns are fresh arrays.  ``onto`` may also be a tuple or list
+    of such (N, c_i) matrices: then the normals are drawn once, each
+    sub-block of them is projected onto every matrix in turn, and the
+    chunks are (first_path_index, tuple of the c_i columns per matrix).
+    Each matrix is multiplied on its own, never merged with the others,
+    since a BLAS product's bits can depend on the matrix width; so each
+    matrix's columns are bit-identical to its single-matrix stream.
 
     With ``out``, an (n_paths, N) float64 array whose rows may be strided
     (such as ``values[:, 1:]``), each chunk's increments are written
@@ -426,32 +432,36 @@ def _usable_cpus() -> int:
 
 def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False, workers=None):
     """Yield (p0, rows) per block, in block order, for ``onto`` (rows are
-    fresh projected columns) or for ``out`` and ``paths``: rows are the
-    block's rows of out, holding its increments, or with ``paths`` its
-    path values, in the rows of out or in a fresh block.
+    fresh projected columns, a tuple of them when onto is a tuple or
+    list of matrices) or for ``out`` and ``paths``: rows are the block's
+    rows of out, holding its increments, or with ``paths`` its path
+    values, in the rows of out or in a fresh block.
 
     Each block's Philox stream fills a per-worker _SUB_ROWS x N scratch
     buffer z one sub-block at a time; numpy continues the stream across
     the fills, so the normals equal those of one whole-block fill.  Each
-    sub-block becomes ``op(z, factor) + shift`` in its destination rows:
-    ``z @ (sqrt(db) * onto) + da @ onto`` or ``z * sqrt(db) + da``, the
-    latter in the serial stream's operation order, and for path values
-    in columns 1: and then summed along each row.  Workers run numpy
-    only, and a block's arithmetic does not depend on which worker runs
-    it, so any ``workers`` gives the same bits.
+    sub-block becomes ``op(z, factor) + shift`` in the destination rows
+    of every target: ``z @ (sqrt(db) * D) + da @ D`` for each matrix D
+    of onto, or ``z * sqrt(db) + da``, the latter in the serial stream's
+    operation order, and for path values in columns 1: and then summed
+    along each row.  A single matrix is the one-target case.  Workers
+    run numpy only, and a block's arithmetic does not depend on which
+    worker runs it, so any ``workers`` gives the same bits.
     """
+    single = not isinstance(onto, (tuple, list))
     if onto is not None:
         if out is not None or paths:
             raise ValueError("onto takes neither out nor paths")
-        onto = np.asarray(onto, dtype=float)
-        if onto.ndim != 2 or onto.shape[0] != sdb.size:
-            raise ValueError("onto must be an (N, c) matrix over the grid intervals")
-        op, factor, shift = np.matmul, sdb[:, None] * onto, da @ onto
+        mats = [np.asarray(D, dtype=float) for D in ((onto,) if single else onto)]
+        if not mats or any(D.ndim != 2 or D.shape[0] != sdb.size for D in mats):
+            raise ValueError("onto must be an (N, c) matrix over the grid intervals, "
+                             "or a non-empty tuple or list of them")
+        targets = [(np.matmul, sdb[:, None] * D, da @ D) for D in mats]
 
         def dest(p0, rows):
-            return np.empty((rows, onto.shape[1]))
+            return [np.empty((rows, D.shape[1])) for D in mats]
     else:
-        op, factor, shift = np.multiply, sdb, da
+        targets = [(np.multiply, sdb, da)]
         width = sdb.size + 1 if paths else sdb.size
         if out is not None:
             if not (isinstance(out, np.ndarray) and out.dtype == np.float64
@@ -460,10 +470,10 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False, wor
                                  % ("N + 1" if paths else "N"))
 
             def dest(p0, rows):
-                return out[p0 : p0 + rows]
+                return [out[p0 : p0 + rows]]
         elif paths:
             def dest(p0, rows):
-                return _mapped_zeros((rows, width))
+                return [_mapped_zeros((rows, width))]
         else:
             raise ValueError("give onto, out or paths")
 
@@ -482,19 +492,20 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False, wor
             # again for every block.
             z = scratch.z = np.empty((sub, sdb.size))
         gen = _block_generator(seed, block)
-        dst = dest(p0, rows)
-        inc = dst
+        dsts = dest(p0, rows)
+        incs = dsts
         if paths:
-            dst[:, 0] = 0.0
-            inc = dst[:, 1:]
+            dsts[0][:, 0] = 0.0
+            incs = [dsts[0][:, 1:]]
         for r0 in range(0, rows, sub):
             r1 = min(r0 + sub, rows)
             gen.standard_normal(out=z[: r1 - r0])
-            op(z[: r1 - r0], factor, out=inc[r0:r1])
-            np.add(inc[r0:r1], shift, out=inc[r0:r1])
-            if paths:
-                np.cumsum(inc[r0:r1], axis=1, out=inc[r0:r1])
-        return p0, dst
+            for (op, factor, shift), inc in zip(targets, incs):
+                op(z[: r1 - r0], factor, out=inc[r0:r1])
+                np.add(inc[r0:r1], shift, out=inc[r0:r1])
+                if paths:
+                    np.cumsum(inc[r0:r1], axis=1, out=inc[r0:r1])
+        return p0, dsts[0] if single else tuple(dsts)
 
     yield from _ordered_map(fill, len(starts), workers)
 

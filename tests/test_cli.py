@@ -831,3 +831,119 @@ def test_degree_8_densities_run_feynman_and_recurrence(tmp_path, capsys):
     assert np.isfinite([value["re"], value["im"]]).all()
     assert run(["verify", "--config", path, "--check", "0", "1",
                 "--output-dir", str(tmp_path / "o")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# One draw per stream: identity checks over the same (profile, grid, n,
+# seed) share one draw of their columns.
+
+
+def _without_wall_times(value):
+    if isinstance(value, dict):
+        return {k: _without_wall_times(v) for k, v in value.items() if k != "wall_time"}
+    return value
+
+
+def test_verify_all_ledger_equals_the_checks_run_one_by_one(tmp_path, capsys):
+    """A shared draw gives every check the row it gets alone."""
+    flags = ["--config", str(STD_JSON), "--n", "3001", "--grid", "64"]
+    shared, alone = tmp_path / "shared", tmp_path / "alone"
+    codes = {run(["verify", "--all", *flags, "--output-dir", str(shared)])}
+    count = len(load_config(str(STD_JSON)).checks)
+    for i in range(count):
+        codes.add(run(["verify", "--check", str(i), *flags, "--output-dir", str(alone)]))
+    capsys.readouterr()
+    assert 2 not in codes
+    assert (shared / "ledger.csv").read_bytes() == (alone / "ledger.csv").read_bytes()
+    for name in sorted(os.listdir(shared)):
+        if name.startswith("check_"):
+            one, two = (json.loads((d / name).read_text()) for d in (shared, alone))
+            one.pop("draw", None), two.pop("draw", None)
+            assert _without_wall_times(one) == _without_wall_times(two), name
+
+
+def _count_draws(monkeypatch):
+    """The (n, seed) of every call of the stream montecarlo draws from."""
+    import feynpath.montecarlo as mc
+
+    calls = []
+    original = mc.stream_increments
+
+    def counted(profile, grid, n_paths, seed, **kwargs):
+        calls.append((n_paths, seed))
+        return original(profile, grid, n_paths, seed, **kwargs)
+
+    monkeypatch.setattr(mc, "stream_increments", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "check_keys, flags, draws",
+    [
+        ({}, ["--all"], [(500, 42)]),
+        ({"seed": 43}, ["--all"], [(500, 42), (500, 43)]),
+        ({"n_paths": 600}, ["--all"], [(500, 42), (600, 42)]),
+        ({"seed": 42}, ["--all"], [(500, 42)]),
+        ({"seed": 43}, ["--all", "--seed", "9"], [(500, 9)]),
+        ({"n_paths": 600}, ["--all", "--n", "700"], [(700, 42)]),
+        ({}, ["--check", "0"], []),
+        ({}, ["--check", "0", "6", "1"], [(500, 42)]),
+    ],
+    ids=["std", "own-seed", "own-n", "seed-equal-to-the-config", "seed-flag", "n-flag",
+         "closed-form-only", "one-check"],
+)
+def test_one_draw_per_stream(tmp_path, capsys, monkeypatch, check_keys, flags, draws):
+    """Checks are grouped by their (n, seed) after the flags; a check
+    with a scalar of its own is a stream of its own."""
+    cfg = json.loads(STD_JSON.read_text())
+    cfg.update(n_paths=500, grid_size=32)
+    cfg["checks"][4].update(check_keys)
+    calls = _count_draws(monkeypatch)
+    code = run(["verify", *flags, "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(tmp_path / "o")])
+    capsys.readouterr()
+    assert code != 2 and calls == draws
+
+
+def test_checks_share_read_only_columns_per_equal_matrix(tmp_path, capsys, monkeypatch):
+    """Checks whose density matrices have equal bytes get one read-only
+    array; another matrix gets an array of its own."""
+    import feynpath.montecarlo as mc
+
+    seen = []
+    for name in ("verify_translation", "verify_parts", "verify_cs_precursor"):
+        def spy(*args, _original=getattr(mc, name), columns=None, **kwargs):
+            seen.append(columns)
+            return _original(*args, columns=columns, **kwargs)
+
+        monkeypatch.setattr(mc, name, spy)
+    cfg = json.loads(STD_JSON.read_text())
+    cfg.update(n_paths=300, grid_size=32)
+    assert run(["verify", "--all", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(tmp_path / "o")]) != 2
+    capsys.readouterr()
+    # std.json: checks 2-4 project onto [1, t], checks 5-6 onto [1, t, t]
+    assert [c.shape for c in seen] == [(300, 2)] * 3 + [(300, 3)] * 2
+    assert seen[0] is seen[1] is seen[2] and seen[3] is seen[4] and seen[0] is not seen[3]
+    assert not any(c.flags.writeable for c in seen)
+    with pytest.raises(ValueError):
+        seen[0][0, 0] = 1.0
+
+
+def test_statistical_check_json_reports_its_draw(tmp_path, capsys):
+    """Each identity check JSON names the draw it used and its seconds;
+    the closed-form checks draw nothing."""
+    out = tmp_path / "o"
+    path = write_config(tmp_path, std_config(n=300, grid=32))
+    assert run(["verify", "--all", "--config", path, "--output-dir", str(out)]) != 2
+    capsys.readouterr()
+    results = [json.loads((out / name).read_text()) for name in sorted(os.listdir(out))
+               if name.startswith("check_")]
+    draws = {r["name"]: r.get("draw") for r in results}
+    statistical = [r["name"] for r in results
+                   if r["kind"] in ("verify-translation", "verify-parts", "verify-cs")]
+    assert statistical == ["verify-translation-2", "verify-parts-3", "verify-cs-4"]
+    for name in statistical:
+        assert draws[name]["shared_by"] == statistical
+        assert isinstance(draws[name]["wall_time"], float) and draws[name]["wall_time"] >= 0.0
+    assert draws["feynman-0"] is None and draws["verify-recurrence-1"] is None

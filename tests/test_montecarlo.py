@@ -27,7 +27,10 @@ from feynpath import (
 )
 from feynpath.montecarlo import (
     LEDGER_COLUMNS,
+    _mean_se,
     append_ledger,
+    draw_columns,
+    identity_densities,
     identity_ledger_row,
     ledger_row,
 )
@@ -305,3 +308,69 @@ def test_ledger_round_trip(tmp_path, ctx):
     assert len(lines) == 4
     assert lines[1].startswith("parts-demo,abc123,1000,%d" % GRID_SMALL)
     assert lines[1] == lines[3]
+
+
+def _without_wall_times(d):
+    if isinstance(d, dict):
+        return {k: _without_wall_times(v) for k, v in d.items() if k != "wall_time"}
+    return d
+
+
+IDENTITIES = {
+    "translation": lambda F, theta, k1, k2, n, seed, grid, **kw:
+        verify_translation(F, theta, k1, k2, n, seed, grid=grid, **kw),
+    "parts": lambda F, theta, k1, k2, n, seed, grid, **kw:
+        verify_parts(F, theta, k1, k2, 2.0, n, seed, grid=grid, **kw),
+    "cs": lambda F, theta, k1, k2, n, seed, grid, **kw:
+        verify_cs_precursor(F, theta, k1, k2, 4.0, n, seed, grid=grid, **kw),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+@pytest.mark.parametrize("kind", ["m2", "cos"])
+def test_given_columns_give_the_report_of_an_own_draw(ctx, identity, kind):
+    """Columns drawn onto the check's matrix, together with another
+    matrix, give the report the check gets when it draws alone."""
+    profile, theta, k1, k2, grid = ctx
+    F = FUNCTIONALS[kind](theta, k1, k2)
+    check = IDENTITIES[identity]
+    dens = identity_densities(F, theta, k1, k2, grid)
+    other = np.ones((grid.N, 1))
+    columns, _ = draw_columns(profile, grid, 1001, 13, [dens, other])
+    shared = check(F, theta, k1, k2, 1001, 13, grid, columns=columns)
+    alone = check(F, theta, k1, k2, 1001, 13, grid)
+    assert _without_wall_times(shared.to_dict()) == _without_wall_times(alone.to_dict())
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+def test_columns_of_another_shape_are_refused(ctx, identity):
+    profile, theta, k1, k2, grid = ctx
+    F = MonomialSpec(theta, (k1, k2))
+    check = IDENTITIES[identity]
+    good = np.zeros((50, 3))
+    check(F, theta, k1, k2, 50, 1, grid, columns=good)
+    for bad in (np.zeros((50, 2)), np.zeros((49, 3)), np.zeros(150)):
+        with pytest.raises(ValueError, match="columns must be"):
+            check(F, theta, k1, k2, 50, 1, grid, columns=bad)
+
+
+def test_drawn_columns_are_read_only(ctx):
+    profile, theta, k1, k2, grid = ctx
+    dens = identity_densities(MonomialSpec(theta, (k1,)), theta, k1, k2, grid)
+    (cols,) = draw_columns(profile, grid, 300, 2, [dens])
+    assert cols.shape == (300, 2) and not cols.flags.writeable
+    with pytest.raises(ValueError):
+        cols[0, 0] = 1.0
+
+
+def test_mean_se_of_real_values_keeps_the_bits_of_the_complex_route():
+    """Real values skip the zero imaginary part of the centered values;
+    the standard error keeps the bits of centering them as complex."""
+    vals = np.random.default_rng(5).standard_normal(10001) * 3.0 + 0.7
+    n = vals.size
+    mean = complex(vals.mean())
+    centered = vals - mean
+    var = float(np.mean(centered.real**2) + np.mean(centered.imag**2)) * n / (n - 1)
+    got_mean, got_se = _mean_se(vals)
+    assert got_mean == mean
+    assert np.float64(got_se).tobytes() == np.float64(np.sqrt(var / n)).tobytes()

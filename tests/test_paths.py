@@ -119,6 +119,33 @@ def test_projected_stream_is_bit_identical_across_workers(standard, grid256):
 def test_projected_stream_rejects_misshaped_densities(standard, grid256):
     with pytest.raises(ValueError):
         next(stream_increments(standard, grid256, 10, 1, onto=np.ones((grid256.N + 1, 2))))
+    for onto in ((), (np.ones((grid256.N, 2)), np.ones(grid256.N))):
+        with pytest.raises(ValueError):
+            next(stream_increments(standard, grid256, 10, 1, onto=onto))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_stream_onto_several_matrices_equals_a_stream_per_matrix(standard, grid256, workers):
+    """Each matrix of a shared stream gets the bits of its own stream."""
+    n = 2 * CHUNK_PATHS + 301  # a multiple of neither _SUB_ROWS nor CHUNK_PATHS
+    assert n % _SUB_ROWS and n % CHUNK_PATHS
+    dens = _density_columns(grid256)
+    mats = (dens[:, :2].copy(), dens)
+    da, db = increment_moments(standard, grid256)
+
+    def stream(onto):
+        return list(_filled_blocks(da, np.sqrt(db), n, 29, onto=onto, workers=workers))
+
+    shared = stream(mats)
+    assert [p0 for p0, _ in shared] == list(range(0, n, CHUNK_PATHS))
+    assert all(isinstance(cols, tuple) and len(cols) == 2 for _, cols in shared)
+    for j, d in enumerate(mats):
+        alone = np.concatenate([c for _, c in stream(d)])
+        together = np.concatenate([cols[j] for _, cols in shared])
+        assert together.shape == alone.shape and together.tobytes() == alone.tobytes()
+    public = [cols for _, cols in stream_increments(standard, grid256, n, 29, onto=list(mats))]
+    assert all(a.tobytes() == b.tobytes()
+               for got, (_, want) in zip(public, shared) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
