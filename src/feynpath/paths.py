@@ -19,8 +19,8 @@ given (seed, grid, n_paths) regardless of scheduling, and the first n
 rows do not change when more paths are requested.  The same keying lets
 the projected and the path streams run their blocks on a thread pool
 with results that do not depend on the number of threads, and lets an
-ensemble be kept as its recipe: its writers sample each block again and
-write it once, with about one block per worker in memory.
+ensemble be kept as its recipe: its writers sample it again, and the
+binary one's workers write their rows at their offsets in the file.
 
 A materialized ensemble, and each streamed block, is a private anonymous
 mapping of its own, unmapped when the last view of it goes, so its
@@ -113,9 +113,9 @@ class PathEnsemble:
 
     ``values[p, i]`` is path p at grid node i (column 0 zero), built in
     full on first access and kept.  The writers do not build it: they
-    sample the paths again block by block and write each block once,
-    unless ``values`` is already there, when they write it instead.
-    Either way the bytes are the same."""
+    sample the paths again and write each row once, unless ``values`` is
+    already there, when they write it instead.  Either way the bytes are
+    the same."""
 
     grid: TimeGrid
     n_paths: int
@@ -135,13 +135,6 @@ class PathEnsemble:
             pass
         return values
 
-    def _blocks(self):
-        """(first path, path values) per block of rows, in order: all of
-        ``values`` when it is built, else each block freshly sampled."""
-        if "values" in vars(self):
-            return [(0, self.values)]
-        return stream_increments(self.profile, self.grid, self.n_paths, self.seed, paths=True)
-
     def to_csv(self, path):
         """First row is the node times, then one row per path.  Every
         value is written as %.17g, which reads back as the same double.
@@ -151,9 +144,11 @@ class PathEnsemble:
         number of workers and only a few blocks of text are in memory
         at a time."""
         step = max(1, _CSV_BLOCK_VALUES // (self.grid.N + 1))
+        blocks = ([(0, self.values)] if "values" in vars(self) else stream_increments(
+            self.profile, self.grid, self.n_paths, self.seed, paths=True))
         with open(path, "wb") as fh:
             fh.write(_csv_rows(self.grid.nodes[None, :]))
-            for _, block in self._blocks():
+            for _, block in blocks:
                 starts = range(0, block.shape[0], step)
 
                 def rows(i):
@@ -165,14 +160,18 @@ class PathEnsemble:
 
     def to_binary(self, path):
         """Compact layout: magic, N, n_paths, seed (little-endian u64),
-        then the nodes and the row-major values as little-endian f64."""
+        then the nodes and the row-major values as little-endian f64, which
+        the block workers write at their offsets unless values is built."""
         with open(path, "wb") as fh:
             fh.write(_BINARY_MAGIC)
             fh.write(struct.pack("<QQQ", self.grid.N, self.n_paths, self.seed))
             fh.write(np.ascontiguousarray(self.grid.nodes, dtype="<f8"))
-            for _, block in self._blocks():
-                fh.write(np.ascontiguousarray(block, dtype="<f8"))
-                del block  # so at most workers + 1 blocks are alive
+            if "values" in vars(self):
+                fh.write(np.ascontiguousarray(self.values, dtype="<f8"))
+            else:
+                for _ in stream_increments(self.profile, self.grid, self.n_paths, self.seed,
+                                           out=fh, paths=True):
+                    pass
 
     @staticmethod
     def read_binary(path):
@@ -389,20 +388,17 @@ def stream_increments(
     since a BLAS product's bits can depend on the matrix width; so each
     matrix's columns are bit-identical to its single-matrix stream.
 
-    With ``out``, an (n_paths, N) float64 array whose rows may be strided
-    (such as ``values[:, 1:]``), each chunk's increments are written
-    straight into its rows of ``out`` and the chunks are
-    (first_path_index, view of those rows of out).
-
     With ``paths``, the chunks are (first_path_index, path values): rows
-    of N+1 values, 0 and then the running sums of the row's increments.
-    They are the chunk's rows of ``out``, then an (n_paths, N+1) float64
-    array, or else fresh arrays, each over a mapping of its own.
+    of N+1 values, 0 and then the running sums of the row's increments,
+    fresh (each over a mapping of its own) or in their rows of ``out``,
+    an (n_paths, N+1) float64 array.  If ``out`` is a file open for
+    writing, the workers write the rows there as little-endian f64 from
+    its position on, and the chunks are (first_path_index, row count).
 
-    With ``onto``, ``out`` or ``paths`` the blocks run on a thread pool
-    with one worker per usable CPU, bit-identical for any worker count
-    and to the serial form.  At most one block per worker is computed
-    ahead of the consumer.
+    With ``onto`` or ``paths`` the blocks run on a thread pool with one
+    worker per usable CPU, bit-identical for any worker count and to the
+    serial form.  At most one block per worker is computed ahead of the
+    consumer.
     """
     da, sdb = _checked_moments(profile, grid, n_paths, seed)
     if onto is not None or out is not None or paths:
@@ -431,24 +427,23 @@ def _usable_cpus() -> int:
 
 
 def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False, workers=None):
-    """Yield (p0, rows) per block, in block order, for ``onto`` (rows are
-    fresh projected columns, a tuple of them when onto is a tuple or
-    list of matrices) or for ``out`` and ``paths``: rows are the block's
-    rows of out, holding its increments, or with ``paths`` its path
-    values, in the rows of out or in a fresh block.
+    """Yield (p0, rows) per block, in block order: fresh projected columns
+    for ``onto`` (a tuple of them for several matrices), or for ``paths``
+    the path values, fresh or in ``out`` rows, or their count for a file.
 
     Each block's Philox stream fills a per-worker _SUB_ROWS x N scratch
     buffer z one sub-block at a time; numpy continues the stream across
     the fills, so the normals equal those of one whole-block fill.  Each
     sub-block becomes ``op(z, factor) + shift`` in the destination rows
     of every target: ``z @ (sqrt(db) * D) + da @ D`` for each matrix D
-    of onto, or ``z * sqrt(db) + da``, the latter in the serial stream's
-    operation order, and for path values in columns 1: and then summed
-    along each row.  A single matrix is the one-target case.  Workers
-    run numpy only, and a block's arithmetic does not depend on which
-    worker runs it, so any ``workers`` gives the same bits.
+    of onto, or for path values ``z * sqrt(db) + da`` in columns 1:, in
+    the serial stream's operation order, then summed along each row; for
+    a file, in a per-worker row buffer then written at the rows' offset.
+    A single matrix is the one-target case.  A block's arithmetic does
+    not depend on which worker runs it, so every ``workers`` agrees.
     """
     single = not isinstance(onto, (tuple, list))
+    fd = None
     if onto is not None:
         if out is not None or paths:
             raise ValueError("onto takes neither out nor paths")
@@ -460,22 +455,24 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False, wor
 
         def dest(p0, rows):
             return [np.empty((rows, D.shape[1])) for D in mats]
+    elif not paths:
+        raise ValueError("give onto or paths; out takes paths")
     else:
         targets = [(np.multiply, sdb, da)]
-        width = sdb.size + 1 if paths else sdb.size
-        if out is not None:
-            if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                    and out.shape == (n_paths, width)):
-                raise ValueError("out must be an (n_paths, %s) float64 array"
-                                 % ("N + 1" if paths else "N"))
-
-            def dest(p0, rows):
-                return [out[p0 : p0 + rows]]
-        elif paths:
+        width = sdb.size + 1
+        if out is None:
             def dest(p0, rows):
                 return [_mapped_zeros((rows, width))]
+        elif isinstance(out, np.ndarray):
+            if out.dtype != np.float64 or out.shape != (n_paths, width):
+                raise ValueError("out must be an (n_paths, N + 1) float64 array or a file")
+
+            def dest(p0, rows):
+                out[p0 : p0 + rows, 0] = 0.0
+                return [out[p0 : p0 + rows]]
         else:
-            raise ValueError("give onto, out or paths")
+            out.flush()
+            fd, base = out.fileno(), out.tell()
 
     starts = range(0, n_paths, CHUNK_PATHS)
     sub = min(_SUB_ROWS, n_paths)
@@ -489,23 +486,26 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False, wor
             # From malloc, not _mapped_zeros: freeing it raises glibc's
             # mmap threshold above the CSV formatter's per-block
             # temporaries, which otherwise are trimmed and faulted in
-            # again for every block.
+            # again for every block.  So is the row buffer.
             z = scratch.z = np.empty((sub, sdb.size))
+            scratch.row_buffer = [np.zeros((sub, width), dtype="<f8")] if fd is not None else None
         gen = _block_generator(seed, block)
-        dsts = dest(p0, rows)
-        incs = dsts
-        if paths:
-            dsts[0][:, 0] = 0.0
-            incs = [dsts[0][:, 1:]]
+        dsts = dest(p0, rows) if fd is None else scratch.row_buffer
         for r0 in range(0, rows, sub):
             r1 = min(r0 + sub, rows)
+            at = slice(r0, r1) if fd is None else slice(0, r1 - r0)
             gen.standard_normal(out=z[: r1 - r0])
-            for (op, factor, shift), inc in zip(targets, incs):
-                op(z[: r1 - r0], factor, out=inc[r0:r1])
-                np.add(inc[r0:r1], shift, out=inc[r0:r1])
+            for (op, factor, shift), dst in zip(targets, dsts):
+                inc = dst[at, 1:] if paths else dst[at]
+                op(z[: r1 - r0], factor, out=inc)
+                np.add(inc, shift, out=inc)
                 if paths:
-                    np.cumsum(inc[r0:r1], axis=1, out=inc[r0:r1])
-        return p0, dsts[0] if single else tuple(dsts)
+                    np.cumsum(inc, axis=1, out=inc)
+            if fd is not None:
+                data, end = memoryview(dsts[0][at]).cast("B"), base + 8 * width * (p0 + r1)
+                while data:  # until short writes have written it all
+                    data = data[os.pwrite(fd, data, end - len(data)) :]
+        return p0, rows if fd is not None else dsts[0] if single else tuple(dsts)
 
     yield from _ordered_map(fill, len(starts), workers)
 
@@ -571,9 +571,9 @@ def sample_gbmp_paths(
 
     Nothing is sampled here: the ensemble is its recipe, checked now, so
     that an invalid one raises before anything is written.  Its writers
-    sample it block by block, with about one block of CHUNK_PATHS rows
-    per worker, plus one, in memory at a time; its ``values`` hold all
-    n_paths * (N+1) doubles, built on first access.  Use
+    sample it again, one _SUB_ROWS-row buffer per worker (binary) or one
+    CHUNK_PATHS-row block per worker, plus one (CSV), in memory; its
+    ``values`` hold all n_paths * (N+1) doubles, built on first access.  Use
     :func:`stream_increments` for estimates over very large ensembles.
     """
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed, profile=profile)

@@ -155,11 +155,10 @@ def test_filled_stream_is_bit_identical_to_serial(standard, grid256, workers):
     for p0, inc in stream_increments(standard, grid256, n, 31):
         ref[p0 : p0 + inc.shape[0], 1:] = np.cumsum(inc, axis=1)
     da, db = increment_moments(standard, grid256)
-    values = np.zeros_like(ref)
-    chunks = _filled_blocks(da, np.sqrt(db), n, 31, out=values[:, 1:], workers=workers)
+    values = np.full_like(ref, np.nan)
+    chunks = _filled_blocks(da, np.sqrt(db), n, 31, out=values, paths=True, workers=workers)
     for p0, rows in chunks:
         assert np.shares_memory(rows, values[p0])
-        np.cumsum(rows, axis=1, out=rows)
     assert np.array_equal(values, ref)
     assert np.array_equal(sample_gbmp_paths(standard, grid256, n, 31).values, ref)
 
@@ -230,10 +229,12 @@ def test_ensemble_values_outlive_the_ensemble(release_rss):
 
 
 def test_filled_stream_rejects_misshaped_output(standard, grid256):
-    for out in (np.zeros((10, grid256.N + 1)), np.zeros((9, grid256.N)),
-                np.zeros((10, grid256.N), dtype=np.float32)):
+    for out in (np.zeros((10, grid256.N)), np.zeros((9, grid256.N + 1)),
+                np.zeros((10, grid256.N + 1), dtype=np.float32)):
         with pytest.raises(ValueError):
-            next(stream_increments(standard, grid256, 10, 1, out=out))
+            next(stream_increments(standard, grid256, 10, 1, out=out, paths=True))
+    with pytest.raises(ValueError, match="out takes paths"):
+        next(stream_increments(standard, grid256, 10, 1, out=np.zeros((10, grid256.N + 1))))
 
 
 def test_sample_moments_match_profile():
@@ -546,6 +547,32 @@ def test_written_files_equal_the_serial_oracle(tmp_path, standard, monkeypatch, 
     assert ("values" in vars(ens)) == touched
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_short_writes_give_the_serial_oracle(tmp_path, standard, monkeypatch, streamed_oracle,
+                                            workers):
+    """The binary writer loops on short writes: with os.pwrite writing at
+    most 4093 bytes a call, which splits doubles, the file is the same.
+    Up to three workers share the file; a short switch interval interleaves
+    their writes."""
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
+    real, calls = paths.os.pwrite, []
+
+    def short(fd, data, offset):
+        calls.append(len(data))
+        return real(fd, memoryview(data)[:4093], offset)
+
+    monkeypatch.setattr(paths.os, "pwrite", short)
+    grid, _, ref_bin = streamed_oracle
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        sample_gbmp_paths(standard, grid, STREAMED_N, 37).to_binary(tmp_path / "ens.bin")
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "ens.bin").read_bytes() == ref_bin
+    assert max(calls) > 4093 and len(calls) > STREAMED_N * (grid.N + 1) * 8 // 4093
+
+
 @pytest.mark.parametrize("suffix", ["bin", "csv"])
 def test_a_failed_block_leaves_no_file(tmp_path, monkeypatch, suffix):
     from feynpath.cli import run
@@ -566,6 +593,41 @@ def test_a_failed_block_leaves_no_file(tmp_path, monkeypatch, suffix):
              "--out", str(dest)])
     assert 2 in seen
     assert os.listdir(tmp_path) == []
+
+
+# Runs simulate with os.pwrite failing with ENOSPC on its third call.
+_NO_SPACE_SCRIPT = """
+import errno, os, sys
+from feynpath.cli import main
+
+real, calls = os.pwrite, []
+
+def failing(fd, data, offset):
+    calls.append(offset)
+    if len(calls) == 3:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    return real(fd, data, offset)
+
+os.pwrite = failing
+sys.argv[1:] = ["simulate", "--config", sys.argv[1], "--n", sys.argv[2], "--grid", "16",
+                "--out", sys.argv[3]]
+main()
+"""
+
+
+def test_a_failed_write_leaves_no_file(tmp_path):
+    """A full disk fails simulate with a nonzero exit, and neither the
+    file nor its .part is left."""
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "std.json"
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(paths.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SPACE_SCRIPT, str(config), str(3 * CHUNK_PATHS),
+         str(out / "paths.bin")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    assert "No space left on device" in done.stderr
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize(
@@ -611,8 +673,8 @@ print(json.dumps({"grown": 1024 * (after - before), "cpus": _usable_cpus(),
 
 
 def test_binary_writer_holds_a_few_blocks(tmp_path):
-    """While a 10-block ensemble is written, RSS grows by about one block
-    per worker plus the one being written, not by the ensemble."""
+    """While a 10-block ensemble is written, RSS grows by at most about
+    one block per worker plus one, not by the ensemble."""
     if not sys.platform.startswith("linux"):
         pytest.skip("ru_maxrss is in KiB and CPU affinity is settable on Linux only")
     src = os.path.dirname(os.path.dirname(paths.__file__))
@@ -623,6 +685,26 @@ def test_binary_writer_holds_a_few_blocks(tmp_path):
     assert got["written"] == 32 + 8 * 257 + got["ensemble"]
     assert got["grown"] < (got["cpus"] + 2) * got["block"]
     assert got["grown"] < got["ensemble"] / 2
+
+
+def test_binary_writer_holds_no_block(tmp_path):
+    """The workers write their row buffers at the rows' offsets, so RSS
+    grows by less than one block while the ensemble is written.
+
+    The script runs as a grandchild: on Linux a child's ru_maxrss starts
+    at the peak RSS of the process that forked it, which for pytest can
+    exceed everything the script does, so that it would read no growth."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss is in KiB and CPU affinity is settable on Linux only")
+    src = os.path.dirname(os.path.dirname(paths.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c",
+                           _STREAM_RSS_SCRIPT, str(tmp_path / "ens.bin")],
+                          env=env, check=True, capture_output=True, text=True, timeout=120)
+    got = json.loads(done.stdout)
+    assert got["cpus"] <= 2 and got["written"] == 32 + 8 * 257 + got["ensemble"]
+    assert got["grown"] < got["block"]
 
 
 @pytest.mark.parametrize(
