@@ -10,7 +10,8 @@ All floats are printed with 17 significant digits so reruns with the
 same config bytes produce byte-identical CSV ledgers.
 
 ``run`` is the single error boundary: any FeynpathError a command raises
-(ConfigError included) prints one ``error:`` line and exits with code 2.
+(ConfigError included), and any OSError from an output that cannot be
+written, prints one ``error:`` line and exits with code 2.
 """
 
 from __future__ import annotations
@@ -622,30 +623,24 @@ def _run_checks(config: ExperimentConfig, indices, overrides: dict, out_dir) -> 
 
 def _run_shared(config: ExperimentConfig, members, key, overrides: dict, out_dir) -> dict:
     """{index: outcome} of the identity checks ``members`` of one stream
-    ``key``, from one draw.  Checks whose density matrices have equal
-    bytes share one read-only columns array, which is dropped after the
-    last of them; a matrix is never merged with another (see the
-    montecarlo module).  Each result gets a ``draw`` object: the draw's
-    seconds and the names of the checks it served."""
+    ``key``, from one draw; ``mc.draw_columns`` decides which checks
+    share a columns array.  Each check's reference is dropped once it
+    has run, so a shared array is freed after the last of its checks.
+    Each result gets a ``draw`` object: the draw's seconds and the names
+    of the checks it served."""
     pname, grid_n, n, seed = key
     grid = config.grid(pname, grid_n)
-    slots, uses = {}, []
-    for i in members:
-        check = config.checks[i]
-        dens = mc.identity_densities(check["functional"], config.element(check["theta"]),
-                                     config.supp(check["k1"]), config.supp(check["k2"]), grid)
-        uses.append(slots.setdefault((dens.shape, dens.tobytes()), (len(slots), dens))[0])
+    densities = [mc.identity_densities(check["functional"], config.element(check["theta"]),
+                                       config.supp(check["k1"]), config.supp(check["k2"]), grid)
+                 for check in (config.checks[i] for i in members)]
     t0 = time.perf_counter()
-    columns = mc.draw_columns(config.profiles[pname], grid, n, seed,
-                              [dens for _, dens in slots.values()])
+    columns = mc.draw_columns(config.profiles[pname], grid, n, seed, densities)
     draw = {"wall_time": time.perf_counter() - t0,
             "shared_by": [config.checks[i]["name"] for i in members]}
-    last = {slot: pos for pos, slot in enumerate(uses)}
     outcomes = {}
-    for pos, (i, slot) in enumerate(zip(members, uses)):
-        row, result = run_check(config, i, config.checks[i], overrides, out_dir, columns[slot])
-        if last[slot] == pos:
-            columns[slot] = None
+    for pos, i in enumerate(members):
+        row, result = run_check(config, i, config.checks[i], overrides, out_dir, columns[pos])
+        columns[pos] = None
         result["draw"] = draw
         outcomes[i] = (row, result)
     return outcomes
@@ -756,6 +751,10 @@ def run(argv) -> int:
         return args.func(args)
     except FeynpathError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output that cannot be written
+        where = "" if exc.filename is None else "%s: " % exc.filename
+        print("error: %s%s" % (where, exc.strerror or exc), file=sys.stderr)
         return 2
 
 

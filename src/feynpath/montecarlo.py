@@ -15,11 +15,11 @@ the projections of the increments onto the check's density matrix
 seed), so checks with the same key can share one draw:
 ``draw_columns`` fills each block's normals once and projects them
 onto every distinct matrix, and the identity checks take the result as
-``columns=``.  Only whole matrices whose bytes are equal are shared.
-Columns are never merged into a wider matrix or picked out of one,
-because the bits of a BLAS product can depend on the width of the
-matrix; so a shared draw gives every check the same columns, to the
-bit, as a draw of its own.
+``columns=``.  It alone decides what a draw shares: only whole matrices
+of equal shape and bytes, which get one array.  Columns are never
+merged into a wider matrix or picked out of one, because the bits of a
+BLAS product can depend on the width of the matrix; so a shared draw
+gives every check the same columns, to the bit, as a draw of its own.
 
 Integrability of the compared functionals is a hypothesis of the
 identities, not something a sampler can certify; reports carry an
@@ -123,15 +123,22 @@ def _densities(elements, grid: TimeGrid) -> np.ndarray:
 def draw_columns(profile, grid: TimeGrid, n: int, seed: int, densities) -> list:
     """The stochastic-integral columns of n paths of (profile, grid,
     seed) on each (N, c_i) density matrix: one read-only (n, c_i) array
-    per matrix, from one pass over the Philox stream.  Each matrix's
-    columns are bit-identical to a draw onto that matrix alone."""
-    out = [np.empty((n, np.shape(D)[1])) for D in densities]
-    for p0, chunks in stream_increments(profile, grid, n, seed, onto=tuple(densities)):
-        for cols, chunk in zip(out, chunks):
+    per matrix, in order, from one pass over the Philox stream.
+
+    Matrices of equal shape and bytes are projected once, in the order
+    they are first seen, and get the same array object; each distinct
+    matrix is projected on its own, so its columns are bit-identical to
+    a draw onto that matrix alone."""
+    mats = [np.asarray(D, dtype=float) for D in densities]
+    keys = [(D.shape, D.tobytes()) for D in mats]
+    distinct = dict(zip(keys, mats))
+    out = {key: np.empty((n, D.shape[1])) for key, D in distinct.items()}
+    for p0, chunks in stream_increments(profile, grid, n, seed, onto=list(distinct.values())):
+        for cols, chunk in zip(out.values(), chunks):
             cols[p0 : p0 + chunk.shape[0]] = chunk
-    for cols in out:
+    for cols in out.values():
         cols.flags.writeable = False
-    return out
+    return [out[key] for key in keys]
 
 
 def identity_densities(F: FunctionalSpec, theta: CMElement, k1: SuppElement, k2: SuppElement,

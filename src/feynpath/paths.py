@@ -21,6 +21,9 @@ the projected and the path streams run their blocks on a thread pool
 with results that do not depend on the number of threads, and lets an
 ensemble be kept as its recipe: its writers sample it again, and the
 binary one's workers write their rows at their offsets in the file.
+Each argument of the stream has one form: ``onto`` is a list of density
+matrices, ``out`` a binary file, and ``values`` is built by copying the
+fresh blocks of the path stream.
 
 A materialized ensemble, and each streamed block, is a private anonymous
 mapping of its own, unmapped when the last view of it goes, so its
@@ -128,11 +131,13 @@ class PathEnsemble:
     @functools.cached_property
     def values(self) -> np.ndarray:
         """The (n_paths, N+1) path values, in a mapping of their own that
-        is given back to the operating system when the last view goes."""
+        is given back to the operating system when the last view goes.
+        The fresh blocks of the path stream are copied into it, so up to
+        workers + 1 of them are alive beside it while it is built."""
         values = _mapped_zeros((self.n_paths, self.grid.N + 1))
-        for _ in stream_increments(self.profile, self.grid, self.n_paths, self.seed,
-                                   out=values, paths=True):
-            pass
+        for p0, block in stream_increments(self.profile, self.grid, self.n_paths, self.seed,
+                                           paths=True):
+            values[p0 : p0 + block.shape[0]] = block
         return values
 
     def to_csv(self, path):
@@ -330,23 +335,6 @@ def _csv_rows(block):
     return out.tobytes().translate(None, b"\0")
 
 
-@dataclass(frozen=True, eq=False)
-class MeanCovTable:
-    """Per-node mean gamma and cumulative variance beta of a Z_k process."""
-
-    grid: TimeGrid
-    gamma: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        if self.gamma.shape != self.grid.nodes.shape or self.beta.shape != self.grid.nodes.shape:
-            raise ValueError("gamma/beta must be per-node arrays")
-        if self.gamma[0] != 0.0 or self.beta[0] != 0.0:
-            raise ValueError("gamma and beta must vanish at t=0")
-        if np.any(np.diff(self.beta) < -1e-12 * max(1.0, abs(self.beta[-1]))):
-            raise ValueError("beta must be nondecreasing")
-
-
 def increment_moments(profile: ProfilePair, grid: TimeGrid):
     """Per-interval (da, db) from the exact primitives of a' and b'."""
     da = np.diff(profile.a(grid.nodes))
@@ -376,24 +364,23 @@ def stream_increments(
     if it must outlive the iteration.  Chunk boundaries are fixed at
     CHUNK_PATHS, so values never depend on how the consumer batches work.
 
-    With ``onto``, an (N, c) matrix of left densities, the chunks are
-    (first_path_index, columns) instead: the increments projected onto
-    the c columns, computed straight from the normals as
-    ``z @ (sqrt(db) * onto) + da @ onto`` without building the increments.
-    The columns are fresh arrays.  ``onto`` may also be a tuple or list
-    of such (N, c_i) matrices: then the normals are drawn once, each
-    sub-block of them is projected onto every matrix in turn, and the
-    chunks are (first_path_index, tuple of the c_i columns per matrix).
-    Each matrix is multiplied on its own, never merged with the others,
-    since a BLAS product's bits can depend on the matrix width; so each
-    matrix's columns are bit-identical to its single-matrix stream.
+    With ``onto``, a non-empty tuple or list of (N, c_i) matrices of
+    left densities, the chunks are (first_path_index, tuple of columns)
+    instead: the increments projected onto each matrix D, computed
+    straight from the normals as ``z @ (sqrt(db) * D) + da @ D`` without
+    building the increments, one fresh (rows, c_i) array per matrix.
+    The normals are drawn once and each sub-block of them is projected
+    onto every matrix in turn.  Each matrix is multiplied on its own,
+    never merged with the others, since a BLAS product's bits can depend
+    on the matrix width; so each matrix's columns are bit-identical to a
+    stream onto that matrix alone.
 
     With ``paths``, the chunks are (first_path_index, path values): rows
     of N+1 values, 0 and then the running sums of the row's increments,
-    fresh (each over a mapping of its own) or in their rows of ``out``,
-    an (n_paths, N+1) float64 array.  If ``out`` is a file open for
-    writing, the workers write the rows there as little-endian f64 from
-    its position on, and the chunks are (first_path_index, row count).
+    fresh, each block over a mapping of its own.  With ``out``, a binary
+    file open for writing, the workers write the rows there instead, as
+    little-endian f64 from its position on, and the chunks are
+    (first_path_index, row count).
 
     With ``onto`` or ``paths`` the blocks run on a thread pool with one
     worker per usable CPU, bit-identical for any worker count and to the
@@ -426,10 +413,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False, workers=None):
-    """Yield (p0, rows) per block, in block order: fresh projected columns
-    for ``onto`` (a tuple of them for several matrices), or for ``paths``
-    the path values, fresh or in ``out`` rows, or their count for a file.
+def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False):
+    """Yield (p0, rows) per block, in block order: a tuple of fresh
+    projected columns, one per matrix of ``onto``, or for ``paths`` the
+    fresh path values, or their count when ``out`` is a file.
 
     Each block's Philox stream fills a per-worker _SUB_ROWS x N scratch
     buffer z one sub-block at a time; numpy continues the stream across
@@ -439,18 +426,18 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False, wor
     of onto, or for path values ``z * sqrt(db) + da`` in columns 1:, in
     the serial stream's operation order, then summed along each row; for
     a file, in a per-worker row buffer then written at the rows' offset.
-    A single matrix is the one-target case.  A block's arithmetic does
-    not depend on which worker runs it, so every ``workers`` agrees.
+    A block's arithmetic does not depend on which worker runs it, so the
+    bits are the same for any number of usable CPUs.
     """
-    single = not isinstance(onto, (tuple, list))
     fd = None
     if onto is not None:
         if out is not None or paths:
             raise ValueError("onto takes neither out nor paths")
-        mats = [np.asarray(D, dtype=float) for D in ((onto,) if single else onto)]
-        if not mats or any(D.ndim != 2 or D.shape[0] != sdb.size for D in mats):
-            raise ValueError("onto must be an (N, c) matrix over the grid intervals, "
-                             "or a non-empty tuple or list of them")
+        if not isinstance(onto, (tuple, list)) or not onto:
+            raise ValueError("onto must be a non-empty tuple or list of (N, c) matrices")
+        mats = [np.asarray(D, dtype=float) for D in onto]
+        if any(D.ndim != 2 or D.shape[0] != sdb.size for D in mats):
+            raise ValueError("each matrix of onto must be (N, c) over the grid intervals")
         targets = [(np.matmul, sdb[:, None] * D, da @ D) for D in mats]
 
         def dest(p0, rows):
@@ -463,13 +450,8 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False, wor
         if out is None:
             def dest(p0, rows):
                 return [_mapped_zeros((rows, width))]
-        elif isinstance(out, np.ndarray):
-            if out.dtype != np.float64 or out.shape != (n_paths, width):
-                raise ValueError("out must be an (n_paths, N + 1) float64 array or a file")
-
-            def dest(p0, rows):
-                out[p0 : p0 + rows, 0] = 0.0
-                return [out[p0 : p0 + rows]]
+        elif not hasattr(out, "fileno"):
+            raise ValueError("out must be a binary file open for writing")
         else:
             out.flush()
             fd, base = out.fileno(), out.tell()
@@ -505,9 +487,9 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False, wor
                 data, end = memoryview(dsts[0][at]).cast("B"), base + 8 * width * (p0 + r1)
                 while data:  # until short writes have written it all
                     data = data[os.pwrite(fd, data, end - len(data)) :]
-        return p0, rows if fd is not None else dsts[0] if single else tuple(dsts)
+        return p0, rows if fd is not None else dsts[0] if paths else tuple(dsts)
 
-    yield from _ordered_map(fill, len(starts), workers)
+    yield from _ordered_map(fill, len(starts))
 
 
 def _mapped_zeros(shape) -> np.ndarray:
@@ -533,9 +515,9 @@ def _mapped_zeros(shape) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64).reshape(shape)
 
 
-def _ordered_map(fn, count, workers=None):
+def _ordered_map(fn, count):
     """Yield fn(0), ..., fn(count - 1) in that order, computed on a
-    thread pool with one worker per usable CPU by default.
+    thread pool with one worker per usable CPU.
 
     At most one task per worker runs or waits ahead of the consumer, so
     a consumer that drops each result before it asks for the next holds
@@ -543,9 +525,7 @@ def _ordered_map(fn, count, workers=None):
     raised here, at its index, and the tasks not yet started are
     cancelled; so are they when the consumer stops early.
     """
-    if workers is None:
-        workers = _usable_cpus()
-    workers = max(1, min(workers, count))
+    workers = max(1, min(_usable_cpus(), count))
     # Imported here, not at the top: a run that samples no paths never
     # loads the pool machinery (about 1 MiB resident with logging).
     from concurrent.futures import ThreadPoolExecutor
@@ -611,12 +591,13 @@ def z_shift_path(k: SuppElement, w: CMElement, grid: TimeGrid) -> np.ndarray:
     return prim(grid.nodes)
 
 
-def gamma_beta(k: SuppElement, grid: TimeGrid) -> MeanCovTable:
-    """Mean function gamma_k (integral of Dk da) and variance function
-    beta_k (integral of Dk^2 db) at the grid nodes, exactly."""
+def gamma_beta(k: SuppElement, grid: TimeGrid):
+    """(gamma, beta) at the grid nodes, exactly: the mean function
+    gamma_k (integral of Dk da) and the variance function beta_k
+    (integral of Dk^2 db) of the Z_k process."""
     gamma = (k.density * k.profile.a_prime).antiderivative()(grid.nodes)
     beta = (k.density * k.density * k.profile.b_prime).antiderivative()(grid.nodes)
-    return MeanCovTable(grid=grid, gamma=gamma, beta=beta)
+    return gamma, beta
 
 
 def _check_seed(seed):

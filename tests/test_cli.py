@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -340,6 +342,24 @@ def test_simulate_leaves_no_file_when_the_write_fails(tmp_path, monkeypatch, cap
     assert run(argv) == 0
     capsys.readouterr()
     assert os.listdir(out) == ["p.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+@pytest.mark.parametrize("argv", [["simulate", "--out", "/dev/null/paths.bin"],
+                                  ["verify", "--all", "--output-dir", "/dev/null/x"]],
+                         ids=["simulate", "verify"])
+def test_an_output_that_cannot_be_written_exits_2(argv):
+    """An output under a path that is not a directory is reported as one
+    error line naming the path and its reason, with exit code 2."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "feynpath", *argv, "--config", str(STD_JSON)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "/dev/null" in errors[0]
+    assert done.stdout == ""
 
 
 def test_ledger_floats_have_17_digits(tmp_path, capsys):

@@ -35,6 +35,8 @@ from feynpath.montecarlo import (
     ledger_row,
 )
 
+from feynpath.paths import CHUNK_PATHS
+
 from conftest import pp
 
 
@@ -361,6 +363,31 @@ def test_drawn_columns_are_read_only(ctx):
     assert cols.shape == (300, 2) and not cols.flags.writeable
     with pytest.raises(ValueError):
         cols[0, 0] = 1.0
+
+
+def test_equal_matrices_share_one_projection(ctx, monkeypatch):
+    """draw_columns projects each distinct matrix once, in one stream:
+    equal matrices get one read-only array, every array has the bits of
+    a draw onto its matrix alone."""
+    import feynpath.montecarlo as mc
+
+    profile, theta, k1, k2, grid = ctx
+    dens = identity_densities(MonomialSpec(theta, (k1,)), theta, k1, k2, grid)
+    other = identity_densities(MonomialSpec(theta, (k1, k2)), theta, k1, k2, grid)
+    n = CHUNK_PATHS + 301
+    alone = [draw_columns(profile, grid, n, 3, [D])[0] for D in (dens, other)]
+    real, calls = mc.stream_increments, []
+
+    def spy(*args, onto, **kwargs):
+        calls.append(len(onto))
+        return real(*args, onto=onto, **kwargs)
+
+    monkeypatch.setattr(mc, "stream_increments", spy)
+    first, second, third = draw_columns(profile, grid, n, 3, [dens, other, dens.copy()])
+    assert calls == [2]
+    assert first is third and first is not second
+    assert not first.flags.writeable and not second.flags.writeable
+    assert first.tobytes() == alone[0].tobytes() and second.tobytes() == alone[1].tobytes()
 
 
 def test_mean_se_of_real_values_keeps_the_bits_of_the_complex_route():

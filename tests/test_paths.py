@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import pathlib
@@ -32,7 +33,7 @@ from feynpath import (
 )
 
 from feynpath import paths
-from feynpath.paths import CHUNK_PATHS, _SUB_ROWS, _csv_rows, _filled_blocks, increment_moments
+from feynpath.paths import CHUNK_PATHS, _SUB_ROWS, _csv_rows
 
 from conftest import pp, random_poly, random_nonvanishing_poly
 from oracles import serial_ensemble, to_binary_loop, to_csv_loop
@@ -96,70 +97,87 @@ def _density_columns(grid):
 def test_projected_stream_matches_projected_increments(standard, grid256, n):
     dens = _density_columns(grid256)
     ref = np.concatenate([inc @ dens for _, inc in stream_increments(standard, grid256, n, 17)])
-    chunks = list(stream_increments(standard, grid256, n, 17, onto=dens))
+    chunks = list(stream_increments(standard, grid256, n, 17, onto=[dens]))
     assert [p0 for p0, _ in chunks] == list(range(0, n, CHUNK_PATHS))
-    cols = np.concatenate([c for _, c in chunks])
+    assert all(isinstance(cols, tuple) and len(cols) == 1 for _, cols in chunks)
+    cols = np.concatenate([c for _, (c,) in chunks])
     assert cols.shape == (n, 3)
     # the fused form rounds differently, so agreement is to the column scale
     assert np.max(np.abs(cols - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_projected_stream_is_bit_identical_across_workers(standard, grid256):
+def test_projected_stream_is_bit_identical_across_workers(standard, grid256, monkeypatch):
     n = 2 * CHUNK_PATHS + 301
     dens = _density_columns(grid256)
-    da, db = increment_moments(standard, grid256)
-    runs = [
-        np.concatenate([c for _, c in _filled_blocks(da, np.sqrt(db), n, 23, onto=dens, workers=w)])
-        for w in (1, 2, 3, 2)
-    ]
-    public = np.concatenate([c for _, c in stream_increments(standard, grid256, n, 23, onto=dens)])
+
+    def stream():
+        return np.concatenate([c for _, (c,) in stream_increments(standard, grid256, n, 23,
+                                                                  onto=(dens,))])
+
+    public = stream()
+    runs = []
+    for w in (1, 2, 3, 2):
+        monkeypatch.setattr(paths, "_usable_cpus", lambda: w)
+        runs.append(stream())
     assert all(np.array_equal(runs[0], r) for r in runs[1:] + [public])
 
 
 def test_projected_stream_rejects_misshaped_densities(standard, grid256):
-    with pytest.raises(ValueError):
-        next(stream_increments(standard, grid256, 10, 1, onto=np.ones((grid256.N + 1, 2))))
-    for onto in ((), (np.ones((grid256.N, 2)), np.ones(grid256.N))):
+    dens = np.ones((grid256.N, 2))
+    # a bare matrix is refused as such, even one of the right shape
+    with pytest.raises(ValueError, match="tuple or list"):
+        next(stream_increments(standard, grid256, 10, 1, onto=dens))
+    for onto in ((), [], (np.ones((grid256.N + 1, 2)),), (dens, np.ones(grid256.N))):
         with pytest.raises(ValueError):
             next(stream_increments(standard, grid256, 10, 1, onto=onto))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_one_stream_onto_several_matrices_equals_a_stream_per_matrix(standard, grid256, workers):
+def test_one_stream_onto_several_matrices_equals_a_stream_per_matrix(standard, grid256,
+                                                                     monkeypatch, workers):
     """Each matrix of a shared stream gets the bits of its own stream."""
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
     n = 2 * CHUNK_PATHS + 301  # a multiple of neither _SUB_ROWS nor CHUNK_PATHS
     assert n % _SUB_ROWS and n % CHUNK_PATHS
     dens = _density_columns(grid256)
     mats = (dens[:, :2].copy(), dens)
-    da, db = increment_moments(standard, grid256)
 
     def stream(onto):
-        return list(_filled_blocks(da, np.sqrt(db), n, 29, onto=onto, workers=workers))
+        return list(stream_increments(standard, grid256, n, 29, onto=onto))
 
     shared = stream(mats)
     assert [p0 for p0, _ in shared] == list(range(0, n, CHUNK_PATHS))
     assert all(isinstance(cols, tuple) and len(cols) == 2 for _, cols in shared)
     for j, d in enumerate(mats):
-        alone = np.concatenate([c for _, c in stream(d)])
+        alone = np.concatenate([c for _, (c,) in stream([d])])
         together = np.concatenate([cols[j] for _, cols in shared])
         assert together.shape == alone.shape and together.tobytes() == alone.tobytes()
-    public = [cols for _, cols in stream_increments(standard, grid256, n, 29, onto=list(mats))]
+    listed = [cols for _, cols in stream(list(mats))]
     assert all(a.tobytes() == b.tobytes()
-               for got, (_, want) in zip(public, shared) for a, b in zip(got, want))
+               for got, (_, want) in zip(listed, shared) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_filled_stream_is_bit_identical_to_serial(standard, grid256, workers):
+def test_filled_stream_is_bit_identical_to_serial(tmp_path, standard, grid256, monkeypatch,
+                                                  workers):
+    """The fresh path blocks, the rows written to a file and the built
+    values all equal the serial increments' running sums."""
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
     n = 2 * CHUNK_PATHS + 301
     ref = np.zeros((n, grid256.N + 1))
     for p0, inc in stream_increments(standard, grid256, n, 31):
         ref[p0 : p0 + inc.shape[0], 1:] = np.cumsum(inc, axis=1)
-    da, db = increment_moments(standard, grid256)
-    values = np.full_like(ref, np.nan)
-    chunks = _filled_blocks(da, np.sqrt(db), n, 31, out=values, paths=True, workers=workers)
-    for p0, rows in chunks:
-        assert np.shares_memory(rows, values[p0])
+    values, seen = np.full_like(ref, np.nan), []
+    for p0, rows in stream_increments(standard, grid256, n, 31, paths=True):
+        assert rows.dtype == np.float64 and rows.shape == (min(CHUNK_PATHS, n - p0), grid256.N + 1)
+        assert not any(np.shares_memory(rows, other) for other in seen)
+        seen.append(rows)
+        values[p0 : p0 + rows.shape[0]] = rows
     assert np.array_equal(values, ref)
+    with open(tmp_path / "rows.bin", "wb") as fh:
+        counts = list(stream_increments(standard, grid256, n, 31, out=fh, paths=True))
+    assert counts == [(p0, min(CHUNK_PATHS, n - p0)) for p0 in range(0, n, CHUNK_PATHS)]
+    assert (tmp_path / "rows.bin").read_bytes() == ref.astype("<f8").tobytes()
     assert np.array_equal(sample_gbmp_paths(standard, grid256, n, 31).values, ref)
 
 
@@ -228,13 +246,19 @@ def test_ensemble_values_outlive_the_ensemble(release_rss):
     assert release_rss["held"] - release_rss["dropped"] >= 24.0
 
 
-def test_filled_stream_rejects_misshaped_output(standard, grid256):
-    for out in (np.zeros((10, grid256.N)), np.zeros((9, grid256.N + 1)),
+def test_filled_stream_rejects_misshaped_output(tmp_path, standard, grid256):
+    """``out`` is a binary file: an array is refused, of any shape, and
+    so is a file object without a descriptor and out without paths."""
+    for out in (np.zeros((10, grid256.N + 1)), np.zeros((10, grid256.N)),
                 np.zeros((10, grid256.N + 1), dtype=np.float32)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="binary file"):
             next(stream_increments(standard, grid256, 10, 1, out=out, paths=True))
-    with pytest.raises(ValueError, match="out takes paths"):
-        next(stream_increments(standard, grid256, 10, 1, out=np.zeros((10, grid256.N + 1))))
+    with pytest.raises(ValueError):
+        next(stream_increments(standard, grid256, 10, 1, out=io.BytesIO(), paths=True))
+    with open(tmp_path / "rows.bin", "wb") as fh:
+        with pytest.raises(ValueError, match="out takes paths"):
+            next(stream_increments(standard, grid256, 10, 1, out=fh))
+    assert (tmp_path / "rows.bin").read_bytes() == b""
 
 
 def test_sample_moments_match_profile():
@@ -339,13 +363,13 @@ def test_z_process_covariance_law(wiener):
     ens = sample_gbmp_paths(wiener, grid, n, 71)
     k = SuppElement(pp([0.0, 1.0]), wiener)  # beta(t) = t^3/3
     z = z_process_path(k, ens.values, grid)
-    table = gamma_beta(k, grid)
+    _, beta = gamma_beta(k, grid)
     for s, t in ((0.25, 0.75), (0.5, 0.5), (1.0, 0.5)):
         i = int(np.flatnonzero(grid.nodes == s)[0])
         j = int(np.flatnonzero(grid.nodes == t)[0])
         prod = (z[:, i] - z[:, i].mean()) * (z[:, j] - z[:, j].mean())
         se = prod.std(ddof=1) / np.sqrt(n)
-        want = table.beta[min(i, j)]
+        want = beta[min(i, j)]
         assert abs(prod.mean() - want) < 4 * se + 1e-2 / 256
 
 
@@ -378,15 +402,16 @@ def test_z_shift_paths(standard, wiener):
 def test_gamma_beta_exact_values(wiener, standard):
     grid = TimeGrid.build(standard, n=32)
     k = SuppElement(pp([1.0]), standard)
-    table = gamma_beta(k, grid)
+    gamma, beta = gamma_beta(k, grid)
     t = grid.nodes
-    assert np.allclose(table.gamma, 0.5 * t**2, atol=1e-14)
-    assert np.allclose(table.beta, t + 0.5 * t**2, atol=1e-14)
+    assert gamma.shape == beta.shape == t.shape
+    assert np.allclose(gamma, 0.5 * t**2, atol=1e-14)
+    assert np.allclose(beta, t + 0.5 * t**2, atol=1e-14)
     gw = TimeGrid.build(wiener, n=32)
-    tw = gamma_beta(identity_element(wiener), gw)
-    assert np.all(tw.gamma == 0.0)
-    assert np.allclose(tw.beta, gw.nodes, atol=1e-15)
-    assert np.all(np.diff(tw.beta) >= 0)
+    gamma_w, beta_w = gamma_beta(identity_element(wiener), gw)
+    assert np.all(gamma_w == 0.0)
+    assert np.allclose(beta_w, gw.nodes, atol=1e-15)
+    assert np.all(np.diff(beta_w) >= 0)
 
 
 def test_ensemble_export_round_trip(tmp_path, standard, grid256):
@@ -616,8 +641,8 @@ main()
 
 
 def test_a_failed_write_leaves_no_file(tmp_path):
-    """A full disk fails simulate with a nonzero exit, and neither the
-    file nor its .part is left."""
+    """A full disk fails simulate with exit 2 and one error line, and
+    neither the file nor its .part is left."""
     config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "std.json"
     out = tmp_path / "out"
     src = os.path.dirname(os.path.dirname(paths.__file__))
@@ -625,8 +650,10 @@ def test_a_failed_write_leaves_no_file(tmp_path):
         [sys.executable, "-c", _NO_SPACE_SCRIPT, str(config), str(3 * CHUNK_PATHS),
          str(out / "paths.bin")],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
-    assert done.returncode != 0
-    assert "No space left on device" in done.stderr
+    assert done.returncode == 2
+    assert "No space left on device" in done.stderr and "Traceback" not in done.stderr
+    assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
+        "error: No space left on device"]
     assert os.listdir(out) == []
 
 
@@ -647,10 +674,11 @@ def test_an_invalid_recipe_raises_before_any_file(tmp_path, n, seed, b_prime, er
     assert not dest.exists()
 
 
-# Writes a 10-block ensemble in a process held to at most two CPUs, so
-# that (CPUs + 2) blocks stay below half the ensemble, after a small
-# write that loads the thread pool, and reports how far ru_maxrss (KiB
-# on Linux) rose during the large write.
+# Writes a 10-block ensemble in the format of argv[2] in a process held
+# to at most two CPUs, so that (CPUs + 2) blocks stay below half the
+# ensemble, after a small write that loads the thread pool and the
+# formatter, and reports how far ru_maxrss (KiB on Linux) rose during the
+# large write.  The large file is removed once its size is read.
 _STREAM_RSS_SCRIPT = """
 import json, os, resource, sys
 os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
@@ -660,36 +688,27 @@ from feynpath.paths import CHUNK_PATHS, _usable_cpus
 poly = PiecewisePoly.from_coeffs
 profile = build_profile(poly([0.0, 1.0], 1.0), poly([1.0, 1.0], 1.0), 1.0)
 grid = TimeGrid.build(profile, n=256)
-dest = sys.argv[1]
-sample_gbmp_paths(profile, grid, 300, 0).to_binary(dest)
+dest, write = sys.argv[1], "to_" + sys.argv[2]
+getattr(sample_gbmp_paths(profile, grid, 300, 0), write)(dest)
 n = 10 * CHUNK_PATHS
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-sample_gbmp_paths(profile, grid, n, 1).to_binary(dest)
+getattr(sample_gbmp_paths(profile, grid, n, 1), write)(dest)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+written = os.path.getsize(dest)
+os.remove(dest)
 print(json.dumps({"grown": 1024 * (after - before), "cpus": _usable_cpus(),
                   "block": 8 * CHUNK_PATHS * (grid.N + 1), "ensemble": 8 * n * (grid.N + 1),
-                  "written": os.path.getsize(dest)}))
+                  "written": written}))
 """
 
 
-def test_binary_writer_holds_a_few_blocks(tmp_path):
-    """While a 10-block ensemble is written, RSS grows by at most about
-    one block per worker plus one, not by the ensemble."""
-    if not sys.platform.startswith("linux"):
-        pytest.skip("ru_maxrss is in KiB and CPU affinity is settable on Linux only")
-    src = os.path.dirname(os.path.dirname(paths.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _STREAM_RSS_SCRIPT, str(tmp_path / "ens.bin")],
-                          env=env, check=True, capture_output=True, text=True, timeout=120)
-    got = json.loads(done.stdout)
-    assert got["written"] == 32 + 8 * 257 + got["ensemble"]
-    assert got["grown"] < (got["cpus"] + 2) * got["block"]
-    assert got["grown"] < got["ensemble"] / 2
-
-
-def test_binary_writer_holds_no_block(tmp_path):
-    """The workers write their row buffers at the rows' offsets, so RSS
-    grows by less than one block while the ensemble is written.
+@pytest.mark.parametrize("fmt", ["binary", "csv"], ids=["bin", "csv"])
+def test_streamed_writer_holds_few_blocks(tmp_path, fmt):
+    """While a 10-block ensemble is written, RSS grows by less than one
+    block for the binary writer, whose workers write their row buffers
+    at the rows' offsets, and by at most about one block per worker plus
+    one for the CSV writer, which writes its blocks in order; neither
+    builds the ensemble.
 
     The script runs as a grandchild: on Linux a child's ru_maxrss starts
     at the peak RSS of the process that forked it, which for pytest can
@@ -700,11 +719,17 @@ def test_binary_writer_holds_no_block(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
     done = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c",
-                           _STREAM_RSS_SCRIPT, str(tmp_path / "ens.bin")],
-                          env=env, check=True, capture_output=True, text=True, timeout=120)
+                           _STREAM_RSS_SCRIPT, str(tmp_path / "ens"), fmt],
+                          env=env, check=True, capture_output=True, text=True, timeout=300)
     got = json.loads(done.stdout)
-    assert got["cpus"] <= 2 and got["written"] == 32 + 8 * 257 + got["ensemble"]
-    assert got["grown"] < got["block"]
+    assert got["cpus"] <= 2
+    if fmt == "binary":
+        assert got["written"] == 32 + 8 * 257 + got["ensemble"]
+        assert got["grown"] < got["block"]
+    else:
+        assert got["written"] > got["ensemble"]  # at least 8 bytes of text a value
+        assert got["grown"] < (got["cpus"] + 2) * got["block"]
+        assert got["grown"] < got["ensemble"] / 2
 
 
 @pytest.mark.parametrize(
