@@ -19,20 +19,24 @@ given (seed, grid, n_paths) regardless of scheduling, and the first n
 rows do not change when more paths are requested.  The same keying lets
 the projected and the path streams run their blocks on a thread pool
 with results that do not depend on the number of threads, and lets an
-ensemble be kept as its recipe: its writers sample it again, and the
-binary one's workers write their rows at their offsets in the file.
-Each argument of the stream has one form: ``onto`` is a list of density
-matrices, ``out`` a binary file, and ``values`` is built by copying the
-fresh blocks of the path stream.
+ensemble be kept as its recipe: its writers sample it again, the binary
+one's workers writing their rows at their offsets in the file, the CSV
+one's tasks sampling the few rows that each of them formats.  One
+helper, ``_path_rows``, computes every path row.  Each argument of the
+stream has one form: ``onto`` is a list of density matrices, ``out`` a
+binary file, and ``values`` is built by copying the fresh blocks of the
+path stream.
 
 A materialized ensemble, and each streamed block, is a private anonymous
 mapping of its own, unmapped when the last view of it goes, so its
 memory returns to the operating system when it is released.
 
-The CSV writer formats blocks of rows on the same pool.  Its formatter
-computes Python's ``%.17g`` text in numpy, exactly rounded with integer
-arithmetic, and hands every value that its exact fast path does not
-cover to Python's own ``%``; the bytes are those of ``"%.17g" % x``.
+The CSV writer samples and formats chunks of a few rows on the same
+pool, so it holds no block; its rows are sampled in stream order, each
+chunk by the first task that needs it.  Its formatter computes Python's
+``%.17g`` text in numpy, exactly rounded with integer arithmetic, and
+hands every value that its exact fast path does not cover to Python's
+own ``%``; the bytes are those of ``"%.17g" % x``.
 """
 
 from __future__ import annotations
@@ -59,10 +63,22 @@ _SUB_ROWS = 256
 
 _BINARY_MAGIC = b"GBMPENS1"
 
-# Values per CSV block (whole rows, at least one).  Smaller blocks spend
+# Values per CSV chunk (whole rows, at least one).  Smaller chunks spend
 # longer in per-call overhead; larger ones hold more text and numpy
 # temporaries per worker.
 _CSV_BLOCK_VALUES = 16384
+
+# The CSV writer allocates and frees one malloc buffer of this many
+# bytes before it starts.  Under glibc, freeing a mapped buffer larger
+# than the dynamic mmap threshold raises that threshold to its size, and
+# the trim threshold to twice that.  The formatter's per-chunk numpy
+# temporaries (a few MiB per worker) then come from the workers' heaps
+# and stay resident when freed, instead of being mapped or trimmed at the
+# default thresholds (128 KiB each) and faulted in again for every
+# chunk.  4 MiB exceeds any one of those allocations, twice it exceeds
+# one worker's temporaries together, and glibc caps the threshold at
+# 32 MiB.  Elsewhere this costs one untouched allocation.
+_MALLOC_PRIMER = 4 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +131,11 @@ class PathEnsemble:
     (``n_paths >= 1``, the seed, b increasing on the grid).
 
     ``values[p, i]`` is path p at grid node i (column 0 zero), built in
-    full on first access and kept.  The writers do not build it: they
-    sample the paths again and write each row once, unless ``values`` is
-    already there, when they write it instead.  Either way the bytes are
-    the same."""
+    full on first access and kept.  The writers do not build it, nor
+    hold a CHUNK_PATHS block of it: they sample the paths again, a few
+    rows per task, and write each row once, unless ``values`` is already
+    there, when they write it instead.  Either way the bytes are the
+    same."""
 
     grid: TimeGrid
     n_paths: int
@@ -144,24 +161,27 @@ class PathEnsemble:
         """First row is the node times, then one row per path.  Every
         value is written as %.17g, which reads back as the same double.
 
-        Blocks of rows are formatted on the block thread pool and
-        written in order, so the file holds the same bytes for any
-        number of workers and only a few blocks of text are in memory
-        at a time."""
+        Chunks of a few rows (at most _CSV_BLOCK_VALUES values, at least
+        one row) are formatted on the block thread pool and written in
+        order, so the file holds the same bytes for any number of
+        workers.  Unless values is built, the task that formats a chunk
+        samples its rows first (see _chunk_rows), so only the chunks in
+        flight, at most workers + 1, are in memory, never a whole
+        CHUNK_PATHS block."""
         step = max(1, _CSV_BLOCK_VALUES // (self.grid.N + 1))
-        blocks = ([(0, self.values)] if "values" in vars(self) else stream_increments(
-            self.profile, self.grid, self.n_paths, self.seed, paths=True))
+        if "values" in vars(self):
+            values = self.values
+
+            def rows(i):
+                return values[i * step : (i + 1) * step]
+        else:
+            da, sdb = _checked_moments(self.profile, self.grid, self.n_paths, self.seed)
+            rows = _chunk_rows(da, sdb, self.n_paths, self.seed, step)
+        np.empty(_MALLOC_PRIMER, dtype=np.uint8)  # freed at once; see _MALLOC_PRIMER
         with open(path, "wb") as fh:
             fh.write(_csv_rows(self.grid.nodes[None, :]))
-            for _, block in blocks:
-                starts = range(0, block.shape[0], step)
-
-                def rows(i):
-                    return _csv_rows(block[starts[i] : starts[i] + step])
-
-                for text in _ordered_map(rows, len(starts)):
-                    fh.write(text)
-                del block  # so at most workers + 1 blocks are alive
+            for text in _ordered_map(lambda i: _csv_rows(rows(i)), -(-self.n_paths // step)):
+                fh.write(text)
 
     def to_binary(self, path):
         """Compact layout: magic, N, n_paths, seed (little-endian u64),
@@ -438,14 +458,13 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False):
         mats = [np.asarray(D, dtype=float) for D in onto]
         if any(D.ndim != 2 or D.shape[0] != sdb.size for D in mats):
             raise ValueError("each matrix of onto must be (N, c) over the grid intervals")
-        targets = [(np.matmul, sdb[:, None] * D, da @ D) for D in mats]
+        targets = [(sdb[:, None] * D, da @ D) for D in mats]
 
         def dest(p0, rows):
             return [np.empty((rows, D.shape[1])) for D in mats]
     elif not paths:
         raise ValueError("give onto or paths; out takes paths")
     else:
-        targets = [(np.multiply, sdb, da)]
         width = sdb.size + 1
         if out is None:
             def dest(p0, rows):
@@ -465,10 +484,9 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False):
         rows = min(CHUNK_PATHS, n_paths - p0)
         z = getattr(scratch, "z", None)
         if z is None:
-            # From malloc, not _mapped_zeros: freeing it raises glibc's
-            # mmap threshold above the CSV formatter's per-block
-            # temporaries, which otherwise are trimmed and faulted in
-            # again for every block.  So is the row buffer.
+            # From malloc, as is the row buffer: each worker allocates
+            # them once and reuses them for every block it fills, so
+            # nothing is gained by mapping them.
             z = scratch.z = np.empty((sub, sdb.size))
             scratch.row_buffer = [np.zeros((sub, width), dtype="<f8")] if fd is not None else None
         gen = _block_generator(seed, block)
@@ -476,13 +494,14 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False):
         for r0 in range(0, rows, sub):
             r1 = min(r0 + sub, rows)
             at = slice(r0, r1) if fd is None else slice(0, r1 - r0)
-            gen.standard_normal(out=z[: r1 - r0])
-            for (op, factor, shift), dst in zip(targets, dsts):
-                inc = dst[at, 1:] if paths else dst[at]
-                op(z[: r1 - r0], factor, out=inc)
-                np.add(inc, shift, out=inc)
-                if paths:
-                    np.cumsum(inc, axis=1, out=inc)
+            if paths:
+                _path_rows(gen, z, da, sdb, dsts[0][at])
+            else:
+                gen.standard_normal(out=z[: r1 - r0])
+                for (factor, shift), dst in zip(targets, dsts):
+                    cols = dst[at]
+                    np.matmul(z[: r1 - r0], factor, out=cols)
+                    np.add(cols, shift, out=cols)
             if fd is not None:
                 data, end = memoryview(dsts[0][at]).cast("B"), base + 8 * width * (p0 + r1)
                 while data:  # until short writes have written it all
@@ -490,6 +509,65 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False):
         return p0, rows if fd is not None else dsts[0] if paths else tuple(dsts)
 
     yield from _ordered_map(fill, len(starts))
+
+
+def _path_rows(gen, z, da, sdb, out):
+    """Write path values into out[:, 1:] from the next out.shape[0]
+    rows of gen's normals, drawn into the scratch z: ``z * sqrt(db) +
+    da``, then summed along each row, in the serial stream's operation
+    order.  Column 0 is left as it is (zero).  Every path row, streamed
+    or written, is computed here, so their bits cannot differ."""
+    rows = out.shape[0]
+    gen.standard_normal(out=z[:rows])
+    inc = out[:, 1:]
+    np.multiply(z[:rows], sdb, out=inc)
+    np.add(inc, da, out=inc)
+    np.cumsum(inc, axis=1, out=inc)
+
+
+def _chunk_rows(da, sdb, n_paths, seed, step):
+    """rows(i), callable from any thread: the fresh path values of rows
+    i * step up to (i + 1) * step (fewer in the last chunk), each chunk
+    taken once.
+
+    The rows are sampled in stream order, under a lock, by the first
+    caller that needs rows past those sampled so far; the chunks it
+    samples for other callers wait in a dict until they take them.  The
+    Philox streams are those of the blocks, continued across chunks, so
+    the rows are those of the path stream.  No caller waits for another
+    one's turn, so none can wait forever: once a fill has failed, every
+    caller whose rows were not sampled before raises its exception.
+    """
+    lock = threading.Lock()
+    ready = {}
+    z = np.empty((min(step, n_paths), sdb.size))
+    done, gen, failed = 0, None, None
+
+    def rows(i):
+        nonlocal done, gen, failed
+        with lock:
+            while done <= i:
+                if failed is not None:
+                    raise failed
+                p = p0 = done * step
+                p1 = min(p0 + step, n_paths)
+                dst = np.zeros((p1 - p0, sdb.size + 1))
+                try:
+                    while p < p1:
+                        block, offset = divmod(p, CHUNK_PATHS)
+                        if offset == 0:
+                            gen = _block_generator(seed, block)
+                        end = min(p1, (block + 1) * CHUNK_PATHS)
+                        _path_rows(gen, z, da, sdb, dst[p - p0 : end - p0])
+                        p = end
+                except BaseException as exc:
+                    failed = exc
+                    raise
+                ready[done] = dst
+                done += 1
+            return ready.pop(i)
+
+    return rows
 
 
 def _mapped_zeros(shape) -> np.ndarray:
@@ -552,8 +630,9 @@ def sample_gbmp_paths(
     Nothing is sampled here: the ensemble is its recipe, checked now, so
     that an invalid one raises before anything is written.  Its writers
     sample it again, one _SUB_ROWS-row buffer per worker (binary) or one
-    CHUNK_PATHS-row block per worker, plus one (CSV), in memory; its
-    ``values`` hold all n_paths * (N+1) doubles, built on first access.  Use
+    chunk of at most _CSV_BLOCK_VALUES values per task in flight, at
+    most workers + 1 of them (CSV), in memory; its ``values`` hold all
+    n_paths * (N+1) doubles, built on first access.  Use
     :func:`stream_increments` for estimates over very large ensembles.
     """
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed, profile=profile)
