@@ -36,18 +36,22 @@ pool, so it holds no block; its rows are sampled in stream order, each
 chunk by the first task that needs it.  Its formatter computes Python's
 ``%.17g`` text in numpy, exactly rounded with integer arithmetic, and
 hands every value that its exact fast path does not cover to Python's
-own ``%``; the bytes are those of ``"%.17g" % x``.
+own ``%``; the bytes are those of ``"%.17g" % x``.  Each worker formats
+in scratch buffers of its own, made once per write, with numpy calls
+that release the GIL, so the workers format in parallel.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import mmap
 import os
 import struct
 import threading
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,22 +67,14 @@ _SUB_ROWS = 256
 
 _BINARY_MAGIC = b"GBMPENS1"
 
-# Values per CSV chunk (whole rows, at least one).  Smaller chunks spend
-# longer in per-call overhead; larger ones hold more text and numpy
-# temporaries per worker.
+# Values per CSV chunk (whole rows, at least one), and the most that
+# the formatter takes at a time, in a scratch of 105 bytes a value (1.6
+# MiB per worker).  Each numpy call of the formatter takes the GIL back
+# when it returns, so smaller chunks gain less from a second worker;
+# larger ones raised the peak RSS of a CSV write followed by a binary
+# one, as the binary writer's buffers no longer fit where the CSV
+# writer's had been in the workers' malloc arenas.
 _CSV_BLOCK_VALUES = 16384
-
-# The CSV writer allocates and frees one malloc buffer of this many
-# bytes before it starts.  Under glibc, freeing a mapped buffer larger
-# than the dynamic mmap threshold raises that threshold to its size, and
-# the trim threshold to twice that.  The formatter's per-chunk numpy
-# temporaries (a few MiB per worker) then come from the workers' heaps
-# and stay resident when freed, instead of being mapped or trimmed at the
-# default thresholds (128 KiB each) and faulted in again for every
-# chunk.  4 MiB exceeds any one of those allocations, twice it exceeds
-# one worker's temporaries together, and glibc caps the threshold at
-# 32 MiB.  Elsewhere this costs one untouched allocation.
-_MALLOC_PRIMER = 4 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +163,9 @@ class PathEnsemble:
         workers.  Unless values is built, the task that formats a chunk
         samples its rows first (see _chunk_rows), so only the chunks in
         flight, at most workers + 1, are in memory, never a whole
-        CHUNK_PATHS block."""
+        CHUNK_PATHS block.  Each worker formats its chunks in one
+        scratch allocation of its own (see _csv_rows), made on its first
+        chunk and freed when the pool's threads end with the write."""
         step = max(1, _CSV_BLOCK_VALUES // (self.grid.N + 1))
         if "values" in vars(self):
             values = self.values
@@ -177,7 +175,6 @@ class PathEnsemble:
         else:
             da, sdb = _checked_moments(self.profile, self.grid, self.n_paths, self.seed)
             rows = _chunk_rows(da, sdb, self.n_paths, self.seed, step)
-        np.empty(_MALLOC_PRIMER, dtype=np.uint8)  # freed at once; see _MALLOC_PRIMER
         with open(path, "wb") as fh:
             fh.write(_csv_rows(self.grid.nodes[None, :]))
             for text in _ordered_map(lambda i: _csv_rows(rows(i)), -(-self.n_paths // step)):
@@ -229,130 +226,312 @@ class PathEnsemble:
 # The fast path computes m * 5**s exactly in two uint64 words and rounds
 # half to even on the exact remainder, as CPython's dtoa does.  It needs
 # 0 <= s <= 27 (5**s < 2**63), 1 <= k <= 63, and a quotient in
-# [10**16, 10**17) before rounding (otherwise log10 misjudged E); that
+# [10**16, 10**17) before rounding (otherwise E was misjudged); that
 # admits |x| from about 1e-11 to 1e15.  A rounding carry to 10**17 also
 # leaves the fast path; no double in that range carries (the nearest
 # that do are 1e-14 and 1e+98).  Every other nonzero value goes to
 # Python's "%.17g" one at a time.
 #
-# Each value gets _CSV_WIDTH bytes, six little-endian uint64 words, and
-# the filler byte 0 is deleted at the end:
-#   word 0     sign, the prefix "0" or "0." plus zeros, lead digit at byte 7
-#   words 1-4  digit j at byte 7 + 2j, the decimal point slot after it
-#   word 5     exponent "e-XX" at bytes 40-43, separator at byte 47
-_CSV_WIDTH = 48
+# A value's text is a frame, which depends only on the key (class, sign,
+# K) with class E - _CSV_E_MIN and K the digits kept, and its digits:
+#   frame   sign, the prefix "0." plus zeros, the point, "e-XX", ",",
+#           and "0" (0x30) at the byte of every kept digit
+#   digits  the digit values, 0 beyond K, those before the point moved
+#           past the sign and prefix, those after it one byte further
+# Both are three little-endian uint64 words, the text left-aligned in at
+# most 24 bytes, and the text is their bitwise or.  The texts are then
+# added into one run of words, each at its offset, the sum of the
+# lengths before it.
 _CSV_E_MIN, _CSV_E_MAX = -11, 15
 _CSV_ZERO = _CSV_E_MAX - _CSV_E_MIN + 1  # class of 0 and of slow values
+_CSV_KEYS = (_CSV_ZERO + 1) * 2 * 18  # key = (class * 2 + sign) * 18 + K
 _U64 = np.uint64
 
 
 @functools.lru_cache(maxsize=None)
 def _csv_tables():
-    """Lookup tables, built on first use; a class is E - _CSV_E_MIN.
+    """Lookup tables, built on first use, as a namespace.
 
-    groups[g]      the 4 digits of g < 10**4 at the odd bytes of a word
-    zeros[g]       trailing decimal zeros of g (4 for g = 0)
-    pow5[s]        5**s for s <= 27
-    head[c, neg]   word 0 without the lead digit
-    lead_word[d]   the lead digit d at byte 7 (nothing for d = 0)
-    tail[c]        word 5 without the separator
-    point[c]       digit index followed by the point, -1 for none
-    whole[c]       digits before the point, all kept; 0 for none
-    keep[w][n]     word w + 1 masked to its digits below index n
+    log10[b]         floor(log10 |x|) for the least |x| of biased exponent b
+    ten[b]           the double nearest 10**(log10[b] + 1), at or above
+                     which E is one more; E may be misjudged next to a
+                     power of ten that is not a double, which the quotient
+                     range then catches
+    pow5[c]          5**s for class c, s = 27 - c
+    offset, limit    E and k are in range when c = E - _CSV_E_MIN and
+                     k - 1 = E - biased exponent + 1058, unsigned, are at
+                     most limit
+    zeros[g]         trailing decimal zeros of g < 10**4 (4 for g = 0)
+    whole[c]         digits before the point of class c, all kept; 0 for none
+    at1, at5, at8[g] the 4 digit values of g at bytes 1-4, 5-7 (the first
+                     three) and 0 (the last) of a word
+    below[w][key]    word w of the digit bytes before the point
+    shift[key]       the length of the sign and prefix, in bits
+    frame[w][key]    word w of the frame
+    length[key]      the length of the text and its separator
     """
     g = np.arange(10**4)
-    spread = np.zeros((g.size, 8), dtype=np.uint8)
-    for j in range(4):
-        spread[:, 2 * j + 1] = g // 10 ** (3 - j) % 10 + 48
-    zeros = sum((g % 10**j == 0).astype(np.uint8) for j in range(1, 5))
-    head = np.zeros((_CSV_ZERO + 1, 2, 8), dtype=np.uint8)
-    tail = np.zeros((_CSV_ZERO + 1, 8), dtype=np.uint8)
-    point = np.full(_CSV_ZERO + 1, -1)
-    whole = np.zeros(_CSV_ZERO + 1, dtype=int)
-    for c, e in enumerate(range(_CSV_E_MIN, _CSV_E_MAX + 1)):
-        if e < -4:
-            tail[c, :4] = np.frombuffer(b"e-%02d" % -e, dtype=np.uint8)
-            point[c], whole[c] = 0, 1
-        elif e < 0:
-            prefix = b"0." + b"0" * (-e - 1)
-            head[c, :, 1 : 1 + len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-        else:
-            point[c], whole[c] = e, e + 1
-    head[_CSV_ZERO, :, 1] = ord("0")
-    head[:, 1, 0] = ord("-")
-    lead = np.zeros((10, 8), dtype=np.uint8)
-    lead[1:, 7] = np.arange(49, 58)
-    keep = np.zeros((4, 18, 8), dtype=np.uint8)
-    for n in range(18):
-        for j in range(1, n):
-            keep[(j - 1) // 4, n, 2 * ((j - 1) % 4) + 1] = 0xFF
+    digits = sum((g // 10 ** (3 - j) % 10).astype(_U64) << _U64(8 * j) for j in range(4))
+    whole = np.zeros(_CSV_ZERO + 1, dtype=np.uint8)
+    below = np.zeros((3, _CSV_KEYS), dtype=_U64)
+    frame = np.zeros((3, _CSV_KEYS), dtype=_U64)
+    shift = np.zeros(_CSV_KEYS, dtype=_U64)
+    length = np.zeros(_CSV_KEYS, dtype=np.int64)
 
-    def words(a):
-        return np.ascontiguousarray(a).view(_U64)[..., 0]
+    def words(spans):
+        text = bytearray(24)
+        for at, part in spans:
+            text[at : at + len(part)] = part
+        return np.frombuffer(bytes(text), dtype="<u8")
 
-    return (words(spread), zeros, _U64(5) ** np.arange(28, dtype=_U64), words(head),
-            words(lead), words(tail), point, whole, words(keep))
+    for c in range(_CSV_ZERO + 1):
+        e = c + _CSV_E_MIN
+        for neg in (0, 1):
+            for kept in range(18):
+                key = (c * 2 + neg) * 18 + kept
+                sign = b"-" if neg else b""
+                if c == _CSV_ZERO:  # "0", whatever K is
+                    prefix, point, tail, kept = sign + b"0", 0, b"", 0
+                elif e >= 0:
+                    prefix, point, tail = sign, min(e + 1, kept), b""
+                    whole[c] = e + 1
+                elif e >= -4:
+                    prefix, point, tail = sign + b"0." + b"0" * (-e - 1), kept, b""
+                else:
+                    prefix, point, tail = sign, min(1, kept), b"e-%02d" % -e
+                dot = b"." if point < kept else b""
+                frame[:, key] = words([
+                    (0, prefix), (len(prefix), b"0" * point), (len(prefix) + point, dot),
+                    (len(prefix) + point + len(dot), b"0" * (kept - point)),
+                    (len(prefix) + kept + len(dot), tail + b",")])
+                below[:, key] = words([(0, b"\xff" * point)])
+                shift[key] = 8 * len(prefix)
+                length[key] = len(prefix) + kept + len(dot) + len(tail) + 1
+    # No 2**j with 0 < |j| <= 1023 is within 4e-4 of a power of ten, so
+    # the float product floors to the exact log10.
+    log10 = np.array([0] + [math.floor(j * math.log10(2)) for j in range(-1022, 1024)] + [0])
+    ten = np.array([float("1e%d" % (e + 1)) for e in log10])
+    ten[[0, -1]] = np.inf
+    return SimpleNamespace(
+        log10=log10, ten=ten, pow5=_U64(5) ** np.arange(27, -1, -1, dtype=_U64),
+        offset=np.array([[-_CSV_E_MIN], [1058]]), limit=np.array([[27], [62]], dtype=_U64),
+        zeros=sum((g % 10**j == 0).astype(np.uint8) for j in range(1, 5)), whole=whole,
+        at1=digits << _U64(8), at5=digits << _U64(40), at8=digits >> _U64(24),
+        below=below, shift=shift, frame=frame, length=length)
+
+
+class _CsvScratch:
+    """One thread's formatter buffers, for up to ``size`` values at a
+    time, in one allocation: nine uint64 rows, eight byte rows and the
+    words of the text, at most 25 bytes a value."""
+
+    def __init__(self, size):
+        self.size = size
+        self.buffer = np.empty(10 * size + 25 * size // 8 + 4, dtype=_U64)
+
+    def views(self, n):
+        """The rows, the byte rows and the text words for n values."""
+        rows = self.buffer[: 9 * n].reshape(9, n)
+        flags = self.buffer[9 * self.size : 10 * self.size].view(np.uint8)[: 8 * n].reshape(8, n)
+        return rows, flags, self.buffer[10 * self.size :]
+
+
+# The formatter's buffers of each thread that formats, made on its first
+# call (or a larger one, up to _CSV_BLOCK_VALUES values) and reused for
+# every later one.  The writer's pool threads last one write, so each of
+# its workers makes them once per write, and they go with the thread.
+_csv_scratch = threading.local()
 
 
 def _csv_rows(block):
     """The CSV lines of a 2-D array of values, as bytes: each value as
-    "%.17g" % value, comma-separated, one line per row."""
-    groups, zeros, pow5, head, lead_word, tail, point, whole, keep = _csv_tables()
-    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    bits = x.view(_U64)
-    neg = (bits >> _U64(63)).astype(np.intp)
-    biased = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64)
-    m = (bits & _U64(2**52 - 1)) | _U64(2**52)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.floor(np.log10(np.abs(x))).astype(np.int64)
-    s = 16 - e
-    k = 1075 - biased - s
-    fast = (biased > 0) & (biased < 2047) & (s >= 0) & (s <= 27) & (k >= 1) & (k <= 63)
-    k = np.where(fast, k, 1).astype(_U64)
-    p = pow5[np.where(fast, s, 0)]
-    # m * p as hi * 2**64 + lo, from 32-bit limbs (m < 2**53, p < 2**63).
-    low = _U64(2**32 - 1)
-    m0, m1, p0, p1 = m & low, m >> _U64(32), p & low, p >> _U64(32)
-    t = m0 * p0
-    mid = m0 * p1 + m1 * p0 + (t >> _U64(32))
-    lo = (t & low) | (mid << _U64(32))
-    hi = m1 * p1 + (mid >> _U64(32))
-    q = (hi << (_U64(64) - k)) | (lo >> k)
-    rem = lo & ((_U64(1) << k) - _U64(1))
-    half = _U64(1) << (k - _U64(1))
-    fast &= ((hi >> k) == 0) & (q >= _U64(10**16)) & (q < _U64(10**17))
-    q += (rem > half) | ((rem == half) & (q & _U64(1) == 1))
-    fast &= q < _U64(10**17)
-    lead, r = np.divmod(q, _U64(10**16))
-    upper, lower = np.divmod(r, _U64(10**8))
-    quads = (*np.divmod(upper.astype(np.uint32), np.uint32(10**4)),
-             *np.divmod(lower.astype(np.uint32), np.uint32(10**4)))
-    tz = zeros[quads[3]].astype(np.intp)
-    all_zero = quads[3] == 0
-    for quad in quads[2::-1]:
-        tz += all_zero * zeros[quad]
-        all_zero &= quad == 0
-    nsig = 17 - tz
+    "%.17g" % value, comma-separated, one line per row.
 
-    c = np.where(fast, e - _CSV_E_MIN, _CSV_ZERO)
-    kept = np.where(fast, np.maximum(nsig, whole[c]), 0)
-    dot = np.where(nsig > whole[c], point[c], -1)
-    out = np.empty((x.size, _CSV_WIDTH), dtype=np.uint8)
-    words = out.view(_U64)
-    np.bitwise_or(head[c, neg], lead_word[np.where(fast, lead, 0)], out=words[:, 0])
-    for w, quad in enumerate(quads):
-        np.bitwise_and(groups[quad], keep[w][kept], out=words[:, w + 1])
-    words[:, 5] = tail[c]
-    dotted = np.flatnonzero(dot >= 0)
-    out.ravel()[dotted * _CSV_WIDTH + 8 + 2 * dot[dotted]] = ord(".")
-    slow = np.flatnonzero(~fast & (x != 0))
-    for i, v in zip(slow.tolist(), x[slow].tolist()):
-        text = b"%.17g" % v
-        out[i, :-1] = 0
-        out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-    out[:, -1] = ord(",")
-    out[block.shape[1] - 1 :: block.shape[1], -1] = ord("\n")
-    return out.tobytes().translate(None, b"\0")
+    The values are formatted in the calling thread's scratch buffers, at
+    most _CSV_BLOCK_VALUES at a time, by numpy calls that release the
+    GIL, so that threads formatting at once run in parallel."""
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    size = max(1, min(x.size, _CSV_BLOCK_VALUES))
+    scratch = getattr(_csv_scratch, "buffers", None)
+    if scratch is None or scratch.size < size:
+        scratch = _csv_scratch.buffers = _CsvScratch(size)
+    step, cols = scratch.size, block.shape[1]
+    return b"".join([_csv_text(scratch, x[i : i + step], cols, i) for i in range(0, x.size, step)])
+
+
+def _csv_text(scratch, x, cols, first):
+    """The text of the values x, value ``first`` on of rows of ``cols``
+    values, computed in the buffers of scratch."""
+    tab = _csv_tables()
+    bits = x.view(_U64)
+    rows, flags, words = scratch.views(x.size)
+    signed = rows.view(np.int64)
+    fast, flag = flags[:2].view(bool)
+
+    # The biased exponent in 1, then E = floor(log10|x|) in 0 from it and
+    # one comparison (anything for 0, subnormals, inf and nan), the class
+    # c = E - _CSV_E_MIN in 2, k in 1 and k - 1 in 3, p = 5**s in 4 and m
+    # in 5, and the fast mask so far.
+    np.right_shift(bits, 52, out=rows[1])
+    rows[1] &= 0x7FF
+    np.take(tab.log10, signed[1], out=signed[0], mode="clip")
+    np.take(tab.ten, signed[1], out=rows[3].view(np.float64), mode="clip")
+    np.abs(x, out=rows[4].view(np.float64))
+    np.greater_equal(rows[4].view(np.float64), rows[3].view(np.float64), out=flag)
+    signed[0] += flag
+    np.subtract(signed[0], signed[1], out=signed[1])
+    np.add(signed[:2], tab.offset, out=signed[2:4])
+    np.less_equal(rows[2:4], tab.limit, out=flags[6:8].view(bool))
+    np.logical_and(*flags[6:8].view(bool), out=fast)
+    np.add(rows[3], 1, out=rows[1])
+    np.take(tab.pow5, signed[2], out=rows[4], mode="clip")
+    np.bitwise_and(bits, _U64(2**52 - 1), out=rows[5])
+    rows[5] |= _U64(2**52)
+
+    # m * p as hi * 2**64 + lo, from 32-bit limbs (m < 2**53, p < 2**63):
+    # lo in 0, hi in 5.
+    low = _U64(2**32 - 1)
+    np.bitwise_and(rows[4:6], low, out=rows[6:8])  # p0, m0
+    rows[4:6] >>= 32  # p1, m1
+    np.multiply(rows[7], rows[6], out=rows[0])  # t = m0 * p0
+    np.multiply(rows[7], rows[4], out=rows[8])
+    np.multiply(rows[5], rows[6], out=rows[6])
+    rows[5] *= rows[4]
+    rows[8] += rows[6]
+    np.right_shift(rows[0], 32, out=rows[6])
+    rows[8] += rows[6]  # mid = m0 * p1 + m1 * p0 + (t >> 32)
+    rows[0] &= low
+    np.left_shift(rows[8], 32, out=rows[6])
+    rows[0] |= rows[6]
+    rows[8] >>= 32
+    rows[5] += rows[8]
+
+    # q = (hi * 2**64 + lo) / 2**k in 4, rounded half to even: up when the
+    # remainder, moved to the top of a word and plus 1 if q is odd, is
+    # above half of it.  Then q is zeroed where the fast path fails.
+    np.subtract(64, rows[1], out=rows[6])
+    np.left_shift(rows[5], rows[6], out=rows[4])
+    np.right_shift(rows[0], rows[1], out=rows[7])
+    rows[4] |= rows[7]
+    rows[0] <<= rows[6]
+    rows[5] >>= rows[1]
+    np.equal(rows[5], 0, out=flag)
+    fast &= flag
+    np.greater_equal(rows[4], _U64(10**16), out=flag)
+    fast &= flag
+    np.bitwise_and(rows[4], 1, out=rows[7])
+    rows[0] |= rows[7]
+    np.greater(rows[0], _U64(2**63), out=flag)
+    rows[4] += flag
+    np.less(rows[4], _U64(10**17), out=flag)
+    fast &= flag
+    rows[4] *= fast
+
+    # The lead digit in 3, and the groups of four digits after it in 5-8,
+    # in the order 1, 3, 2, 4: quotients by constants (faster in numpy
+    # than divmod), then the remainders from them.
+    np.floor_divide(rows[4], _U64(10**16), out=rows[3])
+    np.multiply(rows[3], _U64(10**16), out=rows[5])
+    np.subtract(rows[4], rows[5], out=rows[5])
+    np.floor_divide(rows[5], _U64(10**8), out=rows[7])
+    np.multiply(rows[7], _U64(10**8), out=rows[8])
+    np.subtract(rows[5], rows[8], out=rows[8])
+    np.floor_divide(rows[7:9], _U64(10**4), out=rows[5:7])
+    np.multiply(rows[5:7], _U64(10**4), out=rows[0:2])
+    np.subtract(rows[7:9], rows[0:2], out=rows[7:9])
+    quads = signed[5:9]
+
+    # K, the digits kept: the significant ones, and all before the point.
+    # Trailing zeros of each group, then of each half, then of all 16.
+    zeros = flags[2:6]
+    np.take(tab.zeros, quads, out=zeros, mode="clip")
+    np.equal(zeros[2:], 4, out=flags[6:])
+    zeros[:2] *= flags[6:]
+    zeros[2:] += zeros[:2]
+    np.equal(zeros[3], 8, out=flags[6])
+    zeros[2] *= flags[6]
+    kept = zeros[3]
+    kept += zeros[2]
+    np.subtract(17, kept, out=kept)
+    # The key, (class * 2 + sign) * 18 + K, in 2; 0 and slow values are
+    # of class _CSV_ZERO, whose text is "0" whatever K is.
+    np.logical_not(fast, out=flag)
+    np.copyto(signed[2], _CSV_ZERO, where=flag)
+    np.take(tab.whole, signed[2], out=zeros[0], mode="clip")
+    np.maximum(kept, zeros[0], out=kept)
+    signed[2] *= 36
+    np.right_shift(bits, 63, out=rows[0])
+    rows[0] *= 18
+    rows[2] += rows[0]
+    rows[2] += kept
+    key = signed[2]
+
+    # The digit values as bytes 0-16 of the words 3-5.
+    digit = rows[3:6]
+    np.take(tab.at1, quads[:2], out=rows[0:2], mode="clip")
+    np.take(tab.at8, quads[2:], out=digit[1:], mode="clip")
+    digit[:2] |= rows[0:2]
+    np.take(tab.at5, quads[2:], out=rows[0:2], mode="clip")
+    digit[:2] |= rows[0:2]
+
+    # The text, in 6-8: the digits before the point, those after it one
+    # byte on, all moved by the sign and prefix, in the frame.
+    text = rows[6:9]
+    np.take(tab.below, key, axis=1, out=text, mode="clip")
+    text &= digit
+    digit ^= text
+    np.right_shift(digit[:2], 56, out=rows[0:2])
+    digit <<= 8
+    text |= digit
+    text[1:] |= rows[0:2]
+    np.take(tab.shift, key, out=rows[0], mode="clip")
+    np.subtract(64, rows[0], out=rows[1])
+    np.right_shift(text[:2], rows[1], out=digit[:2])
+    text <<= rows[0]
+    text[1:] |= digit[:2]
+    np.take(tab.frame, key, axis=1, out=digit, mode="clip")
+    text |= digit
+    length = signed[0]
+    np.take(tab.length, key, out=length, mode="clip")
+
+    # Slow values: their lengths now, their text once the offsets are known.
+    np.not_equal(x, 0, out=flag)
+    np.greater(flag, fast, out=flag)
+    texts = []
+    if flag.any():
+        slow = np.flatnonzero(flag)
+        texts = [b"%.17g," % v for v in x[slow].tolist()]
+        length[slow] = [len(t) for t in texts]
+
+    # Each text added into the words at its offset: word offset // 8, the
+    # bytes moved by offset % 8.
+    end, start, at = signed[1], signed[0], signed[2]
+    np.cumsum(length, out=end)
+    np.subtract(end, length, out=start)
+    np.right_shift(start, 3, out=at)
+    np.bitwise_and(rows[0], 7, out=rows[3])
+    rows[3] <<= 3
+    np.subtract(64, rows[3], out=rows[4])
+    total = int(end[-1])
+    words = words[: total // 8 + 4]
+    words[:] = 0
+    np.left_shift(text[0], rows[3], out=rows[5])
+    np.add.at(words, at, rows[5])
+    for j in (1, 2):
+        np.left_shift(text[j], rows[3], out=rows[5])
+        text[j - 1] >>= rows[4]
+        rows[5] |= text[j - 1]
+        np.add.at(words[j:], at, rows[5])
+    text[2] >>= rows[4]
+    np.add.at(words[3:], at, text[2])
+    out = words.view(np.uint8)
+    if texts:
+        for i, t in zip(start[slow].tolist(), texts):
+            out[i : i + len(t)] = np.frombuffer(t, dtype=np.uint8)
+    ends = end[(cols - 1 - first) % cols :: cols]
+    np.subtract(ends, 1, out=signed[3, : ends.size])
+    out[signed[3, : ends.size]] = ord("\n")
+    return out[:total].tobytes()
 
 
 def increment_moments(profile: ProfilePair, grid: TimeGrid):

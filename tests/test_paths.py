@@ -512,6 +512,79 @@ def test_csv_matches_reference_writer(tmp_path, standard, monkeypatch, workers, 
     assert (tmp_path / "ens.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _plant(values):
+    """-0.0, a value below the formatter's fast path and one above it, at
+    a row's start, inside it and at its end."""
+    values[0, 0], values[-1, -1] = -0.0, 1e20
+    values[values.shape[0] // 2, values.shape[1] // 2] = 1e-300
+    values[-1, 0], values[0, -1] = 1e-300, -0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("route", ["sampled", "built"])
+@pytest.mark.parametrize("n, n_paths", [(16, 37), (20000, 3)], ids=["short-rows", "long-rows"])
+def test_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, standard, monkeypatch, workers,
+                                                   route, n, n_paths):
+    """The same bytes as the %.17g oracle for chunks of 1 value, of just
+    under three rows, of the default size and of more than the whole
+    ensemble, on both routes: rows sampled by the writer, and values
+    built first with -0.0, 1e-300 and 1e20 planted.  Rows of 20001
+    values are longer than a default chunk; chunks of 1 value are tried
+    on the short rows only, as each of their values is formatted alone."""
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
+    grid = TimeGrid.build(standard, n=n)
+    width = grid.N + 1
+    oracle = sample_gbmp_paths(standard, grid, n_paths, 17)
+    if route == "built":
+        _plant(oracle.values)
+    to_csv_loop(oracle, tmp_path / "ref.csv")
+    expected = (tmp_path / "ref.csv").read_bytes()
+    sizes = [3 * width - 1, paths._CSV_BLOCK_VALUES, n_paths * width + 1]
+    if width < 100:
+        sizes.insert(0, 1)
+    for size in sizes:
+        monkeypatch.setattr(paths, "_CSV_BLOCK_VALUES", size)
+        ens = sample_gbmp_paths(standard, grid, n_paths, 17)
+        if route == "built":
+            _plant(ens.values)
+        ens.to_csv(tmp_path / "ens.csv")
+        assert (tmp_path / "ens.csv").read_bytes() == expected, size
+        assert ("values" in vars(ens)) == (route == "built")
+
+
+def _csv_rows_peak(values):
+    """The tracemalloc peak of _csv_rows(values) in a fresh thread, so
+    that the formatter's scratch is made within it."""
+    got = []
+
+    def run():
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _csv_rows(values)
+        got.append(tracemalloc.get_traced_memory()[1] - base)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return got[0]
+
+
+def test_csv_formatter_memory_per_value():
+    """The formatter's memory, scratch and text included, grows by at
+    most 160 bytes a value, from V to 4V values in one chunk."""
+    rng = np.random.default_rng(5)
+    values = np.cumsum(rng.standard_normal((paths._CSV_BLOCK_VALUES // 1024, 1024)), axis=1)
+    small = values[: values.shape[0] // 4]
+    _csv_rows(small)  # builds the lookup tables
+    tracemalloc.start()
+    try:
+        slope = (_csv_rows_peak(values) - _csv_rows_peak(small)) / (values.size - small.size)
+    finally:
+        tracemalloc.stop()
+    assert slope <= 160
+
+
 @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 0, 3, 1, 2], [2, 1, 0, 4, 3]])
 def test_chunk_rows_in_any_order_are_the_stream_rows(standard, order):
     """Chunks asked for out of order, as racing CSV tasks may, are the
