@@ -33,17 +33,14 @@ from .cameron_martin import (
     CMElement,
     SuppElement,
     cm_inner,
-    gram_schmidt,
     identity_element,
     inner_with_a,
     odot,
-    phi_t,
 )
 from .paths import (
     DEFAULT_GRID_N,
     PathEnsemble,
     TimeGrid,
-    gamma_beta,
     pwz_integral,
     sample_gbmp_paths,
     stream_increments,
@@ -60,8 +57,6 @@ from .feynman import (
     analytic_fsi_monomial,
     cameron_storvick_residual,
     feynman_monomial,
-    first_variation,
-    functional_value,
     gaussian_moment,
     monomial_summary,
     wick_moment,
@@ -114,18 +109,13 @@ __all__ = [
     "cm_inner",
     "draw_columns",
     "feynman_monomial",
-    "first_variation",
-    "functional_value",
-    "gamma_beta",
     "gaussian_moment",
-    "gram_schmidt",
     "identity_densities",
     "identity_element",
     "inner_with_a",
     "mc_fsi",
     "monomial_summary",
     "odot",
-    "phi_t",
     "pwz_integral",
     "sample_gbmp_paths",
     "stieltjes_integral",

@@ -5,9 +5,8 @@ is recovered as w(t) = integral of Dw db over [0, t], so D is the
 ``density`` attribute and D^{-1} is the constructor
 ``CMElement(density, profile)``.  The module provides the product
 w (.) k = D^{-1}(Dw Dk) (a commutative algebra whose identity is b, the
-variance function), the inner product against db, the pairing with the
-mean function a, indicator elements, and Gram-Schmidt orthonormalization
-against the db inner product.
+variance function), the inner product against db and the pairing with
+the mean function a.
 
 Kernel elements (admissible for building Gaussian processes from paths)
 are the subclass :class:`SuppElement` of CMElement, whose constructor
@@ -25,8 +24,6 @@ import numpy as np
 from .errors import DomainMismatch, ProfileMismatch, SupportViolation
 from .measure import MeasureKind, ProfilePair, stieltjes_integral
 from .piecewise import PiecewisePoly
-
-GRAM_SCHMIDT_DROP_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,38 +115,3 @@ def inner_with_a(w) -> float:
     this is a standalone Stieltjes functional rather than cm_inner.
     """
     return stieltjes_integral(w.density, MeasureKind.DA, w.profile)
-
-
-def phi_t(t: float, profile: ProfilePair) -> CMElement:
-    """Indicator element: density is the indicator of [0, t]."""
-    return CMElement(PiecewisePoly.indicator(t, profile.T), profile)
-
-
-def gram_schmidt(ws, drop_tol: float = GRAM_SCHMIDT_DROP_TOL) -> list[CMElement]:
-    """Orthonormalize against the db inner product.
-
-    Near-dependent inputs (residual norm below drop_tol times the input
-    norm) are dropped.  Each vector is projected twice before
-    normalization, which keeps the output Gram matrix within ~1e-12 of
-    the identity even for badly conditioned inputs.
-    """
-    if not ws:
-        return []
-    profile = _require_same_profile(*ws)
-    out: list[CMElement] = []
-    for w in ws:
-        v = w.density
-        input_norm = np.sqrt(
-            max(stieltjes_integral(v * v, MeasureKind.DB, profile), 0.0)
-        )
-        if input_norm == 0.0:
-            continue
-        for _ in range(2):
-            for g in out:
-                proj = stieltjes_integral(v * g.density, MeasureKind.DB, profile)
-                v = v - proj * g.density
-        res = np.sqrt(max(stieltjes_integral(v * v, MeasureKind.DB, profile), 0.0))
-        if res < drop_tol * input_norm:
-            continue
-        out.append(CMElement(v * (1.0 / res), profile))
-    return out

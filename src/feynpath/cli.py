@@ -572,7 +572,6 @@ def _cmd_verify(args) -> int:
     ledger = os.path.join(out_dir, "ledger.csv")
     if os.path.exists(ledger) and os.path.getsize(ledger):  # rows go under its header only
         _ledger_rows(ledger)
-    os.makedirs(out_dir, exist_ok=True)
     outcomes = _run_checks(config, indices, overrides, out_dir)
 
     # Render every check JSON before anything is written, so a result
@@ -608,10 +607,12 @@ def _run_checks(config: ExperimentConfig, indices, overrides: dict, out_dir) -> 
         check = config.checks[i]
         if check["kind"] in _IDENTITY_KINDS:
             n, seed, grid_n = _check_scalars(config, check, overrides)
+            _resolved("checks[%d]" % i, mc._require_two_paths, n)
             key = (config.elements[check["theta"]][1], grid_n, n, seed)
         else:
             key = i
         groups.setdefault(key, []).append(i)
+    os.makedirs(out_dir, exist_ok=True)  # made only once every check above is valid
     outcomes = {}
     for key, members in groups.items():
         if isinstance(key, tuple):

@@ -47,7 +47,6 @@ from .errors import (
     UnsupportedFunctional,
     ZeroParameter,
 )
-from .paths import TimeGrid, pwz_integral
 
 MAX_MONOMIAL_DEGREE = 12
 _PSD_TOL = 1e-10
@@ -380,17 +379,11 @@ def analytic_fsi_monomial(spec: MonomialSpec, lam, audit: list | None = None) ->
     return value
 
 
-def feynman_elements(
-    elements, param: ComplexParam, method: str = "recurrence"
-) -> complex:
+def feynman_elements(elements, param: ComplexParam) -> complex:
     """Feynman/analytic integral of a product of stochastic integrals of
-    arbitrary elements, selecting the evaluation route."""
-    summary = summary_of_elements(elements)
-    if method == "recurrence":
-        return _recurrence_value(summary, param)
-    if method == "wick":
-        return wick_moment(summary, param)
-    raise ValueError("method must be 'recurrence' or 'wick'")
+    arbitrary elements, by the recurrence.  Its Wick reference is
+    ``wick_moment(summary_of_elements(elements), param)``."""
+    return _recurrence_value(summary_of_elements(elements), param)
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +402,6 @@ def _direction_scalars(F: FunctionalSpec, k2: SuppElement, w) -> list[float]:
     """(u (.) k2, w) per linear factor u of F: the change of the factor
     value (u (.) k1, x)~ along the direction Z_{k2}(w, .)."""
     return [cm_inner(odot(u, k2), w) for u in _linear_factors(F)]
-
-
-def _factor_stack(factors, path_values, grid: TimeGrid) -> np.ndarray:
-    """v[..., j] = (factors[j], x)~ along one path or a stack of paths."""
-    vals = [pwz_integral(u, path_values, grid) for u in factors]
-    if not vals:
-        return np.empty(np.shape(path_values)[:-1] + (0,))
-    return np.stack(vals, axis=-1)
 
 
 def _value_at(F: FunctionalSpec, v: np.ndarray):
@@ -455,47 +440,12 @@ def _variation_at(F: FunctionalSpec, v: np.ndarray, d):
     raise UnsupportedFunctional("unknown functional %r" % (F,))
 
 
-def functional_value(F: FunctionalSpec, path_values, grid: TimeGrid):
-    """Evaluate a functional on concrete path values (row or stack)."""
-    return _value_at(F, _factor_stack(_linear_factors(F), path_values, grid))
-
-
-def first_variation(
-    F: FunctionalSpec,
-    k1: SuppElement,
-    k2: SuppElement,
-    x_path,
-    w: CMElement,
-    grid: TimeGrid | None = None,
-    audit: list | None = None,
-):
-    """Directional derivative of F along Gaussian paths.
-
-    Differentiates alpha -> F(Z_{k1}(x, .) + alpha Z_{k2}(w, .)) at 0.
-    The direction enters only through the exact scalars
-    (u (.) k2, w) per linear factor u of F; the path argument enters
-    through (u (.) k1, x)~.  For functionals whose variation does not
-    depend on x (monomials of degree <= 1) x_path may be None and a
-    scalar is returned; otherwise per-path values are returned.
-    """
-    dir_consts = _direction_scalars(F, k2, w)
-    if audit is not None:
-        audit.append({"op": "first_variation", "direction_scalars": list(dir_consts)})
-    if isinstance(F, MonomialSpec) and F.m <= 1:
-        return dir_consts[0] if dir_consts else 0.0
-    if x_path is None or grid is None:
-        raise ValueError("a path and grid are required for this functional")
-    v = _factor_stack([odot(u, k1) for u in _linear_factors(F)], x_path, grid)
-    return _variation_at(F, v, dir_consts)
-
-
 def cameron_storvick_residual(
     F,
     theta: CMElement,
     k1: SuppElement,
     k2: SuppElement,
     q: float,
-    method: str = "recurrence",
     audit: list | None = None,
 ) -> complex:
     """Both sides of the Cameron-Storvick identity in closed form;
@@ -506,7 +456,8 @@ def cameron_storvick_residual(
     the Feynman integrals of (theta, Z_{k2}(x, .))~ F(Z_{k1}(x, .)) and
     of F(Z_{k1}(x, .)).  Every expectation reduces to a monomial in
     stochastic integrals of explicit elements via the kernel-transport
-    identity, so both sides are exact finite expressions.
+    identity, so both sides are exact finite expressions, each taken by
+    the recurrence (``feynman_elements``).
     """
     if not isinstance(F, MonomialSpec):
         raise UnsupportedFunctional("closed-form residual needs a monomial")
@@ -517,10 +468,10 @@ def cameron_storvick_residual(
     lhs = 0.0 + 0.0j
     for l, c_l in enumerate(_direction_scalars(F, k2, odot(theta, k1))):
         rest = base[:l] + base[l + 1 :]
-        lhs += c_l * feynman_elements(rest, param, method)
+        lhs += c_l * feynman_elements(rest, param)
 
-    t_prod = feynman_elements([theta_k2] + base, param, method)
-    t_plain = feynman_elements(base, param, method)
+    t_prod = feynman_elements([theta_k2] + base, param)
+    t_plain = feynman_elements(base, param)
     pairing_a = inner_with_a(theta_k2)
     minus_iq = param.effective_lambda
     rhs = minus_iq * t_prod - param.sqrt_lambda * pairing_a * t_plain
@@ -530,7 +481,6 @@ def cameron_storvick_residual(
             {
                 "op": "cameron_storvick_residual",
                 "q": q,
-                "method": method,
                 "pairing_a": pairing_a,
                 "lhs": lhs,
                 "rhs": rhs,

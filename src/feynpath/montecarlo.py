@@ -316,12 +316,21 @@ def _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns):
     return lhs_vals, rhs_vals, grid, t0
 
 
+def _require_two_paths(n):
+    """BadDomain unless an identity check can run on n paths: one path
+    has no standard error, so no sigma_ratio."""
+    if n < 2:
+        raise BadDomain("an identity check needs n_paths >= 2, as one path has no standard "
+                        "error; got n = %r" % n)
+
+
 def _identity_setup(F, theta, k1, k2, n, seed, grid, columns):
     """What the translation and parts identities share: the grid used,
     the exact scalars (u (.) k2, theta (.) k1) for the linear factors u
     of F, theta (.) k2 and its pairing with a, the start time, and the
     columns (u (.) k1, x)~ per factor followed by (theta (.) k2, x)~:
     the given ``columns``, once their shape is checked, or a draw."""
+    _require_two_paths(n)
     profile, grid = _profile_and_grid(F, [theta, k1, k2], grid)
     theta_k2 = odot(theta, k2)
     consts = _direction_scalars(F, k2, odot(theta, k1))

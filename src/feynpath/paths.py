@@ -849,15 +849,6 @@ def z_shift_path(k: SuppElement, w: CMElement, grid: TimeGrid) -> np.ndarray:
     return prim(grid.nodes)
 
 
-def gamma_beta(k: SuppElement, grid: TimeGrid):
-    """(gamma, beta) at the grid nodes, exactly: the mean function
-    gamma_k (integral of Dk da) and the variance function beta_k
-    (integral of Dk^2 db) of the Z_k process."""
-    gamma = (k.density * k.profile.a_prime).antiderivative()(grid.nodes)
-    beta = (k.density * k.density * k.profile.b_prime).antiderivative()(grid.nodes)
-    return gamma, beta
-
-
 def _check_seed(seed):
     if not isinstance(seed, (int, np.integer)):
         raise TypeError("seed must be an integer")

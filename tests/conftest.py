@@ -18,6 +18,11 @@ def pp(coeffs, T=1.0):
     return PiecewisePoly.from_coeffs(coeffs, T)
 
 
+def indicator_element(t, profile):
+    """The element whose density is the indicator of [0, t]."""
+    return CMElement(PiecewisePoly.indicator(t, profile.T), profile)
+
+
 @pytest.fixture
 def wiener():
     """a = 0, b(t) = t on [0, 1]."""

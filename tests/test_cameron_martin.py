@@ -13,17 +13,15 @@ from feynpath import (
     SupportViolation,
     TimeGrid,
     cm_inner,
-    gram_schmidt,
     identity_element,
     inner_with_a,
     mc_fsi,
     odot,
-    phi_t,
     stieltjes_integral,
     z_shift_path,
 )
 
-from conftest import pp, random_poly, random_nonvanishing_poly
+from conftest import indicator_element, pp, random_poly, random_nonvanishing_poly
 
 
 def test_primitive_of_unit_density(wiener, standard):
@@ -106,13 +104,13 @@ def test_inner_with_a_values(wiener, standard):
     )
 
 
-def test_phi_t_full_and_empty(wiener):
-    assert phi_t(1.0, wiener).density == pp([1.0])  # full indicator is b
-    assert phi_t(0.0, wiener).density.is_zero()
+def test_indicator_element_full_and_empty(wiener):
+    assert indicator_element(1.0, wiener).density == pp([1.0])  # full indicator is b
+    assert indicator_element(0.0, wiener).density.is_zero()
 
 
-def test_phi_t_primitive_is_clamped_time(wiener):
-    w = phi_t(0.5, wiener)
+def test_indicator_element_primitive_is_clamped_time(wiener):
+    w = indicator_element(0.5, wiener)
     ts = np.linspace(0, 1, 21)
     assert np.allclose(w.path_values(ts), np.minimum(ts, 0.5), atol=1e-15)
 
@@ -144,50 +142,17 @@ def test_a_kernel_element_is_a_cm_element(standard, wiener):
     [
         lambda k, far: odot(far, k),
         lambda k, far: cm_inner(k, far),
-        lambda k, far: gram_schmidt([k, far]),
         lambda k, far: MonomialSpec(k, (k, far)),
         lambda k, far: z_shift_path(k, far, TimeGrid.build(k.profile, n=8)),
         lambda k, far: mc_fsi(CosLinear(k), far, 1.0, 4, 0),
         lambda k, far: mc_fsi(MonomialSpec(k, ()), far, 1.0, 4, 0),
     ],
-    ids=["odot", "cm_inner", "gram_schmidt", "MonomialSpec", "z_shift_path",
+    ids=["odot", "cm_inner", "MonomialSpec", "z_shift_path",
          "mc_fsi", "mc_fsi-degree-0"],
 )
 def test_every_site_rejects_mixed_profiles(standard, wiener, site):
     with pytest.raises(ProfileMismatch):
         site(SuppElement(pp([1.0]), standard), identity_element(wiener))
-
-
-def test_gram_schmidt_normalizes(wiener):
-    w = CMElement(pp([2.0]), wiener)  # norm 2 over b' = 1, T = 1
-    assert w.norm() == pytest.approx(2.0, rel=1e-14)
-    out = gram_schmidt([w])
-    assert len(out) == 1
-    assert out[0].norm() == pytest.approx(1.0, rel=1e-12)
-    assert out[0].density.coeff_error(pp([1.0])) <= 1e-12
-
-
-def test_gram_schmidt_drops_duplicates(wiener):
-    w = CMElement(pp([1.0, -0.5]), wiener)
-    out = gram_schmidt([w, w])
-    assert len(out) == 1
-
-
-def test_gram_schmidt_orthonormal_gram_matrix(wiener):
-    ws = [CMElement(pp([1.0]), wiener), CMElement(pp([0.0, 1.0]), wiener)]
-    out = gram_schmidt(ws)
-    G = np.array([[cm_inner(u, v) for v in out] for u in out])
-    assert np.abs(G - np.eye(len(out))).max() < 1e-10
-
-
-def test_gram_schmidt_random_batch(standard):
-    rng = np.random.default_rng(22)
-    ws = [CMElement(random_poly(rng, max_degree=2), standard) for _ in range(4)]
-    ws.append(ws[0])  # force a dependency
-    out = gram_schmidt(ws)
-    assert len(out) <= 4
-    G = np.array([[cm_inner(u, v) for v in out] for u in out])
-    assert np.abs(G - np.eye(len(out))).max() < 1e-10
 
 
 def test_cauchy_schwarz(standard):
@@ -215,13 +180,3 @@ def test_element_serialization(standard):
     w = CMElement(pp([0.5, 1.0]), standard)
     d = w.to_dict()
     assert d["density"]["coeffs"] == [[0.5, 1.0]]
-
-
-def test_first_variation_audit(std_elements):
-    from feynpath import first_variation, MonomialSpec
-
-    theta, k1, k2 = std_elements
-    audit = []
-    first_variation(MonomialSpec(theta, (k1,)), k1, k2, None, theta, audit=audit)
-    assert audit[0]["op"] == "first_variation"
-    assert len(audit[0]["direction_scalars"]) == 1

@@ -623,6 +623,42 @@ def test_parameter_domain_is_checked_before_any_check_runs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, check_n, named",
+    [(["--n", "1"], None, "checks[3]"), ([], 1, "checks[4]")],
+    ids=["flag", "check"],
+)
+def test_an_identity_check_needs_two_paths(tmp_path, capsys, flags, check_n, named):
+    """One path has no standard error, so an identity check at n = 1
+    exits 2, naming n_paths, before any check runs or anything is
+    written; the simulate check listed first writes nothing either."""
+    cfg = std_config(n=200, grid=32)
+    cfg["checks"].insert(0, {"kind": "simulate", "n_paths": 3, "grid_size": 8})
+    if check_n is not None:
+        cfg["checks"][4]["n_paths"] = check_n
+    out = tmp_path / "o"
+    code = run(["verify", "--all", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out)] + flags)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: %s: an identity check needs n_paths >= 2" % named)
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_one_path_is_valid_outside_the_identity_checks(tmp_path, capsys):
+    cfg = std_config(n=200, grid=32)
+    cfg["checks"] = cfg["checks"][:2] + [{"kind": "simulate", "grid_size": 8}]
+    out = tmp_path / "o"
+    code = run(["verify", "--all", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(out), "--n", "1"])
+    capsys.readouterr()
+    assert code == 0
+    rows = (out / "ledger.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",true") for row in rows)
+    assert len((out / "simulate-2.csv").read_text().splitlines()) == 2  # header and 1 path
+
+
 def test_verify_writes_the_header_into_an_empty_ledger(tmp_path, capsys):
     cfg = std_config()
     cfg["checks"] = cfg["checks"][:2]

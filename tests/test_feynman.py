@@ -21,19 +21,26 @@ from feynpath import (
     cameron_storvick_residual,
     cm_inner,
     feynman_monomial,
-    first_variation,
-    functional_value,
     gaussian_moment,
     identity_element,
     inner_with_a,
     monomial_summary,
     odot,
+    pwz_integral,
     sample_gbmp_paths,
     wick_moment,
+    z_process_path,
     z_shift_path,
 )
 import feynpath.feynman as feynman_module
-from feynpath.feynman import feynman_elements, summary_of_elements
+from feynpath.feynman import (
+    _direction_scalars,
+    _linear_factors,
+    _value_at,
+    _variation_at,
+    feynman_elements,
+    summary_of_elements,
+)
 
 from conftest import pp, random_nonvanishing_poly
 from oracles import gaussian_moment_loop
@@ -332,50 +339,51 @@ def test_audit_records_scalars(std_spec):
 # -- First variation ---------------------------------------------------------
 
 
-def test_first_variation_linear_functional(std_elements):
+def _factor_values(factors, paths, grid):
+    """v[..., j] = (factors[j], x)~ along each path x."""
+    return np.stack([pwz_integral(u, paths, grid) for u in factors], axis=-1)
+
+
+def test_variation_of_a_linear_functional(std_elements):
     theta, k1, k2 = std_elements
     F = MonomialSpec(theta, (k1,))
     # direction theta (.) k1: the variation is the constant pairing 5/6
-    got = first_variation(F, k1, k2, None, odot(theta, k1))
+    d = _direction_scalars(F, k2, odot(theta, k1))
+    got = _variation_at(F, np.zeros((3, 1)), d)
     want = cm_inner(odot(theta, k2), odot(theta, k1))
-    assert got == pytest.approx(want, rel=1e-14)
+    assert got == pytest.approx([want] * 3, rel=1e-14)
     assert want == pytest.approx(5.0 / 6.0, rel=1e-14)
 
 
-def test_first_variation_constant_functional(std_elements):
+def test_variation_of_a_constant_functional(std_elements):
     theta, k1, k2 = std_elements
     F = MonomialSpec(theta, ())
-    assert first_variation(F, k1, k2, None, theta) == 0.0
+    d = _direction_scalars(F, k2, theta)
+    assert d == []
+    assert np.array_equal(_variation_at(F, np.zeros((3, 0)), d), np.zeros(3))
 
 
-def _fd_variation(F, k1, k2, w, path, grid, h=1e-5):
+def _fd_variation(F, k2, w, path, grid, h=1e-5):
     shift = z_shift_path(k2, w, grid)
-    up = functional_value(F, path + h * shift, grid)
-    dn = functional_value(F, path - h * shift, grid)
+    factors = _linear_factors(F)
+    up = _value_at(F, _factor_values(factors, path + h * shift, grid))
+    dn = _value_at(F, _factor_values(factors, path - h * shift, grid))
     return (up - dn) / (2 * h)
 
 
-def test_first_variation_matches_finite_difference(standard, std_elements):
+def test_variation_matches_finite_difference(standard, std_elements):
     theta, k1, k2 = std_elements
     grid = TimeGrid.build(standard, n=2048)
     ens = sample_gbmp_paths(standard, grid, 3, 55)
     w = odot(theta, k1)
     m3 = MonomialSpec(theta, (k1, k2, k1))
     for F in (m3, CosLinear(theta), ExpLinear(theta, 0.5 + 0.0j, allow_unbounded=True)):
-        # evaluate the variation on the transported argument paths
-        from feynpath import z_process_path
-
-        zpaths = z_process_path(k1, ens.values, grid)
-        got = first_variation(F, k1, k2, ens.values, w, grid=grid)
-        want = _fd_variation(F, k1, k2, w, zpaths, grid)
+        # the variation at x, through (u (.) k1, x)~, against a central
+        # difference of F along the transported paths Z_{k1}(x, .)
+        at = _factor_values([odot(u, k1) for u in _linear_factors(F)], ens.values, grid)
+        got = _variation_at(F, at, _direction_scalars(F, k2, w))
+        want = _fd_variation(F, k2, w, z_process_path(k1, ens.values, grid), grid)
         assert np.allclose(got, want, rtol=5e-3, atol=5e-3)
-
-
-def test_first_variation_needs_path_for_higher_degree(std_elements):
-    theta, k1, k2 = std_elements
-    F = MonomialSpec(theta, (k1, k2))
-    with pytest.raises(ValueError):
-        first_variation(F, k1, k2, None, theta)
 
 
 def test_exp_linear_real_exponent_gate(std_elements):
@@ -410,10 +418,17 @@ def test_cs_residual_constant_functional(std_elements):
 
 
 def test_cs_residual_wick_route(std_elements):
+    """Each integral the residual takes by the recurrence equals its Wick
+    reference, so the residual through the Wick route vanishes too."""
     theta, k1, k2 = std_elements
     F = MonomialSpec(theta, (k1, k2, k1))
-    res = cameron_storvick_residual(F, theta, k1, k2, 1.0, method="wick")
-    assert abs(res) < 1e-10
+    param = ComplexParam.feynman(1.0)
+    base = [odot(u, k1) for u in F.elements()]
+    terms = [base[:l] + base[l + 1 :] for l in range(len(base))]
+    terms += [[odot(theta, k2)] + base, base]
+    for elements in terms:
+        want = wick_moment(summary_of_elements(elements), param)
+        assert abs(feynman_elements(elements, param) - want) < 1e-12 * max(1.0, abs(want))
 
 
 def test_cs_residual_rejects_zero_q(std_elements):

@@ -13,8 +13,6 @@ from feynpath import (
     analytic_fsi_monomial,
     cameron_storvick_residual,
     cm_inner,
-    first_variation,
-    functional_value,
     identity_element,
     inner_with_a,
     mc_fsi,
@@ -25,6 +23,7 @@ from feynpath import (
     verify_parts,
     verify_translation,
 )
+from feynpath.feynman import _direction_scalars, _value_at, _variation_at
 from feynpath.montecarlo import (
     LEDGER_COLUMNS,
     _mean_se,
@@ -76,10 +75,11 @@ def test_a_monomial_spec_is_the_functional(ctx):
     x = sample_gbmp_paths(profile, grid, 3, 7).values
     factors = F.elements()
     v = [pwz_integral(u, x, grid) for u in factors]
-    np.testing.assert_array_equal(functional_value(F, x, grid), v[0] * v[1])
+    np.testing.assert_array_equal(_value_at(F, np.stack(v, axis=-1)), v[0] * v[1])
     at = [pwz_integral(odot(u, k1), x, grid) for u in factors]
     d = [cm_inner(odot(u, k2), theta) for u in factors]
-    np.testing.assert_allclose(first_variation(F, k1, k2, x, theta, grid),
+    assert _direction_scalars(F, k2, theta) == d
+    np.testing.assert_allclose(_variation_at(F, np.stack(at, axis=-1), d),
                                d[0] * at[1] + d[1] * at[0], rtol=1e-12)
     assert abs(cameron_storvick_residual(F, theta, k1, k2, 1.0)) < 1e-10
 
@@ -213,6 +213,20 @@ def test_parts_rejects_nonpositive_rho(ctx):
     F = MonomialSpec(theta, (k1,))
     with pytest.raises(BadDomain):
         verify_parts(F, theta, k1, k2, 0.0, 100, 1, grid=grid)
+
+
+def test_identity_checks_need_two_paths(ctx):
+    """One path has no standard error: the identity checks reject it,
+    while a plain estimate at one path stays valid."""
+    profile, theta, k1, k2, grid = ctx
+    F = MonomialSpec(theta, (k1,))
+    for check in (lambda n: verify_translation(F, theta, k1, k2, n, 1, grid=grid),
+                  lambda n: verify_parts(F, theta, k1, k2, 1.0, n, 1, grid=grid),
+                  lambda n: verify_cs_precursor(F, theta, k1, k2, 4.0, n, 1, grid=grid)):
+        with pytest.raises(BadDomain, match="needs n_paths >= 2"):
+            check(1)
+        assert np.isfinite(check(2).sigma_ratio)
+    assert mc_fsi(F, k1, 1.0, 1, 1, grid=grid).std_error == 0.0
 
 
 def test_cs_precursor_reduces_to_parts_at_unit_lambda(ctx):

@@ -22,10 +22,8 @@ from feynpath import (
     SuppElement,
     TimeGrid,
     build_profile,
-    gamma_beta,
     identity_element,
     odot,
-    phi_t,
     pwz_integral,
     sample_gbmp_paths,
     stream_increments,
@@ -36,7 +34,7 @@ from feynpath import (
 from feynpath import paths
 from feynpath.paths import CHUNK_PATHS, _SUB_ROWS, _csv_rows
 
-from conftest import pp, random_poly, random_nonvanishing_poly
+from conftest import indicator_element, pp, random_poly, random_nonvanishing_poly
 from oracles import serial_ensemble, to_binary_loop, to_csv_loop
 
 
@@ -46,7 +44,7 @@ def grid256(standard):
 
 
 def test_grid_build_merges_breakpoints(standard):
-    w = phi_t(0.3, standard)
+    w = indicator_element(0.3, standard)
     grid = TimeGrid.build(standard, [w], n=10)
     assert 0.3 in grid.nodes.tolist()
     grid.require_breakpoints(w.density)
@@ -326,7 +324,7 @@ def test_pwz_linearity(standard, grid256):
 
 def test_pwz_requires_grid_alignment(standard, grid256):
     ens = sample_gbmp_paths(standard, grid256, 2, 9)
-    w = phi_t(0.1234567, standard)
+    w = indicator_element(0.1234567, standard)
     with pytest.raises(GridMismatch):
         pwz_integral(w, ens.values, grid256)
 
@@ -362,9 +360,9 @@ def test_z_process_covariance_law(wiener):
     grid = TimeGrid.build(wiener, n=256)
     n = 20000
     ens = sample_gbmp_paths(wiener, grid, n, 71)
-    k = SuppElement(pp([0.0, 1.0]), wiener)  # beta(t) = t^3/3
+    k = SuppElement(pp([0.0, 1.0]), wiener)
     z = z_process_path(k, ens.values, grid)
-    _, beta = gamma_beta(k, grid)
+    beta = grid.nodes**3 / 3  # integral of Dk^2 db over [0, t]
     for s, t in ((0.25, 0.75), (0.5, 0.5), (1.0, 0.5)):
         i = int(np.flatnonzero(grid.nodes == s)[0])
         j = int(np.flatnonzero(grid.nodes == t)[0])
@@ -380,7 +378,7 @@ def test_z_process_consistent_with_indicator_products(standard, grid256):
     z = z_process_path(k, ens.values, grid256)
     for t in (0.25, 0.5, 1.0):
         i = int(np.flatnonzero(grid256.nodes == t)[0])
-        kphi = odot(phi_t(t, standard), k)
+        kphi = odot(indicator_element(t, standard), k)
         got = pwz_integral(kphi, ens.values, grid256)
         assert np.allclose(got, z[:, i], atol=1e-12)
 
@@ -398,21 +396,6 @@ def test_z_shift_paths(standard, wiener):
     assert np.allclose(z_shift_path(k, w, grid), 0.5 * grid.nodes**2, atol=1e-14)
     with pytest.raises(ProfileMismatch):
         z_shift_path(k, CMElement(pp([1.0]), standard), grid)
-
-
-def test_gamma_beta_exact_values(wiener, standard):
-    grid = TimeGrid.build(standard, n=32)
-    k = SuppElement(pp([1.0]), standard)
-    gamma, beta = gamma_beta(k, grid)
-    t = grid.nodes
-    assert gamma.shape == beta.shape == t.shape
-    assert np.allclose(gamma, 0.5 * t**2, atol=1e-14)
-    assert np.allclose(beta, t + 0.5 * t**2, atol=1e-14)
-    gw = TimeGrid.build(wiener, n=32)
-    gamma_w, beta_w = gamma_beta(identity_element(wiener), gw)
-    assert np.all(gamma_w == 0.0)
-    assert np.allclose(beta_w, gw.nodes, atol=1e-15)
-    assert np.all(np.diff(beta_w) >= 0)
 
 
 def test_ensemble_export_round_trip(tmp_path, standard, grid256):
