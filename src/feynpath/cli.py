@@ -729,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run configured checks and append the ledger")
     p.add_argument("--config", required=True)
     p.add_argument("--all", action="store_true", help="run every configured check")
-    p.add_argument("--check", type=int, nargs="*", help="indices of checks to run")
+    p.add_argument("--check", type=int, nargs="*", action="extend",
+                   help="indices of checks to run; repeated flags add up")
     p.add_argument("--n", type=int)
     p.add_argument("--grid", type=int)
     p.add_argument("--seed", type=int)

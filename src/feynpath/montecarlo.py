@@ -9,17 +9,23 @@ stays bounded and results are independent of batching; accumulation
 uses numpy's pairwise summation over per-path values, which is
 deterministic for a given (seed, grid, n).
 
-A check sees the paths only through their stochastic-integral columns,
-the projections of the increments onto the check's density matrix
-(``identity_densities``).  The ensemble is keyed by (profile, grid, n,
-seed), so checks with the same key can share one draw:
-``draw_columns`` fills each block's normals once and projects them
-onto every distinct matrix, and the identity checks take the result as
-``columns=``.  It alone decides what a draw shares: only whole matrices
-of equal shape and bytes, which get one array.  Columns are never
-merged into a wider matrix or picked out of one, because the bits of a
-BLAS product can depend on the width of the matrix; so a shared draw
-gives every check the same columns, to the bit, as a draw of its own.
+A check sees the paths only through their stochastic-integral columns
+(x, D)~ on the check's density matrix D (``identity_densities``).
+Under the left-endpoint grid these are exactly N(D^T da, D^T diag(db)
+D), and ``draw_columns`` samples them from that law, r <= c normals a
+path for a matrix of c columns and rank r, without sampling a path
+(see ``paths.stream_increments``).  The law comes from the grid's
+increment moments, not from the closed-form Gaussian summary, so the
+Monte Carlo stays independent of the quadrature.  The draw is keyed by
+(profile, grid, n, seed), so checks with the same key can share one:
+``draw_columns`` draws the normals once for every distinct matrix, and
+the identity checks take the result as ``columns=``.  It alone decides
+what a draw shares: only whole matrices of equal shape and bytes, which
+get one array.  A matrix's columns depend only on (profile, grid, seed,
+D), so a shared draw gives every check the same columns, to the bit,
+as a draw of its own.  Checks on different matrices share normals, not
+paths: each check's columns have their exact law, but the joint law of
+two checks' columns is not that of one set of paths.
 
 Integrability of the compared functionals is a hypothesis of the
 identities, not something a sampler can certify; reports carry an
@@ -105,8 +111,6 @@ class IdentityReport:
 def _mean_se(vals: np.ndarray):
     n = vals.shape[0]
     mean = complex(vals.mean())
-    if n < 2:
-        return mean, 0.0
     if np.iscomplexobj(vals):
         centered = vals - mean
         sq = np.mean(centered.real**2) + np.mean(centered.imag**2)
@@ -123,12 +127,16 @@ def _densities(elements, grid: TimeGrid) -> np.ndarray:
 def draw_columns(profile, grid: TimeGrid, n: int, seed: int, densities) -> list:
     """The stochastic-integral columns of n paths of (profile, grid,
     seed) on each (N, c_i) density matrix: one read-only (n, c_i) array
-    per matrix, in order, from one pass over the Philox stream.
+    per matrix, in order, drawn from their exact grid law in one stream
+    (``stream_increments(..., onto=...)``).
 
-    Matrices of equal shape and bytes are projected once, in the order
-    they are first seen, and get the same array object; each distinct
-    matrix is projected on its own, so its columns are bit-identical to
-    a draw onto that matrix alone."""
+    Matrices of equal shape and bytes are drawn once, in the order they
+    are first seen, and get the same array object.  Each distinct
+    matrix's columns depend only on (profile, grid, seed, matrix), so
+    they are bit-identical to a draw onto that matrix alone, and the
+    first rows are those of a draw of more paths.  Distinct matrices
+    read the same normals, so their columns are not those of one set of
+    paths."""
     mats = [np.asarray(D, dtype=float) for D in densities]
     keys = [(D.shape, D.tobytes()) for D in mats]
     distinct = dict(zip(keys, mats))
@@ -205,10 +213,11 @@ def mc_fsi(
     grid: TimeGrid | None = None,
 ) -> MCReport:
     """Monte Carlo estimate of E[F(lambda^{-1/2} Z_k(x, .))] for real
-    lambda > 0."""
+    lambda > 0, over n >= 2 paths (one path has no standard error)."""
     lam = float(lambda_real)
     if not lam > 0.0:
         raise BadDomain("lambda must be a positive real, got %r" % lambda_real)
+    _require_two_paths(n, "mc_fsi")
     profile, grid = _profile_and_grid(F, [k], grid)
     factors = _linear_factors(F)
     if factors:
@@ -316,12 +325,12 @@ def _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns):
     return lhs_vals, rhs_vals, grid, t0
 
 
-def _require_two_paths(n):
-    """BadDomain unless an identity check can run on n paths: one path
-    has no standard error, so no sigma_ratio."""
+def _require_two_paths(n, what="an identity check"):
+    """BadDomain unless ``what`` can run on n paths: one path has no
+    standard error, so no sigma_ratio."""
     if n < 2:
-        raise BadDomain("an identity check needs n_paths >= 2, as one path has no standard "
-                        "error; got n = %r" % n)
+        raise BadDomain("%s needs n_paths >= 2, as one path has no standard error; got n = %r"
+                        % (what, n))
 
 
 def _identity_setup(F, theta, k1, k2, n, seed, grid, columns):

@@ -17,15 +17,21 @@ Randomness is counter-based: path rows are organized in fixed blocks of
 stream keyed by (seed, j).  Ensembles are therefore bit-identical for a
 given (seed, grid, n_paths) regardless of scheduling, and the first n
 rows do not change when more paths are requested.  The same keying lets
-the projected and the path streams run their blocks on a thread pool
-with results that do not depend on the number of threads, and lets an
-ensemble be kept as its recipe: its writers sample it again, the binary
+the path stream run its blocks on a thread pool with results that do
+not depend on the number of threads, and lets an ensemble be kept as
+its recipe: its writers sample it again, the binary
 one's workers writing their rows at their offsets in the file, the CSV
 one's tasks sampling the few rows that each of them formats.  One
 helper, ``_path_rows``, computes every path row.  Each argument of the
 stream has one form: ``onto`` is a list of density matrices, ``out`` a
 binary file, and ``values`` is built by copying the fresh blocks of the
 path stream.
+
+The stream ``onto`` density matrices samples no paths: the columns
+(x, D)~ are drawn from their exact law under the left-endpoint grid,
+N(D^T da, D^T diag(db) D), a few normals a path, each dimension from a
+Philox stream of its own keyed by (seed, block) (see _column_law and
+_projected_blocks).
 
 A materialized ensemble, and each streamed block, is a private anonymous
 mapping of its own, unmapped when the last view of it goes, so its
@@ -61,7 +67,7 @@ from .measure import ProfilePair
 
 DEFAULT_GRID_N = 1024
 CHUNK_PATHS = 4096
-# Rows filled and projected at a time by the projected stream; divides
+# Rows filled at a time by the path stream; divides
 # CHUNK_PATHS, so each worker's scratch is _SUB_ROWS x N doubles.
 _SUB_ROWS = 256
 
@@ -565,14 +571,16 @@ def stream_increments(
 
     With ``onto``, a non-empty tuple or list of (N, c_i) matrices of
     left densities, the chunks are (first_path_index, tuple of columns)
-    instead: the increments projected onto each matrix D, computed
-    straight from the normals as ``z @ (sqrt(db) * D) + da @ D`` without
-    building the increments, one fresh (rows, c_i) array per matrix.
-    The normals are drawn once and each sub-block of them is projected
-    onto every matrix in turn.  Each matrix is multiplied on its own,
-    never merged with the others, since a BLAS product's bits can depend
-    on the matrix width; so each matrix's columns are bit-identical to a
-    stream onto that matrix alone.
+    instead: for each matrix D, one fresh (rows, c_i) array of the
+    stochastic integrals (x, D)~, drawn from their exact law under the
+    left-endpoint grid, N(D^T da, D^T diag(db) D), not from paths.  The
+    law is factored once per matrix as mu + z G^T, with G of c_i rows
+    and r_i <= c_i columns, its numerical rank (see _column_law), so a
+    path costs r_i normals, not N.  Dimension j of block b is drawn from
+    the Philox stream of (seed, b) moved to counter j << 192, and every
+    matrix reads dimensions 0, 1, ...: the matrices share normals, not
+    paths, and each matrix's columns are bit-identical to a stream onto
+    that matrix alone.  The first n rows equal those of a longer stream.
 
     With ``paths``, the chunks are (first_path_index, path values): rows
     of N+1 values, 0 and then the running sums of the row's increments,
@@ -581,14 +589,21 @@ def stream_increments(
     little-endian f64 from its position on, and the chunks are
     (first_path_index, row count).
 
-    With ``onto`` or ``paths`` the blocks run on a thread pool with one
-    worker per usable CPU, bit-identical for any worker count and to the
-    serial form.  At most one block per worker is computed ahead of the
+    With ``paths`` the blocks run on a thread pool with one worker per
+    usable CPU, bit-identical for any worker count and to the serial
+    form.  At most one block per worker is computed ahead of the
     consumer.
     """
     da, sdb = _checked_moments(profile, grid, n_paths, seed)
-    if onto is not None or out is not None or paths:
-        yield from _filled_blocks(da, sdb, n_paths, seed, onto=onto, out=out, paths=paths)
+    if onto is not None:
+        if out is not None or paths:
+            raise ValueError("onto takes neither out nor paths")
+        yield from _projected_blocks(da, sdb, n_paths, seed, onto)
+        return
+    if out is not None or paths:
+        if not paths:
+            raise ValueError("give onto or paths; out takes paths")
+        yield from _filled_blocks(da, sdb, n_paths, seed, out=out)
         return
     n_steps = grid.N
     z = np.empty((min(CHUNK_PATHS, n_paths), n_steps))
@@ -601,9 +616,12 @@ def stream_increments(
         yield p0, inc[:rows]
 
 
-def _block_generator(seed, block):
+def _block_generator(seed, block, dim=0):
+    """The Philox generator of block ``block`` of seed; ``dim`` moves
+    its counter to dim << 192, a stream of its own for each dimension
+    of the projected draw (dimension 0 is the block's path stream)."""
     key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key, counter=dim << 192))
 
 
 def _usable_cpus() -> int:
@@ -612,47 +630,102 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False):
-    """Yield (p0, rows) per block, in block order: a tuple of fresh
-    projected columns, one per matrix of ``onto``, or for ``paths`` the
-    fresh path values, or their count when ``out`` is a file.
+def _column_law(da, sdb, D):
+    """(mu, G): the exact law of the columns (x, D)~ on the grid of the
+    increment moments (da, sqrt(db)), N(mu, G G^T) with mu = D^T da and
+    G G^T = D^T diag(db) D up to rounding.  G is (c, r), r the numerical
+    rank, from _pivoted_cholesky.
+
+    Columns of D with equal bytes get the mean and the row of G of the
+    first of them, so their samples are bit-equal; a column of zero
+    variance gets a zero row, and its samples are exactly its mean.
+    The sums are numpy's einsum loops, not BLAS, whose bits can depend
+    on the number of threads."""
+    slot, pos = {}, []  # pos[i]: the slot of column i among the distinct ones
+    for i in range(D.shape[1]):
+        pos.append(slot.setdefault(D[:, i].tobytes(), len(slot)))
+    distinct = np.ascontiguousarray(D[:, [pos.index(u) for u in range(len(slot))]])
+    scaled = sdb[:, None] * distinct
+    mu = np.einsum("n,ni->i", da, distinct)
+    G = _pivoted_cholesky(np.einsum("ni,nj->ij", scaled, scaled))
+    return mu[pos], G[pos]
+
+
+def _pivoted_cholesky(S):
+    """G (c, r) with G G^T = S up to rounding, for a symmetric positive
+    semi-definite S: Cholesky with diagonal pivoting, stopped at the
+    numerical rank r, once no remaining pivot exceeds c * eps * max(diag
+    S) (the default tolerance of LAPACK's dpstrf).  A row of S that is
+    zero gets a zero row of G."""
+    c = S.shape[0]
+    G = np.zeros((c, c))
+    left = np.diag(S).copy()
+    tol = c * np.finfo(float).eps * left.max(initial=0.0)
+    done = np.zeros(c, dtype=bool)
+    for k in range(c):
+        p = int(np.argmax(np.where(done, -np.inf, left)))
+        if not left[p] > tol:
+            return G[:, :k]
+        col = S[:, p] - G[:, :k] @ G[p, :k]
+        col[done] = 0.0
+        G[:, k] = col / np.sqrt(left[p])
+        G[p, k] = np.sqrt(left[p])
+        done[p] = True
+        left -= G[:, k] ** 2
+    return G
+
+
+def _projected_blocks(da, sdb, n_paths, seed, onto):
+    """Yield (p0, columns) per block, in block order: one fresh (rows,
+    c_i) array per matrix of onto, mu + z G^T of its _column_law.
+
+    Row p of dimension j is normal p of the block's stream of dimension
+    j, and each value is mu_i + z_0 G_i0 + z_1 G_i1 + ... in that
+    order, elementwise; so a row's bits depend only on its own normals
+    and the matrix.  A draw of at most r * n normals needs no pool."""
+    if not isinstance(onto, (tuple, list)) or not onto:
+        raise ValueError("onto must be a non-empty tuple or list of (N, c) matrices")
+    mats = [np.asarray(D, dtype=float) for D in onto]
+    if any(D.ndim != 2 or D.shape[0] != sdb.size for D in mats):
+        raise ValueError("each matrix of onto must be (N, c) over the grid intervals")
+    laws = [(mu, G, G.any(axis=1)) for mu, G in (_column_law(da, sdb, D) for D in mats)]
+    dims = max(G.shape[1] for _, G, _ in laws)
+    z = np.empty((dims, min(CHUNK_PATHS, n_paths)))
+    for block, p0 in enumerate(range(0, n_paths, CHUNK_PATHS)):
+        rows = min(CHUNK_PATHS, n_paths - p0)
+        for j in range(dims):
+            _block_generator(seed, block, j).standard_normal(out=z[j, :rows])
+        chunks = []
+        for mu, G, live in laws:  # live: the columns of non-zero variance
+            cols = np.empty((rows, mu.size))
+            cols[:] = mu
+            for j in range(G.shape[1]):
+                cols[:, live] += np.multiply.outer(z[j, :rows], G[live, j])
+            chunks.append(cols)
+        yield p0, tuple(chunks)
+
+
+def _filled_blocks(da, sdb, n_paths, seed, out=None):
+    """Yield (p0, rows) per block, in block order: the fresh path
+    values, or their count when ``out`` is a file.
 
     Each block's Philox stream fills a per-worker _SUB_ROWS x N scratch
     buffer z one sub-block at a time; numpy continues the stream across
     the fills, so the normals equal those of one whole-block fill.  Each
-    sub-block becomes ``op(z, factor) + shift`` in the destination rows
-    of every target: ``z @ (sqrt(db) * D) + da @ D`` for each matrix D
-    of onto, or for path values ``z * sqrt(db) + da`` in columns 1:, in
-    the serial stream's operation order, then summed along each row; for
-    a file, in a per-worker row buffer then written at the rows' offset.
-    A block's arithmetic does not depend on which worker runs it, so the
-    bits are the same for any number of usable CPUs.
+    sub-block becomes ``z * sqrt(db) + da`` in columns 1: of its rows,
+    in the serial stream's operation order, then summed along each row
+    (see _path_rows): in the block's own mapping, or for a file in a
+    per-worker row buffer then written at the rows' offset.  A block's
+    arithmetic does not depend on which worker runs it, so the bits are
+    the same for any number of usable CPUs.
     """
+    width = sdb.size + 1
     fd = None
-    if onto is not None:
-        if out is not None or paths:
-            raise ValueError("onto takes neither out nor paths")
-        if not isinstance(onto, (tuple, list)) or not onto:
-            raise ValueError("onto must be a non-empty tuple or list of (N, c) matrices")
-        mats = [np.asarray(D, dtype=float) for D in onto]
-        if any(D.ndim != 2 or D.shape[0] != sdb.size for D in mats):
-            raise ValueError("each matrix of onto must be (N, c) over the grid intervals")
-        targets = [(sdb[:, None] * D, da @ D) for D in mats]
-
-        def dest(p0, rows):
-            return [np.empty((rows, D.shape[1])) for D in mats]
-    elif not paths:
-        raise ValueError("give onto or paths; out takes paths")
-    else:
-        width = sdb.size + 1
-        if out is None:
-            def dest(p0, rows):
-                return [_mapped_zeros((rows, width))]
-        elif not hasattr(out, "fileno"):
+    if out is not None:
+        if not hasattr(out, "fileno"):
             raise ValueError("out must be a binary file open for writing")
-        else:
-            out.flush()
-            fd, base = out.fileno(), out.tell()
+        out.flush()
+        fd, base = out.fileno(), out.tell()
 
     starts = range(0, n_paths, CHUNK_PATHS)
     sub = min(_SUB_ROWS, n_paths)
@@ -667,25 +740,18 @@ def _filled_blocks(da, sdb, n_paths, seed, onto=None, out=None, paths=False):
             # them once and reuses them for every block it fills, so
             # nothing is gained by mapping them.
             z = scratch.z = np.empty((sub, sdb.size))
-            scratch.row_buffer = [np.zeros((sub, width), dtype="<f8")] if fd is not None else None
+            scratch.row_buffer = np.zeros((sub, width), dtype="<f8") if fd is not None else None
         gen = _block_generator(seed, block)
-        dsts = dest(p0, rows) if fd is None else scratch.row_buffer
+        dst = _mapped_zeros((rows, width)) if fd is None else scratch.row_buffer
         for r0 in range(0, rows, sub):
             r1 = min(r0 + sub, rows)
             at = slice(r0, r1) if fd is None else slice(0, r1 - r0)
-            if paths:
-                _path_rows(gen, z, da, sdb, dsts[0][at])
-            else:
-                gen.standard_normal(out=z[: r1 - r0])
-                for (factor, shift), dst in zip(targets, dsts):
-                    cols = dst[at]
-                    np.matmul(z[: r1 - r0], factor, out=cols)
-                    np.add(cols, shift, out=cols)
+            _path_rows(gen, z, da, sdb, dst[at])
             if fd is not None:
-                data, end = memoryview(dsts[0][at]).cast("B"), base + 8 * width * (p0 + r1)
+                data, end = memoryview(dst[at]).cast("B"), base + 8 * width * (p0 + r1)
                 while data:  # until short writes have written it all
                     data = data[os.pwrite(fd, data, end - len(data)) :]
-        return p0, rows if fd is not None else dsts[0] if paths else tuple(dsts)
+        return p0, rows if fd is not None else dst
 
     yield from _ordered_map(fill, len(starts))
 

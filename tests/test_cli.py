@@ -478,6 +478,16 @@ def test_verify_selected_check_indices(tmp_path, capsys):
     assert code == 0 and summary["checks_run"] == 2
 
 
+def test_repeated_check_flags_add_up(tmp_path, capsys):
+    path = write_config(tmp_path, std_config(n=500, grid=64))
+    out = tmp_path / "o"
+    code = run(["verify", "--config", path, "--check", "0", "--check", "1",
+                "--output-dir", str(out)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0 and summary["checks_run"] == 2
+    assert sorted(p.name[:9] for p in out.glob("check_*.json")) == ["check_000", "check_001"]
+
+
 def _set(cfg, key, value):
     """Set the dotted ``key`` (list indices as numbers) of a config dict."""
     *parents, last = key.split(".")
@@ -736,6 +746,16 @@ def test_verify_rejects_a_duplicate_check_index(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: --check: check 1 is listed more than once\n"
+    assert not out.exists()
+
+
+def test_verify_rejects_a_check_index_repeated_across_flags(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run(["verify", "--config", write_config(tmp_path, std_config(n=200, grid=32)),
+                "--check", "0", "--check", "0", "--output-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --check: check 0 is listed more than once\n"
     assert not out.exists()
 
 

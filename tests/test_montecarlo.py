@@ -216,8 +216,8 @@ def test_parts_rejects_nonpositive_rho(ctx):
 
 
 def test_identity_checks_need_two_paths(ctx):
-    """One path has no standard error: the identity checks reject it,
-    while a plain estimate at one path stays valid."""
+    """One path has no standard error: the identity checks and mc_fsi
+    reject it."""
     profile, theta, k1, k2, grid = ctx
     F = MonomialSpec(theta, (k1,))
     for check in (lambda n: verify_translation(F, theta, k1, k2, n, 1, grid=grid),
@@ -226,7 +226,9 @@ def test_identity_checks_need_two_paths(ctx):
         with pytest.raises(BadDomain, match="needs n_paths >= 2"):
             check(1)
         assert np.isfinite(check(2).sigma_ratio)
-    assert mc_fsi(F, k1, 1.0, 1, 1, grid=grid).std_error == 0.0
+    with pytest.raises(BadDomain, match="mc_fsi needs n_paths >= 2"):
+        mc_fsi(F, k1, 1.0, 1, 1, grid=grid)
+    assert mc_fsi(F, k1, 1.0, 2, 1, grid=grid).std_error > 0.0
 
 
 def test_cs_precursor_reduces_to_parts_at_unit_lambda(ctx):

@@ -92,17 +92,82 @@ def _density_columns(grid):
     return np.column_stack([np.ones_like(t), t, np.cos(3.0 * t)])
 
 
-@pytest.mark.parametrize("n", [1, 2 * CHUNK_PATHS + 301])
-def test_projected_stream_matches_projected_increments(standard, grid256, n):
-    dens = _density_columns(grid256)
-    ref = np.concatenate([inc @ dens for _, inc in stream_increments(standard, grid256, n, 17)])
-    chunks = list(stream_increments(standard, grid256, n, 17, onto=[dens]))
+def _law_matrices(grid):
+    """Density matrices the projected stream must take: a regular one,
+    a singular one (a column repeated, as D(k1) = 1 makes in parts at
+    m = 2), a near-dependent one with unequal columns, and one with a
+    zero-density column."""
+    t = grid.nodes[:-1]
+    one = np.ones_like(t)
+    return {
+        "regular": _density_columns(grid),
+        "singular": np.column_stack([one, t, t.copy(), one]),
+        "near-dependent": np.column_stack([t, t * (1.0 + 1e-9), one]),
+        "zero-column": np.column_stack([t, np.zeros_like(t), np.cos(3.0 * t)]),
+    }
+
+
+def _stream_columns(profile, grid, n, seed, mats):
+    chunks = list(stream_increments(profile, grid, n, seed, onto=list(mats)))
     assert [p0 for p0, _ in chunks] == list(range(0, n, CHUNK_PATHS))
-    assert all(isinstance(cols, tuple) and len(cols) == 1 for _, cols in chunks)
-    cols = np.concatenate([c for _, (c,) in chunks])
-    assert cols.shape == (n, 3)
-    # the fused form rounds differently, so agreement is to the column scale
-    assert np.max(np.abs(cols - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert all(isinstance(cols, tuple) and len(cols) == len(mats) for _, cols in chunks)
+    return [np.concatenate([cols[j] for _, cols in chunks]) for j in range(len(mats))]
+
+
+@pytest.mark.parametrize("kind", ["regular", "singular", "near-dependent", "zero-column"])
+def test_projected_stream_draws_the_exact_grid_law(standard, grid256, kind):
+    """The columns are N(D^T da, D^T diag(db) D) of the grid: the mean
+    is D^T da to the bit (summed in einsum's fixed order) and G G^T is
+    the covariance to 1e-12 relative, for a singular and a
+    near-dependent matrix too.  Equal columns are bit-equal in every
+    path, and a zero-density column is exactly 0."""
+    D = _law_matrices(grid256)[kind]
+    da, db = paths.increment_moments(standard, grid256)
+    mu, G = paths._column_law(da, np.sqrt(db), D)
+    assert mu.tobytes() == np.einsum("n,ni->i", da, D).tobytes()
+    np.testing.assert_allclose(mu, da @ D, rtol=1e-14, atol=0.0)
+    scaled = np.sqrt(db)[:, None] * D
+    cov = scaled.T @ scaled
+    assert G.shape[0] == D.shape[1] and G.shape[1] <= D.shape[1]
+    assert np.max(np.abs(G @ G.T - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+    n = 2 * CHUNK_PATHS + 301
+    (cols,) = _stream_columns(standard, grid256, n, 31, [D])
+    assert cols.shape == (n, D.shape[1])
+    for i in range(D.shape[1]):
+        for j in range(i):
+            if D[:, i].tobytes() == D[:, j].tobytes():
+                assert cols[:, i].tobytes() == cols[:, j].tobytes()
+        if not D[:, i].any():
+            assert np.all(cols[:, i] == 0.0)
+    assert np.linalg.matrix_rank(cols - cols.mean(axis=0)) == G.shape[1]
+    if kind == "singular":  # two distinct live columns: rank 2 of 4
+        assert G.shape[1] == 2
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_PATHS + 1])
+def test_projected_stream_keeps_the_first_rows_of_a_longer_stream(standard, grid256, n):
+    mats = list(_law_matrices(grid256).values())
+    short = _stream_columns(standard, grid256, n, 17, mats)
+    long = _stream_columns(standard, grid256, 2 * CHUNK_PATHS + 301, 17, mats)
+    assert all(s.tobytes() == l[:n].tobytes() for s, l in zip(short, long))
+
+
+def test_projected_stream_matches_the_exact_moments(standard, grid256):
+    """Sampler equivalence at n = 2e5: each sample mean and covariance
+    lies within 5 standard errors of the exact ones."""
+    n = 200_000
+    D = _density_columns(grid256)
+    da, db = paths.increment_moments(standard, grid256)
+    scaled = np.sqrt(db)[:, None] * D
+    mu, cov = da @ D, scaled.T @ scaled
+    (cols,) = _stream_columns(standard, grid256, n, 5, [D])
+    assert np.all(np.abs(cols.mean(axis=0) - mu) <= 5 * np.sqrt(np.diag(cov) / n))
+    centered = cols - mu
+    sample_cov = centered.T @ centered / n
+    var = np.diag(cov)
+    cov_se = np.sqrt((np.outer(var, var) + cov**2) / n)
+    assert np.all(np.abs(sample_cov - cov) <= 5 * cov_se)
 
 
 def test_projected_stream_is_bit_identical_across_workers(standard, grid256, monkeypatch):
