@@ -67,9 +67,10 @@ from .measure import ProfilePair
 
 DEFAULT_GRID_N = 1024
 CHUNK_PATHS = 4096
-# Rows filled at a time by the path stream; divides
-# CHUNK_PATHS, so each worker's scratch is _SUB_ROWS x N doubles.
-_SUB_ROWS = 256
+# Bytes of each per-worker scratch of the path stream: it fills a block
+# _scratch_rows(N) rows at a time, so its normals, and the binary
+# writer's row buffer, take about 1 MiB per worker whatever the grid.
+_SCRATCH_BYTES = 2**20
 
 _BINARY_MAGIC = b"GBMPENS1"
 
@@ -77,9 +78,9 @@ _BINARY_MAGIC = b"GBMPENS1"
 # the formatter takes at a time, in a scratch of 105 bytes a value (1.6
 # MiB per worker).  Each numpy call of the formatter takes the GIL back
 # when it returns, so smaller chunks gain less from a second worker;
-# larger ones raised the peak RSS of a CSV write followed by a binary
-# one, as the binary writer's buffers no longer fit where the CSV
-# writer's had been in the workers' malloc arenas.
+# larger ones cost more scratch and text in each worker: 32768 values
+# raised the peak RSS of a CSV write followed by a binary one by about
+# 6 MiB.
 _CSV_BLOCK_VALUES = 16384
 
 
@@ -565,9 +566,11 @@ def stream_increments(
 ):
     """Yield (first_path_index, increments) chunks of the path ensemble.
 
-    The yielded array is an internal buffer reused between chunks; copy it
-    if it must outlive the iteration.  Chunk boundaries are fixed at
-    CHUNK_PATHS, so values never depend on how the consumer batches work.
+    In this serial form, without ``onto`` or ``paths``, the yielded
+    array is an internal buffer reused between chunks; copy it if it
+    must outlive the iteration.  The ``onto`` and ``paths`` forms yield
+    fresh arrays.  Chunk boundaries are fixed at CHUNK_PATHS, so values
+    never depend on how the consumer batches work.
 
     With ``onto``, a non-empty tuple or list of (N, c_i) matrices of
     left densities, the chunks are (first_path_index, tuple of columns)
@@ -709,9 +712,10 @@ def _filled_blocks(da, sdb, n_paths, seed, out=None):
     """Yield (p0, rows) per block, in block order: the fresh path
     values, or their count when ``out`` is a file.
 
-    Each block's Philox stream fills a per-worker _SUB_ROWS x N scratch
-    buffer z one sub-block at a time; numpy continues the stream across
-    the fills, so the normals equal those of one whole-block fill.  Each
+    Each block's Philox stream fills a per-worker scratch buffer z of
+    _scratch_rows(N) rows (about _SCRATCH_BYTES) one sub-block at a
+    time; numpy continues the stream across the fills, so the normals
+    equal those of one whole-block fill, whatever the sub-block size.  Each
     sub-block becomes ``z * sqrt(db) + da`` in columns 1: of its rows,
     in the serial stream's operation order, then summed along each row
     (see _path_rows): in the block's own mapping, or for a file in a
@@ -728,7 +732,7 @@ def _filled_blocks(da, sdb, n_paths, seed, out=None):
         fd, base = out.fileno(), out.tell()
 
     starts = range(0, n_paths, CHUNK_PATHS)
-    sub = min(_SUB_ROWS, n_paths)
+    sub = min(_scratch_rows(sdb.size), n_paths)
     scratch = threading.local()
 
     def fill(block):
@@ -737,8 +741,9 @@ def _filled_blocks(da, sdb, n_paths, seed, out=None):
         z = getattr(scratch, "z", None)
         if z is None:
             # From malloc, as is the row buffer: each worker allocates
-            # them once and reuses them for every block it fills, so
-            # nothing is gained by mapping them.
+            # them once per write and reuses them for every block it
+            # fills.  Both are about _SCRATCH_BYTES, so the worker's
+            # arena keeps little once they are freed.
             z = scratch.z = np.empty((sub, sdb.size))
             scratch.row_buffer = np.zeros((sub, width), dtype="<f8") if fd is not None else None
         gen = _block_generator(seed, block)
@@ -754,6 +759,12 @@ def _filled_blocks(da, sdb, n_paths, seed, out=None):
         return p0, rows if fd is not None else dst
 
     yield from _ordered_map(fill, len(starts))
+
+
+def _scratch_rows(n_steps):
+    """Rows of n_steps doubles that fit in _SCRATCH_BYTES: at least one,
+    at most CHUNK_PATHS."""
+    return max(1, min(CHUNK_PATHS, _SCRATCH_BYTES // (8 * n_steps)))
 
 
 def _path_rows(gen, z, da, sdb, out):
@@ -874,9 +885,10 @@ def sample_gbmp_paths(
 
     Nothing is sampled here: the ensemble is its recipe, checked now, so
     that an invalid one raises before anything is written.  Its writers
-    sample it again, one _SUB_ROWS-row buffer per worker (binary) or one
-    chunk of at most _CSV_BLOCK_VALUES values per task in flight, at
-    most workers + 1 of them (CSV), in memory; its ``values`` hold all
+    sample it again, with a normals scratch and a row buffer of about
+    _SCRATCH_BYTES each per worker (binary) or one chunk of at most
+    _CSV_BLOCK_VALUES values per task in flight, at most workers + 1 of
+    them (CSV), in memory; its ``values`` hold all
     n_paths * (N+1) doubles, built on first access.  Use
     :func:`stream_increments` for estimates over very large ensembles.
     """

@@ -32,7 +32,7 @@ from feynpath import (
 )
 
 from feynpath import paths
-from feynpath.paths import CHUNK_PATHS, _SUB_ROWS, _csv_rows
+from feynpath.paths import CHUNK_PATHS, _csv_rows, _scratch_rows
 
 from conftest import indicator_element, pp, random_poly, random_nonvanishing_poly
 from oracles import serial_ensemble, to_binary_loop, to_csv_loop
@@ -170,7 +170,10 @@ def test_projected_stream_matches_the_exact_moments(standard, grid256):
     assert np.all(np.abs(sample_cov - cov) <= 5 * cov_se)
 
 
-def test_projected_stream_is_bit_identical_across_workers(standard, grid256, monkeypatch):
+def test_projected_stream_runs_without_the_pool_for_any_worker_count(standard, grid256,
+                                                                     monkeypatch):
+    """The columns never reach the block thread pool, so they cannot
+    depend on the number of usable CPUs."""
     n = 2 * CHUNK_PATHS + 301
     dens = _density_columns(grid256)
 
@@ -179,6 +182,11 @@ def test_projected_stream_is_bit_identical_across_workers(standard, grid256, mon
                                                                   onto=(dens,))])
 
     public = stream()
+
+    def no_pool(fn, count):
+        raise AssertionError("the projected stream started the thread pool")
+
+    monkeypatch.setattr(paths, "_ordered_map", no_pool)
     runs = []
     for w in (1, 2, 3, 2):
         monkeypatch.setattr(paths, "_usable_cpus", lambda: w)
@@ -201,8 +209,8 @@ def test_one_stream_onto_several_matrices_equals_a_stream_per_matrix(standard, g
                                                                      monkeypatch, workers):
     """Each matrix of a shared stream gets the bits of its own stream."""
     monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
-    n = 2 * CHUNK_PATHS + 301  # a multiple of neither _SUB_ROWS nor CHUNK_PATHS
-    assert n % _SUB_ROWS and n % CHUNK_PATHS
+    n = 2 * CHUNK_PATHS + 301  # a multiple of neither the scratch rows nor CHUNK_PATHS
+    assert n % _scratch_rows(grid256.N) and n % CHUNK_PATHS
     dens = _density_columns(grid256)
     mats = (dens[:, :2].copy(), dens)
 
@@ -479,9 +487,10 @@ def test_ensemble_export_round_trip(tmp_path, standard, grid256):
     assert np.array_equal(loaded[1:], ens.values)
 
 
-@pytest.mark.parametrize("n", [1, _SUB_ROWS, _SUB_ROWS + 1])
+@pytest.mark.parametrize("n", [1, _scratch_rows(16), _scratch_rows(16) + 1])
 def test_csv_matches_per_value_format(tmp_path, standard, n):
     grid = TimeGrid.build(standard, n=16)
+    assert grid.N == 16
     ens = sample_gbmp_paths(standard, grid, n, 13)
     ens.values[0, 1] = -0.0
     ens.to_csv(tmp_path / "ens.csv")
@@ -750,6 +759,34 @@ def test_short_writes_give_the_serial_oracle(tmp_path, standard, monkeypatch, st
     assert max(calls) > 4093 and len(calls) > STREAMED_N * (grid.N + 1) * 8 // 4093
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rows", [1, 7, CHUNK_PATHS], ids=["one-row", "seven-rows", "whole-block"])
+def test_scratch_size_does_not_reach_the_bits(tmp_path, standard, monkeypatch, streamed_oracle,
+                                              workers, rows):
+    """Sub-blocks of 1 row, of 7 (not a divisor of CHUNK_PATHS) and of a
+    whole block give the oracle's paths, as fresh blocks and in a file:
+    numpy continues each block's Philox stream across the fills."""
+    monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
+    grid, _, ref_bin = streamed_oracle
+    monkeypatch.setattr(paths, "_SCRATCH_BYTES", 8 * grid.N * rows)
+    assert _scratch_rows(grid.N) == rows
+    real, filled = paths._path_rows, []
+
+    def recorded(gen, z, da, sdb, out):
+        filled.append((z.shape[0], out.shape[0]))
+        real(gen, z, da, sdb, out)
+
+    monkeypatch.setattr(paths, "_path_rows", recorded)
+    blocks = stream_increments(standard, grid, STREAMED_N, 37, paths=True)
+    values = np.concatenate([block for _, block in blocks])
+    assert values.astype("<f8").tobytes() == ref_bin[8 * (4 + grid.N + 1) :]
+    sample_gbmp_paths(standard, grid, STREAMED_N, 37).to_binary(tmp_path / "ens.bin")
+    assert (tmp_path / "ens.bin").read_bytes() == ref_bin
+    assert {z for z, _ in filled} == {rows}
+    assert max(k for _, k in filled) == rows
+    assert sum(k for _, k in filled) == 2 * STREAMED_N
+
+
 def test_racing_csv_tasks_give_the_serial_oracle(tmp_path, standard, monkeypatch, streamed_oracle):
     """More CSV tasks than CPUs, switched every few microseconds, sample
     their rows in stream order and format them, in any interleaving: the
@@ -891,10 +928,11 @@ def test_an_invalid_recipe_raises_before_any_file(tmp_path, n, seed, b_prime, er
     assert not dest.exists()
 
 
-# Writes a 10-block ensemble in the format of argv[2] in a process held
-# to at most two CPUs, after a small write that loads the thread pool and
-# the formatter, and reports how far ru_maxrss (KiB on Linux) rose during
-# the large write.  The large file is removed once its size is read.
+# Writes n_paths = argv[4] paths on a grid of N = argv[3] in the format
+# of argv[2] in a process held to at most two CPUs, after a small write
+# that loads the thread pool and the formatter, and reports how far
+# ru_maxrss (KiB on Linux) rose during the large write.  The large file
+# is removed once its size is read.
 _STREAM_RSS_SCRIPT = """
 import json, os, resource, sys
 os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
@@ -903,10 +941,10 @@ from feynpath.paths import CHUNK_PATHS, _usable_cpus
 
 poly = PiecewisePoly.from_coeffs
 profile = build_profile(poly([0.0, 1.0], 1.0), poly([1.0, 1.0], 1.0), 1.0)
-grid = TimeGrid.build(profile, n=256)
 dest, write = sys.argv[1], "to_" + sys.argv[2]
-getattr(sample_gbmp_paths(profile, grid, 300, 0), write)(dest)
-n = 10 * CHUNK_PATHS
+getattr(sample_gbmp_paths(profile, TimeGrid.build(profile, n=256), 300, 0), write)(dest)
+grid = TimeGrid.build(profile, n=int(sys.argv[3]))
+n = int(sys.argv[4])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 getattr(sample_gbmp_paths(profile, grid, n, 1), write)(dest)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -918,31 +956,46 @@ print(json.dumps({"grown": 1024 * (after - before), "cpus": _usable_cpus(),
 """
 
 
-@pytest.mark.parametrize("fmt", ["binary", "csv"], ids=["bin", "csv"])
-def test_streamed_writer_holds_few_blocks(tmp_path, fmt):
-    """While a 10-block ensemble is written, RSS grows by less than one
-    block: the binary writer's workers write their row buffers at the
-    rows' offsets, and the CSV writer's tasks sample and format a few
-    rows each; neither builds the ensemble or holds a block of it.
-
-    The script runs as a grandchild: on Linux a child's ru_maxrss starts
-    at the peak RSS of the process that forked it, which for pytest can
-    exceed everything the script does, so that it would read no growth."""
+def _write_rss(tmp_path, fmt, grid_n, n_paths):
+    """The report of _STREAM_RSS_SCRIPT, run as a grandchild: on Linux a
+    child's ru_maxrss starts at the peak RSS of the process that forked
+    it, which for pytest can exceed everything the script does, so that
+    it would read no growth."""
     if not sys.platform.startswith("linux"):
         pytest.skip("ru_maxrss is in KiB and CPU affinity is settable on Linux only")
     src = os.path.dirname(os.path.dirname(paths.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
     done = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c",
-                           _STREAM_RSS_SCRIPT, str(tmp_path / "ens"), fmt],
+                           _STREAM_RSS_SCRIPT, str(tmp_path / "ens"), fmt, str(grid_n),
+                           str(n_paths)],
                           env=env, check=True, capture_output=True, text=True, timeout=300)
     got = json.loads(done.stdout)
     assert got["cpus"] <= 2
+    return got
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"], ids=["bin", "csv"])
+def test_streamed_writer_holds_few_blocks(tmp_path, fmt):
+    """While a 10-block ensemble is written, RSS grows by less than one
+    block: the binary writer's workers write their row buffers at the
+    rows' offsets, and the CSV writer's tasks sample and format a few
+    rows each; neither builds the ensemble or holds a block of it."""
+    got = _write_rss(tmp_path, fmt, 256, 10 * CHUNK_PATHS)
     if fmt == "binary":
         assert got["written"] == 32 + 8 * 257 + got["ensemble"]
     else:
         assert got["written"] > got["ensemble"]  # at least 8 bytes of text a value
     assert got["grown"] < got["block"]
+
+
+def test_binary_writer_memory_does_not_grow_with_the_grid(tmp_path):
+    """A binary write of 300 paths at N = 16384 raises RSS by less than
+    16 MiB: each worker's normals scratch and row buffer are about
+    _SCRATCH_BYTES (8 rows here), where 256-row buffers took 64 MiB."""
+    got = _write_rss(tmp_path, "binary", 16384, 300)
+    assert got["written"] == 32 + 8 * 16385 + got["ensemble"]
+    assert got["grown"] < 16 * 2**20
 
 
 @pytest.mark.parametrize(
