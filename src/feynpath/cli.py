@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -696,7 +697,11 @@ def _overrides(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process, on first use, and
+    the same object on every call: building it takes about 1 ms, and
+    parse_args gives every run a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="feynpath",
         description="Gaussian path simulation and Feynman-integral verification",
@@ -744,9 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -128,7 +128,10 @@ def draw_columns(profile, grid: TimeGrid, n: int, seed: int, densities) -> list:
     """The stochastic-integral columns of n paths of (profile, grid,
     seed) on each (N, c_i) density matrix: one read-only (n, c_i) array
     per matrix, in order, drawn from their exact grid law in one stream
-    (``stream_increments(..., onto=...)``).
+    (``stream_increments(..., onto=...)``).  The arrays are
+    column-major, as the stream's blocks are, so each block is copied
+    column by column and each column a check reads is contiguous; the
+    memory order changes no bit of a check's report.
 
     Matrices of equal shape and bytes are drawn once, in the order they
     are first seen, and get the same array object.  Each distinct
@@ -140,7 +143,7 @@ def draw_columns(profile, grid: TimeGrid, n: int, seed: int, densities) -> list:
     mats = [np.asarray(D, dtype=float) for D in densities]
     keys = [(D.shape, D.tobytes()) for D in mats]
     distinct = dict(zip(keys, mats))
-    out = {key: np.empty((n, D.shape[1])) for key, D in distinct.items()}
+    out = {key: np.empty((n, D.shape[1]), order="F") for key, D in distinct.items()}
     for p0, chunks in stream_increments(profile, grid, n, seed, onto=list(distinct.values())):
         for cols, chunk in zip(out.values(), chunks):
             cols[p0 : p0 + chunk.shape[0]] = chunk

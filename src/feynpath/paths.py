@@ -575,15 +575,17 @@ def stream_increments(
     With ``onto``, a non-empty tuple or list of (N, c_i) matrices of
     left densities, the chunks are (first_path_index, tuple of columns)
     instead: for each matrix D, one fresh (rows, c_i) array of the
-    stochastic integrals (x, D)~, drawn from their exact law under the
-    left-endpoint grid, N(D^T da, D^T diag(db) D), not from paths.  The
-    law is factored once per matrix as mu + z G^T, with G of c_i rows
-    and r_i <= c_i columns, its numerical rank (see _column_law), so a
-    path costs r_i normals, not N.  Dimension j of block b is drawn from
-    the Philox stream of (seed, b) moved to counter j << 192, and every
-    matrix reads dimensions 0, 1, ...: the matrices share normals, not
-    paths, and each matrix's columns are bit-identical to a stream onto
-    that matrix alone.  The first n rows equal those of a longer stream.
+    stochastic integrals (x, D)~, in column-major order, drawn from
+    their exact law under the left-endpoint grid, N(D^T da, D^T diag(db)
+    D), not from paths.  The law is factored once per matrix as
+    mu + z G^T, with G of c_i rows and r_i <= c_i columns, its numerical
+    rank (see _column_law), so a path costs r_i normals, not N.  Each
+    column is built in place, mu_i + z_0 G_i0 + z_1 G_i1 + ... in that
+    order.  Dimension j of block b is drawn from the Philox stream of
+    (seed, b) moved to counter j << 192, and every matrix reads
+    dimensions 0, 1, ...: the matrices share normals, not paths, and
+    each matrix's columns are bit-identical to a stream onto that matrix
+    alone.  The first n rows equal those of a longer stream.
 
     With ``paths``, the chunks are (first_path_index, path values): rows
     of N+1 values, 0 and then the running sums of the row's increments,
@@ -680,31 +682,40 @@ def _pivoted_cholesky(S):
 
 def _projected_blocks(da, sdb, n_paths, seed, onto):
     """Yield (p0, columns) per block, in block order: one fresh (rows,
-    c_i) array per matrix of onto, mu + z G^T of its _column_law.
+    c_i) array per matrix of onto, mu + z G^T of its _column_law, in
+    column-major order.
 
     Row p of dimension j is normal p of the block's stream of dimension
     j, and each value is mu_i + z_0 G_i0 + z_1 G_i1 + ... in that
     order, elementwise; so a row's bits depend only on its own normals
-    and the matrix.  A draw of at most r * n normals needs no pool."""
+    and the matrix.  Each column is built in place, one contiguous row
+    of a (c_i, rows) array, and the block is its transpose; a column
+    whose row of G is zero is exactly mu_i.  A draw of at most r * n
+    normals needs no pool."""
     if not isinstance(onto, (tuple, list)) or not onto:
         raise ValueError("onto must be a non-empty tuple or list of (N, c) matrices")
     mats = [np.asarray(D, dtype=float) for D in onto]
     if any(D.ndim != 2 or D.shape[0] != sdb.size for D in mats):
         raise ValueError("each matrix of onto must be (N, c) over the grid intervals")
-    laws = [(mu, G, G.any(axis=1)) for mu, G in (_column_law(da, sdb, D) for D in mats)]
-    dims = max(G.shape[1] for _, G, _ in laws)
+    # Per matrix, per column: mu_i and its row of G, empty when that row is zero.
+    laws = [[(m, g if g.any() else g[:0]) for m, g in zip(*_column_law(da, sdb, D))]
+            for D in mats]
+    dims = max((g.size for law in laws for _, g in law), default=0)
     z = np.empty((dims, min(CHUNK_PATHS, n_paths)))
+    term = np.empty(z.shape[1])
     for block, p0 in enumerate(range(0, n_paths, CHUNK_PATHS)):
         rows = min(CHUNK_PATHS, n_paths - p0)
+        zs, t = z[:, :rows], term[:rows]
         for j in range(dims):
-            _block_generator(seed, block, j).standard_normal(out=z[j, :rows])
+            _block_generator(seed, block, j).standard_normal(out=zs[j])
         chunks = []
-        for mu, G, live in laws:  # live: the columns of non-zero variance
-            cols = np.empty((rows, mu.size))
-            cols[:] = mu
-            for j in range(G.shape[1]):
-                cols[:, live] += np.multiply.outer(z[j, :rows], G[live, j])
-            chunks.append(cols)
+        for law in laws:
+            cols = np.empty((len(law), rows))
+            for col, (m, g) in zip(cols, law):
+                col.fill(m)
+                for zj, gj in zip(zs, g):
+                    col += np.multiply(zj, gj, out=t)
+            chunks.append(cols.T)
         yield p0, tuple(chunks)
 
 

@@ -14,6 +14,9 @@ package's writer must equal, and ``to_binary_loop`` the binary writer
 built on ``struct`` and ``tobytes``.  ``serial_ensemble`` builds the
 paths those writers read from the package's serial increment stream
 and ``np.cumsum``, one block after another with no thread pool.
+``exact_law_columns_loop`` is the exact-law column draw one path and
+one term at a time, in Python floats, whose bits the package's
+vectorized draw must equal.
 """
 
 import struct
@@ -175,3 +178,28 @@ def to_binary_loop(ensemble, path):
         fh.write(ensemble.grid.nodes.astype("<f8").tobytes())
         for row in ensemble.values:
             fh.write(row.astype("<f8").tobytes())
+
+
+def exact_law_columns_loop(mu, G, seed, n_paths, chunk):
+    """The (n_paths, c) columns mu + z G^T of a law (mu, G), G of shape
+    (c, r), one path and one column at a time.  Path p of block b =
+    p // chunk reads z_j, its normal in dimension j: normal p - b * chunk
+    of the Philox stream keyed by (seed, b) with its counter at j << 192.
+    Column i is mu_i + z_0 G_i0 + z_1 G_i1 + ..., added left to right;
+    a column whose row of G is zero is mu_i."""
+    c, r = G.shape
+    out = np.empty((n_paths, c))
+    for b, p0 in enumerate(range(0, n_paths, chunk)):
+        rows = min(chunk, n_paths - p0)
+        z = []
+        for j in range(r):
+            bitgen = np.random.Philox(key=np.array([seed, b], dtype=np.uint64), counter=j << 192)
+            z.append(np.random.Generator(bitgen).standard_normal(rows).tolist())
+        for p in range(rows):
+            for i in range(c):
+                value = float(mu[i])
+                if any(G[i]):
+                    for j in range(r):
+                        value = value + z[j][p] * float(G[i, j])
+                out[p0 + p, i] = value
+    return out

@@ -488,6 +488,34 @@ def test_repeated_check_flags_add_up(tmp_path, capsys):
     assert sorted(p.name[:9] for p in out.glob("check_*.json")) == ["check_000", "check_001"]
 
 
+def test_runs_in_one_process_parse_into_namespaces_of_their_own(tmp_path, capsys):
+    """run builds its parser once per process, and each run still gets a
+    fresh namespace: no earlier run's --check list carries over."""
+    import feynpath.cli as cli
+
+    cli.build_parser.cache_clear()
+    path = write_config(tmp_path, std_config(n=500, grid=64))
+    runs = [
+        ("checks", ["verify", "--config", path, "--check", "0", "--check", "1"]),
+        ("all", ["verify", "--all", "--config", path]),
+        ("one", ["verify", "--config", path, "--check", "2"]),
+    ]
+    for name, argv in runs:
+        assert run(argv + ["--output-dir", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+    assert run(["report", "--ledger", str(tmp_path / "all" / "ledger.csv")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert cli.build_parser.cache_info().misses == 1
+    assert summary["entries"] == 5 and summary["failed"] == 0
+    written = {name: sorted(p.name[:9] for p in (tmp_path / name).glob("check_*.json"))
+               for name, _ in runs}
+    assert written == {
+        "checks": ["check_000", "check_001"],
+        "all": ["check_%03d" % i for i in range(5)],
+        "one": ["check_002"],
+    }
+
+
 def _set(cfg, key, value):
     """Set the dotted ``key`` (list indices as numbers) of a config dict."""
     *parents, last = key.split(".")

@@ -373,12 +373,37 @@ def test_columns_of_another_shape_are_refused(ctx, identity):
 
 
 def test_drawn_columns_are_read_only(ctx):
+    """Each array is read-only and column-major, so every column an
+    estimator reads is contiguous, in a draw onto one matrix or two."""
     profile, theta, k1, k2, grid = ctx
     dens = identity_densities(MonomialSpec(theta, (k1,)), theta, k1, k2, grid)
+    other = identity_densities(MonomialSpec(theta, (k1, k2)), theta, k1, k2, grid)
     (cols,) = draw_columns(profile, grid, 300, 2, [dens])
     assert cols.shape == (300, 2) and not cols.flags.writeable
     with pytest.raises(ValueError):
         cols[0, 0] = 1.0
+    for drawn in (cols, *draw_columns(profile, grid, CHUNK_PATHS + 301, 4, [dens, other])):
+        assert drawn.flags.f_contiguous and not drawn.flags.c_contiguous
+        assert not drawn.flags.writeable
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+@pytest.mark.parametrize("kind", sorted(FUNCTIONALS))
+def test_reports_do_not_depend_on_the_columns_memory_order(ctx, identity, kind):
+    """The same columns in row-major and in column-major memory give
+    reports equal to the bit, apart from their wall times."""
+    profile, theta, k1, k2, grid = ctx
+    F = FUNCTIONALS[kind](theta, k1, k2)
+    check = IDENTITIES[identity]
+    (cols,) = draw_columns(profile, grid, 1001, 13,
+                           [identity_densities(F, theta, k1, k2, grid)])
+    reports = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        columns = layout(cols)
+        assert columns.flags.c_contiguous != columns.flags.f_contiguous
+        report = check(F, theta, k1, k2, 1001, 13, grid, columns=columns)
+        reports.append(json.dumps(_without_wall_times(report.to_dict()), sort_keys=True))
+    assert reports[0] == reports[1]
 
 
 def test_equal_matrices_share_one_projection(ctx, monkeypatch):

@@ -32,10 +32,11 @@ from feynpath import (
 )
 
 from feynpath import paths
+from feynpath.montecarlo import draw_columns
 from feynpath.paths import CHUNK_PATHS, _csv_rows, _scratch_rows
 
 from conftest import indicator_element, pp, random_poly, random_nonvanishing_poly
-from oracles import serial_ensemble, to_binary_loop, to_csv_loop
+from oracles import exact_law_columns_loop, serial_ensemble, to_binary_loop, to_csv_loop
 
 
 @pytest.fixture
@@ -111,6 +112,7 @@ def _stream_columns(profile, grid, n, seed, mats):
     chunks = list(stream_increments(profile, grid, n, seed, onto=list(mats)))
     assert [p0 for p0, _ in chunks] == list(range(0, n, CHUNK_PATHS))
     assert all(isinstance(cols, tuple) and len(cols) == len(mats) for _, cols in chunks)
+    assert all(c.flags.f_contiguous for _, cols in chunks for c in cols)
     return [np.concatenate([cols[j] for _, cols in chunks]) for j in range(len(mats))]
 
 
@@ -143,6 +145,21 @@ def test_projected_stream_draws_the_exact_grid_law(standard, grid256, kind):
     assert np.linalg.matrix_rank(cols - cols.mean(axis=0)) == G.shape[1]
     if kind == "singular":  # two distinct live columns: rank 2 of 4
         assert G.shape[1] == 2
+
+
+@pytest.mark.parametrize("kind", ["regular", "singular", "near-dependent", "zero-column"])
+def test_drawn_columns_equal_the_loop_reference_bit_for_bit(standard, grid256, kind):
+    """Every column value is mu_i + z_0 G_i0 + z_1 G_i1 + ... in that
+    order, from the normals of its own path: the draw changes no bit
+    when its arithmetic is vectorized or reordered in memory."""
+    D = _law_matrices(grid256)[kind]
+    da, db = paths.increment_moments(standard, grid256)
+    mu, G = paths._column_law(da, np.sqrt(db), D)
+    n = 2 * CHUNK_PATHS + 301
+    (cols,) = draw_columns(standard, grid256, n, 29, [D])
+    expected = exact_law_columns_loop(mu, G, 29, n, CHUNK_PATHS)
+    assert cols.shape == expected.shape
+    assert cols.tobytes(order="C") == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, CHUNK_PATHS + 1])
