@@ -12,39 +12,37 @@ kernel-transport identity
 
 exactly, path by path.
 
-Randomness is counter-based: path rows are organized in fixed blocks of
-``CHUNK_PATHS`` and block ``j`` of a run draws from an independent Philox
-stream keyed by (seed, j).  Ensembles are therefore bit-identical for a
-given (seed, grid, n_paths) regardless of scheduling, and the first n
-rows do not change when more paths are requested.  The same keying lets
-the path stream run its blocks on a thread pool with results that do
-not depend on the number of threads, and lets an ensemble be kept as
-its recipe: its writers sample it again, the binary
-one's workers writing their rows at their offsets in the file, the CSV
-one's tasks sampling the few rows that each of them formats.  One
-helper, ``_path_rows``, computes every path row.  Each argument of the
-stream has one form: ``onto`` is a list of density matrices, ``out`` a
-binary file, and ``values`` is built by copying the fresh blocks of the
-path stream.
+Randomness is counter-based.  Path p of a run draws its normals from
+a Philox stream of its own, keyed by (seed, p), so a row's bits depend
+only on (profile, grid, seed, p): ensembles are bit-identical for a
+given (seed, grid, n_paths) whatever the scheduling, the first n rows
+do not change when more paths are requested, and any task can sample
+any range of rows.  Each thread re-keys one Philox of its own per row
+(see _philox).  One helper, ``_path_rows``, computes every path row.
+The thread pool of ``_ordered_map`` computes them for the three
+consumers: the blocks that ``values`` is built from, the binary
+writer's row ranges, each written at its offset in the file, and the
+CSV writer's chunks, each sampled and formatted by the task that
+writes it.  Each argument of the stream has one form: ``onto`` is a
+list of density matrices and ``out`` a binary file.
 
 The stream ``onto`` density matrices samples no paths: the columns
 (x, D)~ are drawn from their exact law under the left-endpoint grid,
 N(D^T da, D^T diag(db) D), a few normals a path, each dimension from a
 Philox stream of its own keyed by (seed, block) (see _column_law and
-_projected_blocks).
+_projected_blocks).  Its counters and those of the path rows lie in
+regions of their own, so the two families share no normals.
 
 A materialized ensemble, and each streamed block, is a private anonymous
 mapping of its own, unmapped when the last view of it goes, so its
 memory returns to the operating system when it is released.
 
-The CSV writer samples and formats chunks of a few rows on the same
-pool, so it holds no block; its rows are sampled in stream order, each
-chunk by the first task that needs it.  Its formatter computes Python's
-``%.17g`` text in numpy, exactly rounded with integer arithmetic, and
-hands every value that its exact fast path does not cover to Python's
-own ``%``; the bytes are those of ``"%.17g" % x``.  Each worker formats
-in scratch buffers of its own, made once per write, with numpy calls
-that release the GIL, so the workers format in parallel.
+The CSV writer's formatter computes Python's ``%.17g`` text in numpy,
+exactly rounded with integer arithmetic, and hands every value that
+its exact fast path does not cover to Python's own ``%``; the bytes
+are those of ``"%.17g" % x``.  Each worker formats in scratch buffers
+of its own, made once per write, with numpy calls that release the
+GIL, so the workers format in parallel.
 """
 
 from __future__ import annotations
@@ -67,10 +65,13 @@ from .measure import ProfilePair
 
 DEFAULT_GRID_N = 1024
 CHUNK_PATHS = 4096
-# Bytes of each per-worker scratch of the path stream: it fills a block
-# _scratch_rows(N) rows at a time, so its normals, and the binary
-# writer's row buffer, take about 1 MiB per worker whatever the grid.
+# Bytes of each binary writer worker's row buffer: its tasks fill and
+# write _scratch_rows(N) rows each, about 1 MiB whatever the grid.
 _SCRATCH_BYTES = 2**20
+# The top word of the path rows' Philox counters.  The projected draw's
+# dimension j starts its counter at j << 192, so the two families would
+# meet only at dimension 2**63, far beyond any rank.
+_ROW_STREAM = 2**63
 
 _BINARY_MAGIC = b"GBMPENS1"
 
@@ -135,10 +136,9 @@ class PathEnsemble:
 
     ``values[p, i]`` is path p at grid node i (column 0 zero), built in
     full on first access and kept.  The writers do not build it, nor
-    hold a CHUNK_PATHS block of it: they sample the paths again, a few
-    rows per task, and write each row once, unless ``values`` is already
-    there, when they write it instead.  Either way the bytes are the
-    same."""
+    hold a CHUNK_PATHS block of it: each of their tasks samples the rows
+    it writes, unless ``values`` is already there, when they write it
+    instead.  Either way the bytes are the same."""
 
     grid: TimeGrid
     n_paths: int
@@ -155,8 +155,7 @@ class PathEnsemble:
         The fresh blocks of the path stream are copied into it, so up to
         workers + 1 of them are alive beside it while it is built."""
         values = _mapped_zeros((self.n_paths, self.grid.N + 1))
-        for p0, block in stream_increments(self.profile, self.grid, self.n_paths, self.seed,
-                                           paths=True):
+        for p0, block in stream_increments(self.profile, self.grid, self.n_paths, self.seed):
             values[p0 : p0 + block.shape[0]] = block
         return values
 
@@ -168,7 +167,7 @@ class PathEnsemble:
         one row) are formatted on the block thread pool and written in
         order, so the file holds the same bytes for any number of
         workers.  Unless values is built, the task that formats a chunk
-        samples its rows first (see _chunk_rows), so only the chunks in
+        samples its rows first (see _path_rows), so only the chunks in
         flight, at most workers + 1, are in memory, never a whole
         CHUNK_PATHS block.  Each worker formats its chunks in one
         scratch allocation of its own (see _csv_rows), made on its first
@@ -181,7 +180,11 @@ class PathEnsemble:
                 return values[i * step : (i + 1) * step]
         else:
             da, sdb = _checked_moments(self.profile, self.grid, self.n_paths, self.seed)
-            rows = _chunk_rows(da, sdb, self.n_paths, self.seed, step)
+
+            def rows(i):
+                dst = np.zeros((min(step, self.n_paths - i * step), self.grid.N + 1))
+                _path_rows(self.seed, da, sdb, i * step, dst)
+                return dst
         with open(path, "wb") as fh:
             fh.write(_csv_rows(self.grid.nodes[None, :]))
             for text in _ordered_map(lambda i: _csv_rows(rows(i)), -(-self.n_paths // step)):
@@ -190,7 +193,7 @@ class PathEnsemble:
     def to_binary(self, path):
         """Compact layout: magic, N, n_paths, seed (little-endian u64),
         then the nodes and the row-major values as little-endian f64, which
-        the block workers write at their offsets unless values is built."""
+        the pool's workers write at their offsets unless values is built."""
         with open(path, "wb") as fh:
             fh.write(_BINARY_MAGIC)
             fh.write(struct.pack("<QQQ", self.grid.N, self.n_paths, self.seed))
@@ -199,7 +202,7 @@ class PathEnsemble:
                 fh.write(np.ascontiguousarray(self.values, dtype="<f8"))
             else:
                 for _ in stream_increments(self.profile, self.grid, self.n_paths, self.seed,
-                                           out=fh, paths=True):
+                                           out=fh):
                     pass
 
     @staticmethod
@@ -560,17 +563,24 @@ def _checked_moments(profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: i
     return da, np.sqrt(db)
 
 
-def stream_increments(
-    profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int, onto=None, out=None,
-    paths=False,
-):
-    """Yield (first_path_index, increments) chunks of the path ensemble.
+def stream_increments(profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int, onto=None,
+                      out=None):
+    """Yield (first_path_index, rows) chunks of the path ensemble: rows
+    of N+1 path values, 0 and then the running sums of the row's
+    increments, one fresh CHUNK_PATHS block at a time, each over a
+    mapping of its own.
 
-    In this serial form, without ``onto`` or ``paths``, the yielded
-    array is an internal buffer reused between chunks; copy it if it
-    must outlive the iteration.  The ``onto`` and ``paths`` forms yield
-    fresh arrays.  Chunk boundaries are fixed at CHUNK_PATHS, so values
-    never depend on how the consumer batches work.
+    Path p's increments are z * sqrt(db) + da, z the N normals of the
+    Philox stream keyed by (seed, p) (see _path_rows).  A row's bits
+    therefore depend only on (profile, grid, seed, p), not on n_paths,
+    on how rows are grouped, or on the thread that samples them.  The
+    chunks are computed on a thread pool with one worker per usable CPU;
+    at most one per worker is computed ahead of the consumer.
+
+    With ``out``, a binary file open for writing, the workers write the
+    rows there instead, as little-endian f64 from its position on, in
+    ranges of _scratch_rows(N) rows (about _SCRATCH_BYTES), and the
+    chunks are (first_path_index, row count) of those ranges.
 
     With ``onto``, a non-empty tuple or list of (N, c_i) matrices of
     left densities, the chunks are (first_path_index, tuple of columns)
@@ -581,52 +591,78 @@ def stream_increments(
     mu + z G^T, with G of c_i rows and r_i <= c_i columns, its numerical
     rank (see _column_law), so a path costs r_i normals, not N.  Each
     column is built in place, mu_i + z_0 G_i0 + z_1 G_i1 + ... in that
-    order.  Dimension j of block b is drawn from the Philox stream of
-    (seed, b) moved to counter j << 192, and every matrix reads
-    dimensions 0, 1, ...: the matrices share normals, not paths, and
-    each matrix's columns are bit-identical to a stream onto that matrix
-    alone.  The first n rows equal those of a longer stream.
-
-    With ``paths``, the chunks are (first_path_index, path values): rows
-    of N+1 values, 0 and then the running sums of the row's increments,
-    fresh, each block over a mapping of its own.  With ``out``, a binary
-    file open for writing, the workers write the rows there instead, as
-    little-endian f64 from its position on, and the chunks are
-    (first_path_index, row count).
-
-    With ``paths`` the blocks run on a thread pool with one worker per
-    usable CPU, bit-identical for any worker count and to the serial
-    form.  At most one block per worker is computed ahead of the
-    consumer.
+    order.  Dimension j of CHUNK_PATHS block b is drawn from the Philox
+    stream keyed by (seed, b) at counter j << 192, and every matrix
+    reads dimensions 0, 1, ...: the matrices share normals, not paths,
+    and each matrix's columns are bit-identical to a stream onto that
+    matrix alone.  The first n rows equal those of a longer stream.
     """
     da, sdb = _checked_moments(profile, grid, n_paths, seed)
     if onto is not None:
-        if out is not None or paths:
-            raise ValueError("onto takes neither out nor paths")
+        if out is not None:
+            raise ValueError("onto takes no out")
         yield from _projected_blocks(da, sdb, n_paths, seed, onto)
         return
-    if out is not None or paths:
-        if not paths:
-            raise ValueError("give onto or paths; out takes paths")
-        yield from _filled_blocks(da, sdb, n_paths, seed, out=out)
+    width = sdb.size + 1
+    if out is None:
+        def block(i):
+            p0 = i * CHUNK_PATHS
+            rows = _mapped_zeros((min(CHUNK_PATHS, n_paths - p0), width))
+            _path_rows(seed, da, sdb, p0, rows)
+            return p0, rows
+
+        yield from _ordered_map(block, -(-n_paths // CHUNK_PATHS))
         return
-    n_steps = grid.N
-    z = np.empty((min(CHUNK_PATHS, n_paths), n_steps))
-    inc = np.empty_like(z)
-    for block, p0 in enumerate(range(0, n_paths, CHUNK_PATHS)):
-        rows = min(CHUNK_PATHS, n_paths - p0)
-        _block_generator(seed, block).standard_normal(out=z[:rows])
-        np.multiply(z[:rows], sdb[None, :], out=inc[:rows])
-        np.add(inc[:rows], da[None, :], out=inc[:rows])
-        yield p0, inc[:rows]
+    if not hasattr(out, "fileno"):
+        raise ValueError("out must be a binary file open for writing")
+    out.flush()
+    fd, base = out.fileno(), out.tell()
+    step = min(_scratch_rows(sdb.size), n_paths)
+    scratch = threading.local()
+
+    def write(i):
+        p0 = i * step
+        # From malloc, once per worker and write: about _SCRATCH_BYTES,
+        # so the worker's arena keeps little once it is freed.
+        buffer = getattr(scratch, "rows", None)
+        if buffer is None:
+            buffer = scratch.rows = np.zeros((step, width), dtype="<f8")
+        rows = buffer[: min(step, n_paths - p0)]
+        _path_rows(seed, da, sdb, p0, rows)
+        data, end = memoryview(rows).cast("B"), base + 8 * width * (p0 + rows.shape[0])
+        while data:  # until short writes have written it all
+            data = data[os.pwrite(fd, data, end - len(data)) :]
+        return p0, rows.shape[0]
+
+    yield from _ordered_map(write, -(-n_paths // step))
 
 
-def _block_generator(seed, block, dim=0):
-    """The Philox generator of block ``block`` of seed; ``dim`` moves
-    its counter to dim << 192, a stream of its own for each dimension
-    of the projected draw (dimension 0 is the block's path stream)."""
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=dim << 192))
+# Each thread's Generator, its Philox, and a state dict to re-key it
+# with, with that dict's key and counter lists.
+_philox_local = threading.local()
+
+
+def _philox(seed, index, top):
+    """The calling thread's generator, set to the start of the Philox
+    stream keyed by (seed, index) at counter top << 192: its output is
+    that of a fresh Generator(Philox(key=[seed, index], counter=top <<
+    192)), bit for bit, at a fraction of the cost of building one.  The
+    path rows read top = _ROW_STREAM; the projected draw reads its
+    dimension as top.  The generator is re-keyed by the thread's next
+    call, so its normals must be drawn before then."""
+    own = getattr(_philox_local, "own", None)
+    if own is None:
+        bitgen = np.random.Philox(key=0)
+        # numpy's state layout, an empty buffer, in lists: the setter
+        # reads Python ints about three times as fast as array items.
+        key, counter = [0, 0], [0, 0, 0, 0]
+        state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        own = _philox_local.own = (np.random.Generator(bitgen), bitgen, state, key, counter)
+    gen, bitgen, state, key, counter = own
+    key[0], key[1], counter[3] = seed, index, top
+    bitgen.state = state
+    return gen
 
 
 def _usable_cpus() -> int:
@@ -707,7 +743,7 @@ def _projected_blocks(da, sdb, n_paths, seed, onto):
         rows = min(CHUNK_PATHS, n_paths - p0)
         zs, t = z[:, :rows], term[:rows]
         for j in range(dims):
-            _block_generator(seed, block, j).standard_normal(out=zs[j])
+            _philox(seed, block, j).standard_normal(out=zs[j])
         chunks = []
         for law in laws:
             cols = np.empty((len(law), rows))
@@ -719,122 +755,28 @@ def _projected_blocks(da, sdb, n_paths, seed, onto):
         yield p0, tuple(chunks)
 
 
-def _filled_blocks(da, sdb, n_paths, seed, out=None):
-    """Yield (p0, rows) per block, in block order: the fresh path
-    values, or their count when ``out`` is a file.
-
-    Each block's Philox stream fills a per-worker scratch buffer z of
-    _scratch_rows(N) rows (about _SCRATCH_BYTES) one sub-block at a
-    time; numpy continues the stream across the fills, so the normals
-    equal those of one whole-block fill, whatever the sub-block size.  Each
-    sub-block becomes ``z * sqrt(db) + da`` in columns 1: of its rows,
-    in the serial stream's operation order, then summed along each row
-    (see _path_rows): in the block's own mapping, or for a file in a
-    per-worker row buffer then written at the rows' offset.  A block's
-    arithmetic does not depend on which worker runs it, so the bits are
-    the same for any number of usable CPUs.
-    """
-    width = sdb.size + 1
-    fd = None
-    if out is not None:
-        if not hasattr(out, "fileno"):
-            raise ValueError("out must be a binary file open for writing")
-        out.flush()
-        fd, base = out.fileno(), out.tell()
-
-    starts = range(0, n_paths, CHUNK_PATHS)
-    sub = min(_scratch_rows(sdb.size), n_paths)
-    scratch = threading.local()
-
-    def fill(block):
-        p0 = starts[block]
-        rows = min(CHUNK_PATHS, n_paths - p0)
-        z = getattr(scratch, "z", None)
-        if z is None:
-            # From malloc, as is the row buffer: each worker allocates
-            # them once per write and reuses them for every block it
-            # fills.  Both are about _SCRATCH_BYTES, so the worker's
-            # arena keeps little once they are freed.
-            z = scratch.z = np.empty((sub, sdb.size))
-            scratch.row_buffer = np.zeros((sub, width), dtype="<f8") if fd is not None else None
-        gen = _block_generator(seed, block)
-        dst = _mapped_zeros((rows, width)) if fd is None else scratch.row_buffer
-        for r0 in range(0, rows, sub):
-            r1 = min(r0 + sub, rows)
-            at = slice(r0, r1) if fd is None else slice(0, r1 - r0)
-            _path_rows(gen, z, da, sdb, dst[at])
-            if fd is not None:
-                data, end = memoryview(dst[at]).cast("B"), base + 8 * width * (p0 + r1)
-                while data:  # until short writes have written it all
-                    data = data[os.pwrite(fd, data, end - len(data)) :]
-        return p0, rows if fd is not None else dst
-
-    yield from _ordered_map(fill, len(starts))
-
-
 def _scratch_rows(n_steps):
     """Rows of n_steps doubles that fit in _SCRATCH_BYTES: at least one,
     at most CHUNK_PATHS."""
     return max(1, min(CHUNK_PATHS, _SCRATCH_BYTES // (8 * n_steps)))
 
 
-def _path_rows(gen, z, da, sdb, out):
-    """Write path values into out[:, 1:] from the next out.shape[0]
-    rows of gen's normals, drawn into the scratch z: ``z * sqrt(db) +
-    da``, then summed along each row, in the serial stream's operation
-    order.  Column 0 is left as it is (zero).  Every path row, streamed
-    or written, is computed here, so their bits cannot differ."""
-    rows = out.shape[0]
-    gen.standard_normal(out=z[:rows])
+def _path_rows(seed, da, sdb, p0, out):
+    """Write the values of paths p0, p0 + 1, ... into out[:, 1:], one
+    row a path, and leave column 0 as it is (zero).
+
+    Path p's normals are drawn into its row from the Philox stream keyed
+    by (seed, p) at counter _ROW_STREAM << 192; the rows then become
+    ``z * sqrt(db) + da`` and are summed along each row.  Every path
+    row, streamed, built or written, is computed here, and each reads
+    only its own stream and its own values, so their bits cannot differ
+    with the rows computed together or the thread."""
     inc = out[:, 1:]
-    np.multiply(z[:rows], sdb, out=inc)
+    for p, row in enumerate(inc, p0):
+        _philox(seed, p, _ROW_STREAM).standard_normal(out=row)
+    np.multiply(inc, sdb, out=inc)
     np.add(inc, da, out=inc)
     np.cumsum(inc, axis=1, out=inc)
-
-
-def _chunk_rows(da, sdb, n_paths, seed, step):
-    """rows(i), callable from any thread: the fresh path values of rows
-    i * step up to (i + 1) * step (fewer in the last chunk), each chunk
-    taken once.
-
-    The rows are sampled in stream order, under a lock, by the first
-    caller that needs rows past those sampled so far; the chunks it
-    samples for other callers wait in a dict until they take them.  The
-    Philox streams are those of the blocks, continued across chunks, so
-    the rows are those of the path stream.  No caller waits for another
-    one's turn, so none can wait forever: once a fill has failed, every
-    caller whose rows were not sampled before raises its exception.
-    """
-    lock = threading.Lock()
-    ready = {}
-    z = np.empty((min(step, n_paths), sdb.size))
-    done, gen, failed = 0, None, None
-
-    def rows(i):
-        nonlocal done, gen, failed
-        with lock:
-            while done <= i:
-                if failed is not None:
-                    raise failed
-                p = p0 = done * step
-                p1 = min(p0 + step, n_paths)
-                dst = np.zeros((p1 - p0, sdb.size + 1))
-                try:
-                    while p < p1:
-                        block, offset = divmod(p, CHUNK_PATHS)
-                        if offset == 0:
-                            gen = _block_generator(seed, block)
-                        end = min(p1, (block + 1) * CHUNK_PATHS)
-                        _path_rows(gen, z, da, sdb, dst[p - p0 : end - p0])
-                        p = end
-                except BaseException as exc:
-                    failed = exc
-                    raise
-                ready[done] = dst
-                done += 1
-            return ready.pop(i)
-
-    return rows
 
 
 def _mapped_zeros(shape) -> np.ndarray:
@@ -896,12 +838,12 @@ def sample_gbmp_paths(
 
     Nothing is sampled here: the ensemble is its recipe, checked now, so
     that an invalid one raises before anything is written.  Its writers
-    sample it again, with a normals scratch and a row buffer of about
-    _SCRATCH_BYTES each per worker (binary) or one chunk of at most
-    _CSV_BLOCK_VALUES values per task in flight, at most workers + 1 of
-    them (CSV), in memory; its ``values`` hold all
-    n_paths * (N+1) doubles, built on first access.  Use
-    :func:`stream_increments` for estimates over very large ensembles.
+    sample it again, with a row buffer of about _SCRATCH_BYTES per
+    worker (binary) or one chunk of at most _CSV_BLOCK_VALUES values per
+    task in flight, at most workers + 1 of them (CSV), in memory; its
+    ``values`` hold all n_paths * (N+1) doubles, built on first access.
+    Use :func:`stream_increments` for estimates over very large
+    ensembles.
     """
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed, profile=profile)
 

@@ -12,8 +12,8 @@ package's vectorized code must equal bit for bit; ``to_csv_loop`` is the
 ensemble CSV writer built on Python's own ``%.17g``, whose bytes the
 package's writer must equal, and ``to_binary_loop`` the binary writer
 built on ``struct`` and ``tobytes``.  ``serial_ensemble`` builds the
-paths those writers read from the package's serial increment stream
-and ``np.cumsum``, one block after another with no thread pool.
+paths those writers read one row at a time, each from a freshly built
+numpy Philox, with none of the package's sampling code.
 ``exact_law_columns_loop`` is the exact-law column draw one path and
 one term at a time, in Python floats, whose bits the package's
 vectorized draw must equal.
@@ -158,14 +158,24 @@ def to_csv_loop(ensemble, path):
             fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-def serial_ensemble(profile, grid, n_paths, seed):
-    """The grid, n_paths, seed and values of an ensemble, its values the
-    running sums of the serial stream's increments along each row."""
-    from feynpath import stream_increments
+# Where the path rows' Philox streams start, as the package documents
+# it: path p reads the stream keyed by (seed, p) from this counter.
+PATH_ROW_COUNTER = 2**63 << 192
 
+
+def serial_ensemble(profile, grid, n_paths, seed):
+    """The grid, n_paths, seed and values of an ensemble, one path at a
+    time: path p's N normals z from a new Philox keyed by (seed, p) at
+    PATH_ROW_COUNTER, its increments z * sqrt(db) + da from the
+    profile's primitives on the grid, and its values their running sum
+    after a leading 0."""
+    da = np.diff(profile.a(grid.nodes))
+    sdb = np.sqrt(np.diff(profile.b(grid.nodes)))
     values = np.zeros((n_paths, grid.N + 1))
-    for p0, inc in stream_increments(profile, grid, n_paths, seed):
-        values[p0 : p0 + inc.shape[0], 1:] = np.cumsum(inc, axis=1)
+    for p in range(n_paths):
+        key = np.array([seed, p], dtype=np.uint64)
+        z = np.random.Generator(np.random.Philox(key=key, counter=PATH_ROW_COUNTER))
+        values[p, 1:] = np.cumsum(z.standard_normal(grid.N) * sdb + da)
     return SimpleNamespace(grid=grid, n_paths=n_paths, seed=seed, values=values)
 
 

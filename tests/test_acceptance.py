@@ -205,8 +205,8 @@ def test_criterion_7_statistical_suite(standard, std_elements):
     for c, i in enumerate(node_idx):
         masks[:i, c] = dk[:i]
     zvals = np.empty((N_STAT, times.size))
-    for p0, inc in stream_increments(standard, grid, N_STAT, 20260):
-        zvals[p0 : p0 + inc.shape[0]] = inc @ masks
+    for p0, rows in stream_increments(standard, grid, N_STAT, 20260):
+        zvals[p0 : p0 + rows.shape[0]] = np.diff(rows, axis=1) @ masks
     gamma = (k2.density * standard.a_prime).antiderivative()(times)
     beta = (k2.density * k2.density * standard.b_prime).antiderivative()(times)
     mean_ok = True

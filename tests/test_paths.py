@@ -82,10 +82,36 @@ def test_paths_start_at_zero(standard, grid256):
 
 def test_streaming_matches_materialized(standard, grid256):
     ens = sample_gbmp_paths(standard, grid256, 20, 5)
-    rebuilt = np.zeros_like(ens.values)
-    for p0, inc in stream_increments(standard, grid256, 20, 5):
-        rebuilt[p0 : p0 + inc.shape[0], 1:] = np.cumsum(inc, axis=1)
+    rebuilt = np.full_like(ens.values, np.nan)
+    for p0, rows in stream_increments(standard, grid256, 20, 5):
+        rebuilt[p0 : p0 + rows.shape[0]] = rows
     assert np.array_equal(ens.values, rebuilt)
+
+
+@pytest.mark.parametrize("index", [0, 5, CHUNK_PATHS + 3, 2**64 - 1])
+@pytest.mark.parametrize("top", [0, 1, 7, paths._ROW_STREAM], ids=["dim0", "dim1", "dim7", "row"])
+def test_rekeyed_generator_equals_a_fresh_philox(index, top):
+    """The thread's re-keyed Philox gives the normals of a freshly built
+    one, for the path rows' keys and the projected draw's (block, dim)
+    keys alike, whatever the generator drew before."""
+    for seed in (0, 41, 2**64 - 1):
+        key = np.array([seed, index], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key, counter=top << 192))
+        want = fresh.standard_normal(1000)
+        paths._philox(1, 2, 3).standard_normal(7)  # leaves it part way into a stream
+        assert paths._philox(seed, index, top).standard_normal(1000).tobytes() == want.tobytes()
+
+
+def test_path_rows_and_the_projected_draw_share_no_normals(standard, grid256):
+    """Path row 0 and dimension 0 of projected block 0 are both keyed by
+    (seed, 0); their counters keep them apart.  Were they one stream,
+    row 0's increments would be these normals times sqrt(db) plus da."""
+    key = np.array([13, 0], dtype=np.uint64)
+    z = np.random.Generator(np.random.Philox(key=key, counter=0)).standard_normal(grid256.N)
+    da, db = paths.increment_moments(standard, grid256)
+    row = sample_gbmp_paths(standard, grid256, 1, 13).values[0]
+    assert not np.allclose(np.diff(row), z * np.sqrt(db) + da)
+    assert np.array_equal(row, serial_ensemble(standard, grid256, 1, 13).values[0])
 
 
 def _density_columns(grid):
@@ -250,22 +276,21 @@ def test_one_stream_onto_several_matrices_equals_a_stream_per_matrix(standard, g
 def test_filled_stream_is_bit_identical_to_serial(tmp_path, standard, grid256, monkeypatch,
                                                   workers):
     """The fresh path blocks, the rows written to a file and the built
-    values all equal the serial increments' running sums."""
+    values all equal the per-row oracle's paths."""
     monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
     n = 2 * CHUNK_PATHS + 301
-    ref = np.zeros((n, grid256.N + 1))
-    for p0, inc in stream_increments(standard, grid256, n, 31):
-        ref[p0 : p0 + inc.shape[0], 1:] = np.cumsum(inc, axis=1)
+    ref = serial_ensemble(standard, grid256, n, 31).values
     values, seen = np.full_like(ref, np.nan), []
-    for p0, rows in stream_increments(standard, grid256, n, 31, paths=True):
+    for p0, rows in stream_increments(standard, grid256, n, 31):
         assert rows.dtype == np.float64 and rows.shape == (min(CHUNK_PATHS, n - p0), grid256.N + 1)
         assert not any(np.shares_memory(rows, other) for other in seen)
         seen.append(rows)
         values[p0 : p0 + rows.shape[0]] = rows
     assert np.array_equal(values, ref)
     with open(tmp_path / "rows.bin", "wb") as fh:
-        counts = list(stream_increments(standard, grid256, n, 31, out=fh, paths=True))
-    assert counts == [(p0, min(CHUNK_PATHS, n - p0)) for p0 in range(0, n, CHUNK_PATHS)]
+        counts = list(stream_increments(standard, grid256, n, 31, out=fh))
+    step = _scratch_rows(grid256.N)
+    assert counts == [(p0, min(step, n - p0)) for p0 in range(0, n, step)]
     assert (tmp_path / "rows.bin").read_bytes() == ref.astype("<f8").tobytes()
     assert np.array_equal(sample_gbmp_paths(standard, grid256, n, 31).values, ref)
 
@@ -337,16 +362,17 @@ def test_ensemble_values_outlive_the_ensemble(release_rss):
 
 def test_filled_stream_rejects_misshaped_output(tmp_path, standard, grid256):
     """``out`` is a binary file: an array is refused, of any shape, and
-    so is a file object without a descriptor and out without paths."""
+    so is a file object without a descriptor, and out with onto."""
     for out in (np.zeros((10, grid256.N + 1)), np.zeros((10, grid256.N)),
                 np.zeros((10, grid256.N + 1), dtype=np.float32)):
         with pytest.raises(ValueError, match="binary file"):
-            next(stream_increments(standard, grid256, 10, 1, out=out, paths=True))
+            next(stream_increments(standard, grid256, 10, 1, out=out))
     with pytest.raises(ValueError):
-        next(stream_increments(standard, grid256, 10, 1, out=io.BytesIO(), paths=True))
+        next(stream_increments(standard, grid256, 10, 1, out=io.BytesIO()))
     with open(tmp_path / "rows.bin", "wb") as fh:
-        with pytest.raises(ValueError, match="out takes paths"):
-            next(stream_increments(standard, grid256, 10, 1, out=fh))
+        with pytest.raises(ValueError, match="onto takes no out"):
+            next(stream_increments(standard, grid256, 10, 1, out=fh,
+                                   onto=[_density_columns(grid256)]))
     assert (tmp_path / "rows.bin").read_bytes() == b""
 
 
@@ -659,27 +685,14 @@ def test_csv_formatter_memory_per_value():
     assert slope <= 160
 
 
-@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 0, 3, 1, 2], [2, 1, 0, 4, 3]])
-def test_chunk_rows_in_any_order_are_the_stream_rows(standard, order):
-    """Chunks asked for out of order, as racing CSV tasks may, are the
-    rows of the path stream; here chunks of 1500 rows cross the block
-    boundary at CHUNK_PATHS."""
-    grid = TimeGrid.build(standard, n=16)
-    ens = sample_gbmp_paths(standard, grid, 5 * 1500 - 7, 9)
-    rows = paths._chunk_rows(*paths._checked_moments(standard, grid, ens.n_paths, 9),
-                             ens.n_paths, 9, 1500)
-    got = {i: rows(i) for i in order}
-    assert np.concatenate([got[i] for i in range(5)]).tobytes() == ens.values.tobytes()
-
-
 def test_csv_is_written_in_blocks(tmp_path, standard, monkeypatch):
     """The CSV writer neither builds the ensemble nor maps a block of it.
 
     tracemalloc sees what goes through Python's and numpy's allocators:
-    the formatter's temporaries and text, the sampled chunks of rows and
-    the normals scratch.  It does not see the private anonymous mappings
-    of _mapped_zeros, which hold values and the streamed blocks; so a
-    spy on _mapped_zeros checks that no block of rows is asked for."""
+    the formatter's temporaries and text, and the sampled chunks of
+    rows.  It does not see the private anonymous mappings of
+    _mapped_zeros, which hold values and the streamed blocks; so a spy
+    on _mapped_zeros checks that no block of rows is asked for."""
     monkeypatch.setattr(paths, "_usable_cpus", lambda: 2)
     real, asked = paths._mapped_zeros, []
 
@@ -722,7 +735,7 @@ STREAMED_N = 2 * CHUNK_PATHS + 301
 @pytest.fixture(scope="module")
 def streamed_oracle(tmp_path_factory):
     """Grid, CSV and binary bytes of the 3-block ensemble at seed 37,
-    written by the oracles from the serial stream."""
+    written by the oracles from the per-row oracle's paths."""
     profile = build_profile(pp([0.0, 1.0]), pp([1.0, 1.0]), 1.0)
     grid = TimeGrid.build(profile, n=16)
     ens = serial_ensemble(profile, grid, STREAMED_N, 37)
@@ -780,34 +793,37 @@ def test_short_writes_give_the_serial_oracle(tmp_path, standard, monkeypatch, st
 @pytest.mark.parametrize("rows", [1, 7, CHUNK_PATHS], ids=["one-row", "seven-rows", "whole-block"])
 def test_scratch_size_does_not_reach_the_bits(tmp_path, standard, monkeypatch, streamed_oracle,
                                               workers, rows):
-    """Sub-blocks of 1 row, of 7 (not a divisor of CHUNK_PATHS) and of a
-    whole block give the oracle's paths, as fresh blocks and in a file:
-    numpy continues each block's Philox stream across the fills."""
+    """Row buffers of 1 row, of 7 (not a divisor of CHUNK_PATHS) and of a
+    whole block give the oracle's file, and the fresh blocks its paths:
+    each row reads its own Philox stream, whatever rows it is sampled
+    with."""
     monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
     grid, _, ref_bin = streamed_oracle
     monkeypatch.setattr(paths, "_SCRATCH_BYTES", 8 * grid.N * rows)
     assert _scratch_rows(grid.N) == rows
     real, filled = paths._path_rows, []
 
-    def recorded(gen, z, da, sdb, out):
-        filled.append((z.shape[0], out.shape[0]))
-        real(gen, z, da, sdb, out)
+    def recorded(seed, da, sdb, p0, out):
+        filled.append((p0, out.shape[0]))
+        real(seed, da, sdb, p0, out)
 
     monkeypatch.setattr(paths, "_path_rows", recorded)
-    blocks = stream_increments(standard, grid, STREAMED_N, 37, paths=True)
+    blocks = stream_increments(standard, grid, STREAMED_N, 37)
     values = np.concatenate([block for _, block in blocks])
     assert values.astype("<f8").tobytes() == ref_bin[8 * (4 + grid.N + 1) :]
+    assert sorted(filled) == [(p0, min(CHUNK_PATHS, STREAMED_N - p0))
+                              for p0 in range(0, STREAMED_N, CHUNK_PATHS)]
+    filled.clear()
     sample_gbmp_paths(standard, grid, STREAMED_N, 37).to_binary(tmp_path / "ens.bin")
     assert (tmp_path / "ens.bin").read_bytes() == ref_bin
-    assert {z for z, _ in filled} == {rows}
-    assert max(k for _, k in filled) == rows
-    assert sum(k for _, k in filled) == 2 * STREAMED_N
+    assert sorted(filled) == [(p0, min(rows, STREAMED_N - p0))
+                              for p0 in range(0, STREAMED_N, rows)]
 
 
 def test_racing_csv_tasks_give_the_serial_oracle(tmp_path, standard, monkeypatch, streamed_oracle):
-    """More CSV tasks than CPUs, switched every few microseconds, sample
-    their rows in stream order and format them, in any interleaving: the
-    file is the oracle's, within a time bound."""
+    """More CSV tasks than CPUs, switched every few microseconds, each
+    sample and format their own rows, in any interleaving: the file is
+    the oracle's, within a time bound."""
     monkeypatch.setattr(paths, "_usable_cpus", lambda: (os.cpu_count() or 1) + 2)
     grid, ref_csv, _ = streamed_oracle
     ens = sample_gbmp_paths(standard, grid, STREAMED_N, 37)
@@ -825,23 +841,23 @@ def test_racing_csv_tasks_give_the_serial_oracle(tmp_path, standard, monkeypatch
 
 @pytest.mark.parametrize("suffix", ["bin", "csv"])
 def test_a_failed_block_leaves_no_file(tmp_path, monkeypatch, suffix):
+    """A task whose rows include row 2 * CHUNK_PATHS fails: simulate
+    raises its exception and leaves no file."""
     from feynpath.cli import run
 
-    real, seen = paths._block_generator, []
+    real, bad = paths._path_rows, 2 * CHUNK_PATHS
 
-    def failing(seed, block):
-        seen.append(block)
-        if block == 2:
-            raise RuntimeError("block 2 failed")
-        return real(seed, block)
+    def failing(seed, da, sdb, p0, out):
+        if p0 <= bad < p0 + out.shape[0]:
+            raise RuntimeError("row %d failed" % bad)
+        return real(seed, da, sdb, p0, out)
 
-    monkeypatch.setattr(paths, "_block_generator", failing)
+    monkeypatch.setattr(paths, "_path_rows", failing)
     config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "std.json"
     dest = tmp_path / ("paths." + suffix)
-    with pytest.raises(RuntimeError, match="block 2 failed"):
+    with pytest.raises(RuntimeError, match="row %d failed" % bad):
         run(["simulate", "--config", str(config), "--n", str(3 * CHUNK_PATHS), "--grid", "16",
              "--out", str(dest)])
-    assert 2 in seen
     assert os.listdir(tmp_path) == []
 
 
@@ -1008,8 +1024,8 @@ def test_streamed_writer_holds_few_blocks(tmp_path, fmt):
 
 def test_binary_writer_memory_does_not_grow_with_the_grid(tmp_path):
     """A binary write of 300 paths at N = 16384 raises RSS by less than
-    16 MiB: each worker's normals scratch and row buffer are about
-    _SCRATCH_BYTES (8 rows here), where 256-row buffers took 64 MiB."""
+    16 MiB: each worker's row buffer is about _SCRATCH_BYTES (8 rows
+    here), where 256-row buffers took 64 MiB."""
     got = _write_rss(tmp_path, "binary", 16384, 300)
     assert got["written"] == 32 + 8 * 16385 + got["ensemble"]
     assert got["grown"] < 16 * 2**20
