@@ -180,7 +180,7 @@ def _report(F, vals, n, grid, seed, t0):
     )
 
 
-def _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, threshold, t0):
+def _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, t0):
     lhs = _report(F, lhs_vals, n, grid, seed, t0)
     rhs = _report(F, rhs_vals, n, grid, seed, t0)
     diff_mean, diff_se = _mean_se(lhs_vals - rhs_vals)
@@ -192,7 +192,7 @@ def _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, threshold, t0):
         sigma = discrepancy / diff_se
     return IdentityReport(
         lhs=lhs, rhs=rhs, discrepancy=discrepancy, diff_se=diff_se,
-        sigma_ratio=float(sigma), threshold=threshold,
+        sigma_ratio=float(sigma), threshold=DEFAULT_SIGMA_THRESHOLD,
     )
 
 
@@ -239,7 +239,6 @@ def verify_translation(
     n: int,
     seed: int,
     grid: TimeGrid | None = None,
-    threshold: float = DEFAULT_SIGMA_THRESHOLD,
     *,
     columns: np.ndarray | None = None,
 ) -> IdentityReport:
@@ -260,7 +259,7 @@ def verify_translation(
     v = cols[:, :-1]
     lhs_vals = _value_at(F, v + shift)
     rhs_vals = weight * _value_at(F, v) * np.exp(cols[:, -1])
-    return _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, threshold, t0)
+    return _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, t0)
 
 
 def verify_parts(
@@ -272,7 +271,6 @@ def verify_parts(
     n: int,
     seed: int,
     grid: TimeGrid | None = None,
-    threshold: float = DEFAULT_SIGMA_THRESHOLD,
     *,
     columns: np.ndarray | None = None,
 ) -> IdentityReport:
@@ -283,7 +281,7 @@ def verify_parts(
     if not rho > 0.0:
         raise BadDomain("rho must be positive, got %r" % rho)
     lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns)
-    return _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, threshold, t0)
+    return _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, t0)
 
 
 def verify_cs_precursor(
@@ -295,7 +293,6 @@ def verify_cs_precursor(
     n: int,
     seed: int,
     grid: TimeGrid | None = None,
-    threshold: float = DEFAULT_SIGMA_THRESHOLD,
     *,
     columns: np.ndarray | None = None,
 ) -> IdentityReport:
@@ -313,7 +310,7 @@ def verify_cs_precursor(
     lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, lam**-0.5, n, seed, grid,
                                                  columns)
     root = lam**0.5
-    return _identity_report(F, root * lhs_vals, root * rhs_vals, n, grid, seed, threshold, t0)
+    return _identity_report(F, root * lhs_vals, root * rhs_vals, n, grid, seed, t0)
 
 
 def _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns):

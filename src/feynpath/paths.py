@@ -19,12 +19,11 @@ given (seed, grid, n_paths) whatever the scheduling, the first n rows
 do not change when more paths are requested, and any task can sample
 any range of rows.  Each thread re-keys one Philox of its own per row
 (see _philox).  One helper, ``_path_rows``, computes every path row.
-The thread pool of ``_ordered_map`` computes them for the three
-consumers: the blocks that ``values`` is built from, the binary
-writer's row ranges, each written at its offset in the file, and the
-CSV writer's chunks, each sampled and formatted by the task that
-writes it.  Each argument of the stream has one form: ``onto`` is a
-list of density matrices and ``out`` a binary file.
+The thread pool of ``_ordered_map`` computes them for two consumers:
+the blocks that ``values`` is built from, and the writers' row ranges,
+each sampled by the task that writes it (binary, at its offset in the
+file) or formats it (CSV).  The writers always sample the recipe; they
+never read ``values``.
 
 The stream ``onto`` density matrices samples no paths: the columns
 (x, D)~ are drawn from their exact law under the left-endpoint grid,
@@ -135,10 +134,10 @@ class PathEnsemble:
     (``n_paths >= 1``, the seed, b increasing on the grid).
 
     ``values[p, i]`` is path p at grid node i (column 0 zero), built in
-    full on first access and kept.  The writers do not build it, nor
-    hold a CHUNK_PATHS block of it: each of their tasks samples the rows
-    it writes, unless ``values`` is already there, when they write it
-    instead.  Either way the bytes are the same."""
+    full on first access, kept and read-only.  The writers neither build
+    nor read it, nor hold a CHUNK_PATHS block of it: each of their tasks
+    samples the rows it writes, so the files are the same whether or not
+    ``values`` is built."""
 
     grid: TimeGrid
     n_paths: int
@@ -150,60 +149,74 @@ class PathEnsemble:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        """The (n_paths, N+1) path values, in a mapping of their own that
-        is given back to the operating system when the last view goes.
-        The fresh blocks of the path stream are copied into it, so up to
-        workers + 1 of them are alive beside it while it is built."""
+        """The read-only (n_paths, N+1) path values, in a mapping of their
+        own that is given back to the operating system when the last view
+        goes.  The fresh blocks of the path stream are copied into it, so
+        up to workers + 1 of them are alive beside it while it is built."""
         values = _mapped_zeros((self.n_paths, self.grid.N + 1))
         for p0, block in stream_increments(self.profile, self.grid, self.n_paths, self.seed):
             values[p0 : p0 + block.shape[0]] = block
+        values.flags.writeable = False
         return values
+
+    def _row_ranges(self, step, use):
+        """Yield use(p0, rows) for the ranges of ``step`` rows from p0 = 0
+        on, in order, computed on the block thread pool (see
+        _ordered_map).  Each task samples its rows (see _path_rows) into a
+        buffer of its worker's own, made once per call, so use must be
+        done with them when it returns."""
+        da, sdb = _checked_moments(self.profile, self.grid, self.n_paths, self.seed)
+        step = min(step, self.n_paths)
+        scratch = threading.local()
+
+        def task(i):
+            p0 = i * step
+            buffer = getattr(scratch, "rows", None)
+            if buffer is None:
+                buffer = scratch.rows = np.zeros((step, self.grid.N + 1), dtype="<f8")
+            rows = buffer[: min(step, self.n_paths - p0)]
+            _path_rows(self.seed, da, sdb, p0, rows)
+            return use(p0, rows)
+
+        return _ordered_map(task, -(-self.n_paths // step))
 
     def to_csv(self, path):
         """First row is the node times, then one row per path.  Every
         value is written as %.17g, which reads back as the same double.
 
         Chunks of a few rows (at most _CSV_BLOCK_VALUES values, at least
-        one row) are formatted on the block thread pool and written in
-        order, so the file holds the same bytes for any number of
-        workers.  Unless values is built, the task that formats a chunk
-        samples its rows first (see _path_rows), so only the chunks in
-        flight, at most workers + 1, are in memory, never a whole
-        CHUNK_PATHS block.  Each worker formats its chunks in one
-        scratch allocation of its own (see _csv_rows), made on its first
-        chunk and freed when the pool's threads end with the write."""
+        one row) are sampled and formatted on the block thread pool and
+        written in order, so the file holds the same bytes for any number
+        of workers, and only the chunks in flight, at most workers + 1,
+        are in memory, never a whole CHUNK_PATHS block.  Each worker
+        formats its chunks in one scratch allocation of its own (see
+        _csv_rows), made on its first chunk and freed when the pool's
+        threads end with the write."""
         step = max(1, _CSV_BLOCK_VALUES // (self.grid.N + 1))
-        if "values" in vars(self):
-            values = self.values
-
-            def rows(i):
-                return values[i * step : (i + 1) * step]
-        else:
-            da, sdb = _checked_moments(self.profile, self.grid, self.n_paths, self.seed)
-
-            def rows(i):
-                dst = np.zeros((min(step, self.n_paths - i * step), self.grid.N + 1))
-                _path_rows(self.seed, da, sdb, i * step, dst)
-                return dst
         with open(path, "wb") as fh:
             fh.write(_csv_rows(self.grid.nodes[None, :]))
-            for text in _ordered_map(lambda i: _csv_rows(rows(i)), -(-self.n_paths // step)):
+            for text in self._row_ranges(step, lambda p0, rows: _csv_rows(rows)):
                 fh.write(text)
 
     def to_binary(self, path):
         """Compact layout: magic, N, n_paths, seed (little-endian u64),
-        then the nodes and the row-major values as little-endian f64, which
-        the pool's workers write at their offsets unless values is built."""
+        then the nodes and the row-major values as little-endian f64.  The
+        pool's workers write the values in ranges of _scratch_rows(N) rows
+        (about _SCRATCH_BYTES), each at its offset in the file."""
         with open(path, "wb") as fh:
             fh.write(_BINARY_MAGIC)
             fh.write(struct.pack("<QQQ", self.grid.N, self.n_paths, self.seed))
             fh.write(np.ascontiguousarray(self.grid.nodes, dtype="<f8"))
-            if "values" in vars(self):
-                fh.write(np.ascontiguousarray(self.values, dtype="<f8"))
-            else:
-                for _ in stream_increments(self.profile, self.grid, self.n_paths, self.seed,
-                                           out=fh):
-                    pass
+            fh.flush()
+            fd, base, width = fh.fileno(), fh.tell(), self.grid.N + 1
+
+            def write(p0, rows):
+                data, end = memoryview(rows).cast("B"), base + 8 * width * (p0 + rows.shape[0])
+                while data:  # until short writes have written it all
+                    data = data[os.pwrite(fd, data, end - len(data)) :]
+
+            for _ in self._row_ranges(_scratch_rows(self.grid.N), write):
+                pass
 
     @staticmethod
     def read_binary(path):
@@ -563,8 +576,7 @@ def _checked_moments(profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: i
     return da, np.sqrt(db)
 
 
-def stream_increments(profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int, onto=None,
-                      out=None):
+def stream_increments(profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: int, onto=None):
     """Yield (first_path_index, rows) chunks of the path ensemble: rows
     of N+1 path values, 0 and then the running sums of the row's
     increments, one fresh CHUNK_PATHS block at a time, each over a
@@ -576,11 +588,6 @@ def stream_increments(profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: 
     on how rows are grouped, or on the thread that samples them.  The
     chunks are computed on a thread pool with one worker per usable CPU;
     at most one per worker is computed ahead of the consumer.
-
-    With ``out``, a binary file open for writing, the workers write the
-    rows there instead, as little-endian f64 from its position on, in
-    ranges of _scratch_rows(N) rows (about _SCRATCH_BYTES), and the
-    chunks are (first_path_index, row count) of those ranges.
 
     With ``onto``, a non-empty tuple or list of (N, c_i) matrices of
     left densities, the chunks are (first_path_index, tuple of columns)
@@ -599,42 +606,16 @@ def stream_increments(profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: 
     """
     da, sdb = _checked_moments(profile, grid, n_paths, seed)
     if onto is not None:
-        if out is not None:
-            raise ValueError("onto takes no out")
         yield from _projected_blocks(da, sdb, n_paths, seed, onto)
         return
-    width = sdb.size + 1
-    if out is None:
-        def block(i):
-            p0 = i * CHUNK_PATHS
-            rows = _mapped_zeros((min(CHUNK_PATHS, n_paths - p0), width))
-            _path_rows(seed, da, sdb, p0, rows)
-            return p0, rows
 
-        yield from _ordered_map(block, -(-n_paths // CHUNK_PATHS))
-        return
-    if not hasattr(out, "fileno"):
-        raise ValueError("out must be a binary file open for writing")
-    out.flush()
-    fd, base = out.fileno(), out.tell()
-    step = min(_scratch_rows(sdb.size), n_paths)
-    scratch = threading.local()
-
-    def write(i):
-        p0 = i * step
-        # From malloc, once per worker and write: about _SCRATCH_BYTES,
-        # so the worker's arena keeps little once it is freed.
-        buffer = getattr(scratch, "rows", None)
-        if buffer is None:
-            buffer = scratch.rows = np.zeros((step, width), dtype="<f8")
-        rows = buffer[: min(step, n_paths - p0)]
+    def block(i):
+        p0 = i * CHUNK_PATHS
+        rows = _mapped_zeros((min(CHUNK_PATHS, n_paths - p0), sdb.size + 1))
         _path_rows(seed, da, sdb, p0, rows)
-        data, end = memoryview(rows).cast("B"), base + 8 * width * (p0 + rows.shape[0])
-        while data:  # until short writes have written it all
-            data = data[os.pwrite(fd, data, end - len(data)) :]
-        return p0, rows.shape[0]
+        return p0, rows
 
-    yield from _ordered_map(write, -(-n_paths // step))
+    yield from _ordered_map(block, -(-n_paths // CHUNK_PATHS))
 
 
 # Each thread's Generator, its Philox, and a state dict to re-key it
@@ -838,10 +819,11 @@ def sample_gbmp_paths(
 
     Nothing is sampled here: the ensemble is its recipe, checked now, so
     that an invalid one raises before anything is written.  Its writers
-    sample it again, with a row buffer of about _SCRATCH_BYTES per
-    worker (binary) or one chunk of at most _CSV_BLOCK_VALUES values per
-    task in flight, at most workers + 1 of them (CSV), in memory; its
-    ``values`` hold all n_paths * (N+1) doubles, built on first access.
+    sample it each time, with a row buffer per worker of about
+    _SCRATCH_BYTES (binary) or of one chunk of at most _CSV_BLOCK_VALUES
+    values (CSV) in memory, whether or not ``values`` is built; that
+    read-only array holds all n_paths * (N+1) doubles, built on first
+    access.
     Use :func:`stream_increments` for estimates over very large
     ensembles.
     """

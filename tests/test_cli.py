@@ -488,6 +488,18 @@ def test_repeated_check_flags_add_up(tmp_path, capsys):
     assert sorted(p.name[:9] for p in out.glob("check_*.json")) == ["check_000", "check_001"]
 
 
+@pytest.mark.parametrize("argv", [["--check"], ["--check", "0", "--check"]],
+                         ids=["bare", "bare-after-an-index"])
+def test_check_without_an_index_is_rejected(tmp_path, capsys, argv):
+    """A --check with no index exits 2 before any check runs, rather than
+    running every check: no ledger and no check JSON are written."""
+    path = write_config(tmp_path, std_config(n=500, grid=64))
+    out = tmp_path / "o"
+    assert run(["verify", "--config", path, *argv, "--output-dir", str(out)]) == 2
+    assert "expected at least one argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runs_in_one_process_parse_into_namespaces_of_their_own(tmp_path, capsys):
     """run builds its parser once per process, and each run still gets a
     fresh namespace: no earlier run's --check list carries over."""

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import pathlib
@@ -275,8 +274,8 @@ def test_one_stream_onto_several_matrices_equals_a_stream_per_matrix(standard, g
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_filled_stream_is_bit_identical_to_serial(tmp_path, standard, grid256, monkeypatch,
                                                   workers):
-    """The fresh path blocks, the rows written to a file and the built
-    values all equal the per-row oracle's paths."""
+    """The fresh path blocks and the built values all equal the per-row
+    oracle's paths."""
     monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
     n = 2 * CHUNK_PATHS + 301
     ref = serial_ensemble(standard, grid256, n, 31).values
@@ -287,11 +286,6 @@ def test_filled_stream_is_bit_identical_to_serial(tmp_path, standard, grid256, m
         seen.append(rows)
         values[p0 : p0 + rows.shape[0]] = rows
     assert np.array_equal(values, ref)
-    with open(tmp_path / "rows.bin", "wb") as fh:
-        counts = list(stream_increments(standard, grid256, n, 31, out=fh))
-    step = _scratch_rows(grid256.N)
-    assert counts == [(p0, min(step, n - p0)) for p0 in range(0, n, step)]
-    assert (tmp_path / "rows.bin").read_bytes() == ref.astype("<f8").tobytes()
     assert np.array_equal(sample_gbmp_paths(standard, grid256, n, 31).values, ref)
 
 
@@ -352,28 +346,12 @@ def test_released_ensembles_return_memory(release_rss):
 
 
 def test_ensemble_values_outlive_the_ensemble(release_rss):
-    """The mapping lives as long as any view of values: the view keeps
-    its data after the ensemble is collected, and the pages (31 MiB)
-    go back only when the view goes too."""
-    assert release_rss["flags"] == [True, True, "float64", True]
+    """The mapping lives as long as any view of values: the view, read-only,
+    keeps its data after the ensemble is collected, and the pages (31
+    MiB) go back only when the view goes too."""
+    assert release_rss["flags"] == [False, True, "float64", True]
     assert release_rss["kept"]
     assert release_rss["held"] - release_rss["dropped"] >= 24.0
-
-
-def test_filled_stream_rejects_misshaped_output(tmp_path, standard, grid256):
-    """``out`` is a binary file: an array is refused, of any shape, and
-    so is a file object without a descriptor, and out with onto."""
-    for out in (np.zeros((10, grid256.N + 1)), np.zeros((10, grid256.N)),
-                np.zeros((10, grid256.N + 1), dtype=np.float32)):
-        with pytest.raises(ValueError, match="binary file"):
-            next(stream_increments(standard, grid256, 10, 1, out=out))
-    with pytest.raises(ValueError):
-        next(stream_increments(standard, grid256, 10, 1, out=io.BytesIO()))
-    with open(tmp_path / "rows.bin", "wb") as fh:
-        with pytest.raises(ValueError, match="onto takes no out"):
-            next(stream_increments(standard, grid256, 10, 1, out=fh,
-                                   onto=[_density_columns(grid256)]))
-    assert (tmp_path / "rows.bin").read_bytes() == b""
 
 
 def test_sample_moments_match_profile():
@@ -535,7 +513,6 @@ def test_csv_matches_per_value_format(tmp_path, standard, n):
     grid = TimeGrid.build(standard, n=16)
     assert grid.N == 16
     ens = sample_gbmp_paths(standard, grid, n, 13)
-    ens.values[0, 1] = -0.0
     ens.to_csv(tmp_path / "ens.csv")
     rows = [grid.nodes, *ens.values]
     ref = "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
@@ -593,7 +570,7 @@ def test_csv_formatter_matches_percent_17g(values):
 
 def test_csv_formatter_matches_percent_17g_on_paths(standard):
     grid = TimeGrid.build(standard, n=64)
-    values = sample_gbmp_paths(standard, grid, 300, 3).values
+    values = np.array(sample_gbmp_paths(standard, grid, 300, 3).values)
     values[1, 1:] *= -1e-6
     expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in values.tolist())
     assert _csv_rows(values) == expected.encode()
@@ -606,7 +583,6 @@ def test_csv_matches_reference_writer(tmp_path, standard, monkeypatch, workers, 
     grid = TimeGrid.build(standard, n=16)
     step = paths._CSV_BLOCK_VALUES // (grid.N + 1)
     ens = sample_gbmp_paths(standard, grid, blocks * step + extra, 11)
-    ens.values[0, 1] = -0.0
     ens.to_csv(tmp_path / "ens.csv")
     to_csv_loop(ens, tmp_path / "ref.csv")
     assert (tmp_path / "ens.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -620,33 +596,48 @@ def _plant(values):
     values[-1, 0], values[0, -1] = 1e-300, -0.0
 
 
+def _chunk_sizes(width, n_rows):
+    """Chunks of 1 value (short rows only: each value is formatted
+    alone), of just under three rows, of the default size and of more
+    than the whole array."""
+    sizes = [3 * width - 1, paths._CSV_BLOCK_VALUES, n_rows * width + 1]
+    return ([1] if width < 100 else []) + sizes
+
+
+@pytest.mark.parametrize("n, n_paths", [(16, 37), (20000, 3)], ids=["short-rows", "long-rows"])
+def test_csv_rows_bytes_do_not_depend_on_the_chunk_size(standard, monkeypatch, n, n_paths):
+    """_csv_rows gives Python's %.17g text for path values with -0.0,
+    1e-300 and 1e20 planted, whatever the number of values it formats
+    at a time.  Rows of 20001 values are longer than a default chunk."""
+    values = np.array(sample_gbmp_paths(standard, TimeGrid.build(standard, n=n), n_paths,
+                                        17).values)
+    _plant(values)
+    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in values.tolist())
+    for size in _chunk_sizes(values.shape[1], n_paths):
+        monkeypatch.setattr(paths, "_CSV_BLOCK_VALUES", size)
+        # a fresh scratch, of at most size values, as a new writer thread has
+        monkeypatch.setattr(paths._csv_scratch, "buffers", None, raising=False)
+        assert _csv_rows(values) == expected.encode(), size
+        assert paths._csv_scratch.buffers.size == min(size, values.size)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("route", ["sampled", "built"])
 @pytest.mark.parametrize("n, n_paths", [(16, 37), (20000, 3)], ids=["short-rows", "long-rows"])
 def test_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, standard, monkeypatch, workers,
                                                    route, n, n_paths):
-    """The same bytes as the %.17g oracle for chunks of 1 value, of just
-    under three rows, of the default size and of more than the whole
-    ensemble, on both routes: rows sampled by the writer, and values
-    built first with -0.0, 1e-300 and 1e20 planted.  Rows of 20001
-    values are longer than a default chunk; chunks of 1 value are tried
-    on the short rows only, as each of their values is formatted alone."""
+    """The writer gives the %.17g oracle's bytes for chunks of 1 value,
+    of just under three rows, of the default size and of more than the
+    whole ensemble, whether or not values is built before it writes."""
     monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
     grid = TimeGrid.build(standard, n=n)
-    width = grid.N + 1
-    oracle = sample_gbmp_paths(standard, grid, n_paths, 17)
-    if route == "built":
-        _plant(oracle.values)
-    to_csv_loop(oracle, tmp_path / "ref.csv")
+    to_csv_loop(serial_ensemble(standard, grid, n_paths, 17), tmp_path / "ref.csv")
     expected = (tmp_path / "ref.csv").read_bytes()
-    sizes = [3 * width - 1, paths._CSV_BLOCK_VALUES, n_paths * width + 1]
-    if width < 100:
-        sizes.insert(0, 1)
-    for size in sizes:
+    for size in _chunk_sizes(grid.N + 1, n_paths):
         monkeypatch.setattr(paths, "_CSV_BLOCK_VALUES", size)
         ens = sample_gbmp_paths(standard, grid, n_paths, 17)
         if route == "built":
-            _plant(ens.values)
+            assert not ens.values.flags.writeable
         ens.to_csv(tmp_path / "ens.csv")
         assert (tmp_path / "ens.csv").read_bytes() == expected, size
         assert ("values" in vars(ens)) == (route == "built")
@@ -716,17 +707,22 @@ def test_csv_is_written_in_blocks(tmp_path, standard, monkeypatch):
     assert "values" not in vars(ens)
 
 
-def test_binary_is_written_without_a_copy(tmp_path, standard):
-    grid = TimeGrid.build(standard, n=2048)
-    ens = sample_gbmp_paths(standard, grid, 1024, 5)
-    assert ens.values.nbytes >= 16 * 2**20
-    tracemalloc.start()
-    try:
-        ens.to_binary(tmp_path / "ens.bin")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+def test_writers_after_values_is_built_sample_the_recipe(tmp_path, standard, streamed_oracle):
+    """Writers called after values is built give the serial oracle's
+    bytes, and leave values read-only and as it was: the array cannot be
+    edited to disagree with the files, which the writers sample anew."""
+    grid, ref_csv, ref_bin = streamed_oracle
+    ens = sample_gbmp_paths(standard, grid, STREAMED_N, 37)
+    values = ens.values
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 1] = -0.0
+    before = values.copy()
+    ens.to_binary(tmp_path / "ens.bin")
+    ens.to_csv(tmp_path / "ens.csv")
+    assert (tmp_path / "ens.bin").read_bytes() == ref_bin
+    assert (tmp_path / "ens.csv").read_bytes() == ref_csv
+    assert ens.values is values and not values.flags.writeable
+    assert np.array_equal(values, before)
 
 
 STREAMED_N = 2 * CHUNK_PATHS + 301
@@ -750,7 +746,7 @@ def streamed_oracle(tmp_path_factory):
 def test_written_files_equal_the_serial_oracle(tmp_path, standard, monkeypatch, streamed_oracle,
                                               workers, touched):
     """Both writers give the oracle's bytes at any worker count, whether
-    they stream the blocks or write values built before."""
+    or not values is built before they write."""
     monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
     grid, ref_csv, ref_bin = streamed_oracle
     ens = sample_gbmp_paths(standard, grid, STREAMED_N, 37)
