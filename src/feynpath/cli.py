@@ -563,7 +563,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     config = load_config(args.config)
     overrides = _overrides(args)
-    indices = range(len(config.checks)) if args.all or args.check is None else args.check
+    indices = range(len(config.checks)) if args.check is None else args.check
     for i in indices:
         if not 0 <= i < len(config.checks):
             raise ConfigError("no check %d: the config has %d" % (i, len(config.checks)))
@@ -733,9 +733,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run configured checks and append the ledger")
     p.add_argument("--config", required=True)
-    p.add_argument("--all", action="store_true", help="run every configured check")
-    p.add_argument("--check", type=int, nargs="+", action="extend",
-                   help="indices of checks to run, at least one; repeated flags add up")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true",
+                       help="run every configured check (the default)")
+    which.add_argument("--check", type=int, nargs="+", action="extend",
+                       help="indices of checks to run, at least one; repeated flags add up")
     p.add_argument("--n", type=int)
     p.add_argument("--grid", type=int)
     p.add_argument("--seed", type=int)

@@ -4,10 +4,12 @@ Every identity check evaluates both sides on the same path ensemble
 (common random numbers): where the algebra forces pathwise equality
 (null shift, constant functionals) the discrepancy is exactly zero, and
 elsewhere the variance of the difference is what sets the reported
-standard error.  Estimates stream over fixed path blocks, so memory
-stays bounded and results are independent of batching; accumulation
-uses numpy's pairwise summation over per-path values, which is
-deterministic for a given (seed, grid, n).
+standard error.  A check evaluates its sides one CHUNK_PATHS span of
+its columns at a time, reduces each span to (count, mean, M2), M2 the
+sum of |x - mean|^2, and merges the spans in span order by the update
+of Chan, Golub and LeVeque (Am. Stat. 37, 1983).  So beyond the
+columns it holds no n-length per-path array, and its report depends
+only on the columns and n, not on their memory order.
 
 A check sees the paths only through their stochastic-integral columns
 (x, D)~ on the check's density matrix D (``identity_densities``).
@@ -35,6 +37,7 @@ identities, not something a sampler can certify; reports carry an
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -45,7 +48,7 @@ from .cameron_martin import (CMElement, SuppElement, _require_same_profile, cm_i
 from .errors import BadDomain
 from .feynman import (ExpLinear, FunctionalSpec, _direction_scalars, _linear_factors, _value_at,
                       _variation_at)
-from .paths import TimeGrid, left_density, stream_increments
+from .paths import CHUNK_PATHS, TimeGrid, left_density, stream_increments
 
 DEFAULT_SIGMA_THRESHOLD = 3.0
 _EXACT_TOL = 1e-12
@@ -56,9 +59,10 @@ class MCReport:
     """One Monte Carlo estimate with its combined standard error.
 
     ``wall_time`` is the seconds from the drawn columns to the estimate:
-    the per-path evaluation and the reduction, not the draw, which may
-    be shared with other checks (``feynpath verify`` reports it as the
-    check's ``draw``)."""
+    the span-by-span evaluation and reduction of every side of the
+    check, so an identity's two estimates report the same time.  It
+    leaves out the draw, which may be shared with other checks
+    (``feynpath verify`` reports it as the check's ``draw``)."""
 
     estimate: complex
     std_error: float
@@ -108,16 +112,47 @@ class IdentityReport:
         }
 
 
-def _mean_se(vals: np.ndarray):
-    n = vals.shape[0]
-    mean = complex(vals.mean())
-    if np.iscomplexobj(vals):
-        centered = vals - mean
-        sq = np.mean(centered.real**2) + np.mean(centered.imag**2)
-    else:  # the same bits without a complex temporary: the imaginary part adds 0.0
-        sq = np.mean((vals - mean.real) ** 2)
-    var = float(sq) * n / (n - 1)
-    return mean, float(np.sqrt(var / n))
+def _span_moments(n: int, sides, difference: bool = False) -> list:
+    """[(mean, standard error)] over n paths of each per-path array that
+    ``sides(rows)`` returns for the paths in the slice ``rows``, and
+    then of the first minus the second when ``difference``.
+
+    ``sides`` is called once per CHUNK_PATHS span of the paths, in
+    order.  Its arrays are copied into one (k, span) buffer, reduced to
+    their span means (numpy's pairwise sums) and M2, and the spans are
+    merged in order by the update of Chan, Golub and LeVeque.  A
+    complex array is reduced as its real and imaginary parts, each as a
+    real array is, and its M2 is the sum of the two parts' M2: real
+    values give the bits of the same values with a zero imaginary
+    part."""
+    count = 0
+    for p0 in range(0, n, CHUNK_PATHS):
+        vals = sides(slice(p0, min(n, p0 + CHUNK_PATHS)))
+        rows = len(vals[0])
+        if not count:
+            buf = np.empty((len(vals) + difference, rows), np.result_type(*vals))
+        span = buf[:, :rows]
+        for row, v in zip(span, vals):
+            row[...] = v
+        if difference:
+            np.subtract(span[0], span[1], out=span[-1])
+        parts = (span.real, span.imag) if np.iscomplexobj(span) else (span,)
+        span_mean = np.array([np.add.reduce(part, axis=1) for part in parts]) / rows
+        span_m2 = 0.0
+        for part, mu in zip(parts, span_mean):
+            part -= mu[:, None]
+            np.square(part, out=part)
+            span_m2 = span_m2 + np.add.reduce(part, axis=1)
+        if count:
+            total = count + rows
+            delta = span_mean - mean
+            mean = mean + delta * (rows / total)
+            m2 = m2 + span_m2 + np.add.reduce(delta * delta) * (count * rows / total)
+        else:
+            mean, m2 = span_mean, span_m2
+        count += rows
+    imag = mean[1] if len(mean) > 1 else np.zeros_like(mean[0])
+    return [(complex(re, im), math.sqrt(sq / (n - 1) / n)) for re, im, sq in zip(mean[0], imag, m2)]
 
 
 def _densities(elements, grid: TimeGrid) -> np.ndarray:
@@ -167,23 +202,26 @@ def _functional_assumptions(F: FunctionalSpec) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def _report(F, vals, n, grid, seed, t0):
-    mean, se = _mean_se(vals)
+def _report(F, moments, n, grid, seed, wall_time):
+    estimate, se = moments
     return MCReport(
-        estimate=mean,
+        estimate=estimate,
         std_error=se,
         n_paths=n,
         grid_size=grid.N,
         seed=seed,
-        wall_time=time.perf_counter() - t0,
+        wall_time=wall_time,
         assumptions=_functional_assumptions(F),
     )
 
 
-def _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, t0):
-    lhs = _report(F, lhs_vals, n, grid, seed, t0)
-    rhs = _report(F, rhs_vals, n, grid, seed, t0)
-    diff_mean, diff_se = _mean_se(lhs_vals - rhs_vals)
+def _identity_report(F, n, grid, seed, t0, sides):
+    """The report of an identity whose per-path (LHS, RHS) on the paths
+    in a slice ``rows`` are ``sides(rows)``, evaluated from time t0."""
+    lhs_moments, rhs_moments, (diff_mean, diff_se) = _span_moments(n, sides, difference=True)
+    wall_time = time.perf_counter() - t0
+    lhs = _report(F, lhs_moments, n, grid, seed, wall_time)
+    rhs = _report(F, rhs_moments, n, grid, seed, wall_time)
     discrepancy = abs(diff_mean)
     scale = max(1.0, abs(lhs.estimate), abs(rhs.estimate))
     if diff_se == 0.0:
@@ -226,9 +264,11 @@ def mc_fsi(
     if factors:
         (cols,) = draw_columns(profile, grid, n, seed,
                                [_densities([odot(u, k) for u in factors], grid)])
+    else:  # a monomial of no factors is 1 on every path
+        cols = np.empty((n, 0))
     t0 = time.perf_counter()
-    vals = _value_at(F, lam**-0.5 * cols) if factors else np.ones(n)
-    return _report(F, vals, n, grid, seed, t0)
+    (moments,) = _span_moments(n, lambda rows: (_value_at(F, lam**-0.5 * cols[rows]),))
+    return _report(F, moments, n, grid, seed, time.perf_counter() - t0)
 
 
 def verify_translation(
@@ -256,10 +296,13 @@ def verify_translation(
     grid, shift, theta_k2, pairing_a, t0, cols = _identity_setup(F, theta, k1, k2, n, seed, grid,
                                                                  columns)
     weight = float(np.exp(-0.5 * cm_inner(theta_k2, theta_k2) - pairing_a))
-    v = cols[:, :-1]
-    lhs_vals = _value_at(F, v + shift)
-    rhs_vals = weight * _value_at(F, v) * np.exp(cols[:, -1])
-    return _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, t0)
+
+    def sides(rows):
+        span = cols[rows]
+        v = span[:, :-1]
+        return _value_at(F, v + shift), weight * _value_at(F, v) * np.exp(span[:, -1])
+
+    return _identity_report(F, n, grid, seed, t0, sides)
 
 
 def verify_parts(
@@ -280,8 +323,8 @@ def verify_parts(
     rho = float(rho)
     if not rho > 0.0:
         raise BadDomain("rho must be positive, got %r" % rho)
-    lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns)
-    return _identity_report(F, lhs_vals, rhs_vals, n, grid, seed, t0)
+    grid, t0, sides = _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns)
+    return _identity_report(F, n, grid, seed, t0, sides)
 
 
 def verify_cs_precursor(
@@ -307,22 +350,27 @@ def verify_cs_precursor(
     lam = float(lambda_real)
     if not lam > 0.0:
         raise BadDomain("lambda must be a positive real, got %r" % lambda_real)
-    lhs_vals, rhs_vals, grid, t0 = _parts_engine(F, theta, k1, k2, lam**-0.5, n, seed, grid,
-                                                 columns)
+    grid, t0, sides = _parts_engine(F, theta, k1, k2, lam**-0.5, n, seed, grid, columns)
     root = lam**0.5
-    return _identity_report(F, root * lhs_vals, root * rhs_vals, n, grid, seed, t0)
+    return _identity_report(F, n, grid, seed, t0,
+                            lambda rows: [root * vals for vals in sides(rows)])
 
 
 def _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns):
-    """Per-path sides of integration by parts at path scale rho, with the
-    grid used and the start time: the variation of F at rho-scaled paths
-    in direction rho Z_{k2}(theta (.) k1, .), and
+    """The grid used, the start time and the per-path sides of
+    integration by parts at path scale rho, as a function of the paths
+    ``rows``: the variation of F at rho-scaled paths in direction
+    rho Z_{k2}(theta (.) k1, .), and
     ((theta (.) k2, x)~ - (theta (.) k2, a)) F at the same paths."""
     grid, d, _, pairing_a, t0, cols = _identity_setup(F, theta, k1, k2, n, seed, grid, columns)
-    v = rho * cols[:, :-1]
-    lhs_vals = _variation_at(F, v, [rho * c for c in d])
-    rhs_vals = (cols[:, -1] - pairing_a) * _value_at(F, v)
-    return lhs_vals, rhs_vals, grid, t0
+    direction = [rho * c for c in d]
+
+    def sides(rows):
+        span = cols[rows]
+        v = rho * span[:, :-1]
+        return _variation_at(F, v, direction), (span[:, -1] - pairing_a) * _value_at(F, v)
+
+    return grid, t0, sides
 
 
 def _require_two_paths(n, what="an identity check"):

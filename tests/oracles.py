@@ -16,7 +16,9 @@ paths those writers read one row at a time, each from a freshly built
 numpy Philox, with none of the package's sampling code.
 ``exact_law_columns_loop`` is the exact-law column draw one path and
 one term at a time, in Python floats, whose bits the package's
-vectorized draw must equal.
+vectorized draw must equal.  ``mean_se_two_pass`` is the mean and
+standard error of a whole array in two passes, which the package's
+span-by-span reduction must agree with to a few ulps.
 """
 
 import struct
@@ -213,3 +215,15 @@ def exact_law_columns_loop(mu, G, seed, n_paths, chunk):
                         value = value + z[j][p] * float(G[i, j])
                 out[p0 + p, i] = value
     return out
+
+
+def mean_se_two_pass(vals):
+    """The mean of a whole array of per-path values, real or complex, and
+    its standard error: the mean of |x - mean|^2, times n / (n - 1),
+    over n, square-rooted."""
+    n = vals.shape[0]
+    mean = complex(vals.mean())
+    centered = vals - mean
+    sq = np.mean(centered.real**2) + np.mean(centered.imag**2)
+    var = float(sq) * n / (n - 1)
+    return mean, float(np.sqrt(var / n))

@@ -500,6 +500,18 @@ def test_check_without_an_index_is_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["--all", "--check", "0"], ["--check", "1", "--all"]],
+                         ids=["all-first", "check-first"])
+def test_all_and_check_are_rejected_together(tmp_path, capsys, argv):
+    """--all and --check name the checks two ways; given both, verify
+    exits 2 before any check runs rather than silently dropping one."""
+    path = write_config(tmp_path, std_config(n=500, grid=64))
+    out = tmp_path / "o"
+    assert run(["verify", "--config", path, *argv, "--output-dir", str(out)]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runs_in_one_process_parse_into_namespaces_of_their_own(tmp_path, capsys):
     """run builds its parser once per process, and each run still gets a
     fresh namespace: no earlier run's --check list carries over."""
@@ -1063,3 +1075,38 @@ def test_statistical_check_json_reports_its_draw(tmp_path, capsys):
         assert draws[name]["shared_by"] == statistical
         assert isinstance(draws[name]["wall_time"], float) and draws[name]["wall_time"] >= 0.0
     assert draws["feynman-0"] is None and draws["verify-recurrence-1"] is None
+
+
+# Runs argv[1:] as a child and prints that child's peak RSS in KiB
+# (RUSAGE_CHILDREN's ru_maxrss on Linux).  Started from pytest, the
+# child measured is a grandchild of pytest: a child's ru_maxrss starts
+# at the peak RSS of the process that forked it, which is this small
+# launcher and not pytest.
+_PEAK_RSS_LAUNCHER = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_verify_peak_rss_grows_by_little_more_than_its_columns(tmp_path):
+    """From n = 2e4 to n = 4e5 the peak RSS of verify --all on std.json
+    grows by at most 1.3 times the growth of its drawn columns, 8 n
+    bytes per column of each distinct density matrix: the checks reduce
+    their sides one span of paths at a time, and each n-length per-path
+    array held beside the columns would add 8 n bytes more."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss is in KiB on Linux only")
+    import feynpath
+
+    columns = 5  # std.json draws onto [1, t] and [1, t, t] (see the column-sharing test above)
+    src = os.path.dirname(os.path.dirname(feynpath.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    peak = {}
+    for n in (20_000, 400_000):
+        done = subprocess.run([sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-m",
+                               "feynpath", "verify", "--all", "--config", str(STD_JSON),
+                               "--n", str(n), "--output-dir", str(tmp_path / str(n))],
+                              env=env, check=True, capture_output=True, text=True, timeout=300)
+        peak[n] = 1024 * int(done.stdout)
+    assert peak[400_000] - peak[20_000] <= 1.3 * 8 * (400_000 - 20_000) * columns

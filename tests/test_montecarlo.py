@@ -26,7 +26,7 @@ from feynpath import (
 from feynpath.feynman import _direction_scalars, _value_at, _variation_at
 from feynpath.montecarlo import (
     LEDGER_COLUMNS,
-    _mean_se,
+    _span_moments,
     append_ledger,
     draw_columns,
     identity_densities,
@@ -37,6 +37,7 @@ from feynpath.montecarlo import (
 from feynpath.paths import CHUNK_PATHS
 
 from conftest import pp
+from oracles import mean_se_two_pass
 
 
 N_SMALL = 8000
@@ -145,11 +146,13 @@ def test_grid_bias_below_noise(ctx):
 
 
 def test_translation_null_shift_is_pathwise_exact(ctx):
+    """Both sides agree path by path, so the difference merged over three
+    spans of paths has mean and standard error 0."""
     profile, theta, k1, k2, grid = ctx
     zero = CMElement(pp([0.0]), profile)
     F = MonomialSpec(theta, (k1,))
-    report = verify_translation(F, zero, k1, k2, 2000, 29, grid=grid)
-    assert report.discrepancy <= 1e-12
+    report = verify_translation(F, zero, k1, k2, 2 * CHUNK_PATHS + 301, 29, grid=grid)
+    assert report.discrepancy == 0.0 and report.diff_se == 0.0
     assert report.sigma_ratio == 0.0
     assert report.passed
 
@@ -391,17 +394,18 @@ def test_drawn_columns_are_read_only(ctx):
 @pytest.mark.parametrize("kind", sorted(FUNCTIONALS))
 def test_reports_do_not_depend_on_the_columns_memory_order(ctx, identity, kind):
     """The same columns in row-major and in column-major memory give
-    reports equal to the bit, apart from their wall times."""
+    reports equal to the bit, apart from their wall times, over three
+    spans of paths."""
     profile, theta, k1, k2, grid = ctx
     F = FUNCTIONALS[kind](theta, k1, k2)
     check = IDENTITIES[identity]
-    (cols,) = draw_columns(profile, grid, 1001, 13,
-                           [identity_densities(F, theta, k1, k2, grid)])
+    n = 2 * CHUNK_PATHS + 301
+    (cols,) = draw_columns(profile, grid, n, 13, [identity_densities(F, theta, k1, k2, grid)])
     reports = []
     for layout in (np.ascontiguousarray, np.asfortranarray):
         columns = layout(cols)
         assert columns.flags.c_contiguous != columns.flags.f_contiguous
-        report = check(F, theta, k1, k2, 1001, 13, grid, columns=columns)
+        report = check(F, theta, k1, k2, n, 13, grid, columns=columns)
         reports.append(json.dumps(_without_wall_times(report.to_dict()), sort_keys=True))
     assert reports[0] == reports[1]
 
@@ -431,14 +435,42 @@ def test_equal_matrices_share_one_projection(ctx, monkeypatch):
     assert first.tobytes() == alone[0].tobytes() and second.tobytes() == alone[1].tobytes()
 
 
-def test_mean_se_of_real_values_keeps_the_bits_of_the_complex_route():
-    """Real values skip the zero imaginary part of the centered values;
-    the standard error keeps the bits of centering them as complex."""
-    vals = np.random.default_rng(5).standard_normal(10001) * 3.0 + 0.7
-    n = vals.size
-    mean = complex(vals.mean())
-    centered = vals - mean
-    var = float(np.mean(centered.real**2) + np.mean(centered.imag**2)) * n / (n - 1)
-    got_mean, got_se = _mean_se(vals)
-    assert got_mean == mean
-    assert np.float64(got_se).tobytes() == np.float64(np.sqrt(var / n)).tobytes()
+def _bits(moments):
+    return [(np.float64(m.real).tobytes(), np.float64(m.imag).tobytes(), np.float64(se).tobytes())
+            for m, se in moments]
+
+
+def _two_sides(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    lhs = rng.standard_normal(n) * 3.0 + 0.7
+    rhs = rng.standard_normal(n) * 0.5 - 1.1
+    if kind == "complex":
+        lhs = lhs + 1j * (rng.standard_normal(n) * 2.0 - 0.4)
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("n", [2, CHUNK_PATHS - 1, CHUNK_PATHS, 2 * CHUNK_PATHS + 301])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_span_moments_agree_with_the_two_pass_oracle(n, kind):
+    """The span-by-span merge of lhs, rhs and lhs - rhs agrees with a
+    two-pass mean and standard error over the whole arrays to a few
+    ulps, within one span, at its edge and across three spans."""
+    lhs, rhs = _two_sides(n, kind, n)
+    got = _span_moments(n, lambda rows: (lhs[rows], rhs[rows]), difference=True)
+    ulp = np.finfo(float).eps
+    for (mean, se), vals in zip(got, (lhs, rhs, lhs - rhs)):
+        want_mean, want_se = mean_se_two_pass(vals)
+        assert abs(mean - want_mean) <= 4 * ulp * abs(want_mean)
+        assert abs(se - want_se) <= 4 * ulp * want_se
+
+
+def test_span_moments_of_real_values_keep_the_bits_of_the_complex_route():
+    """Real values give the bits of the same values with a zero
+    imaginary part: each part is reduced as a real array, and the zero
+    part adds 0.0 to the mean's imaginary part and to M2."""
+    n = 2 * CHUNK_PATHS + 301
+    lhs, rhs = _two_sides(n, "real", 5)
+    real = _span_moments(n, lambda rows: (lhs[rows], rhs[rows]), difference=True)
+    as_complex = _span_moments(n, lambda rows: (lhs[rows] + 0j, rhs[rows] + 0j), difference=True)
+    assert _bits(real) == _bits(as_complex)
+    assert all(np.float64(m.imag).tobytes() == np.float64(0.0).tobytes() for m, _ in real)
