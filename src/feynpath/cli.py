@@ -5,7 +5,10 @@ them, and a list of checks to run; command-line flags override the
 config scalars (seed, n_paths, grid_size).  Unknown keys anywhere in the
 config are rejected rather than ignored, and each check is validated and
 normalized once, when the config is loaded: its element names resolved
-and its functional parsed, so a bad check fails before any check runs.
+and its functional parsed, so a bad check fails before any check runs,
+and the runners use what was resolved.  The identity checks run in
+groups, one draw per group (``_run_shared``); every other check runs
+alone (``run_check``).
 All floats are printed with 17 significant digits so reruns with the
 same config bytes produce byte-identical CSV ledgers.
 
@@ -274,10 +277,12 @@ def _expectation(expect, where):
 
 def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
     """A normalized copy of check ``index``: its numbers parsed, ``expect``
-    as (reference, tolerance), its default name filled in, its element
-    names resolved through the config's memo (the names stay), its
-    ``functional`` parsed and, for ``simulate``, its profile, output file
-    and format resolved.  Errors name a key as ``where`` + key:
+    as (reference, tolerance), its default name filled in and its
+    ``functional`` parsed.  Its element names stay, and what they resolve
+    to is kept for the runners: a closed-form check's ``spec``, and an
+    identity check's ``args`` (functional, theta, k1, k2) and the name
+    of its theta's ``profile``.  For ``simulate``, its profile, output
+    file and format are resolved.  Errors name a key as ``where`` + key:
     ``checks[3].`` for a config check, ``--`` for the flags of the
     simulate command."""
     label = where.rstrip(".")
@@ -307,15 +312,15 @@ def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
     if "expect" in check:
         check["expect"] = _expectation(check["expect"], where + "expect")
     if kind != "simulate":
-        _resolved(where + "theta", config.element, check["theta"])
+        theta = _resolved(where + "theta", config.element, check["theta"])
         if "ks" in check:
-            _resolved(where + "ks", config.spec, check["theta"], check["ks"])
-        else:
-            for key in ("k1", "k2"):
-                _resolved(where + key, config.supp, check[key])
-            check["functional"] = _parse_functional(check["functional"], where + "functional",
-                                                    config)
-            _require_theta_profile(config, check, obj["functional"], where)
+            check["spec"] = _resolved(where + "ks", config.spec, check["theta"], check["ks"])
+            return check
+        k1, k2 = (_resolved(where + key, config.supp, check[key]) for key in ("k1", "k2"))
+        F = _parse_functional(check["functional"], where + "functional", config)
+        check.update(functional=F, args=(F, theta, k1, k2),
+                     profile=config.elements[check["theta"]][1])
+        _require_theta_profile(config, check, obj["functional"], where)
         return check
 
     # The profile defaults to the config's first.  The output is a bare
@@ -417,15 +422,22 @@ def _check_scalars(config: ExperimentConfig, check: dict, overrides: dict):
                  for key in ("n_paths", "seed", "grid_size"))
 
 
-_IDENTITY_KINDS = ("verify-translation", "verify-parts", "verify-cs")
+# Each identity kind's montecarlo function, by name, and the check key of
+# its scalar parameter, if it has one.  The function is looked up on
+# ``mc`` at each call, so a wrapper put there (a tracer, a test's spy) is
+# the one called.
+_IDENTITY_RUNNERS = {
+    "verify-translation": ("verify_translation", None),
+    "verify-parts": ("verify_parts", "rho"),
+    "verify-cs": ("verify_cs_precursor", "lambda"),
+}
 
 
-def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict, out_dir,
-              columns=None):
-    """Run check ``index``, as ``load_config`` normalized it (which also
-    filled in its default name); returns (ledger row, result dict).  An
-    identity check takes its drawn ``columns`` when they are given (see
-    ``_run_shared``) and draws its own otherwise."""
+def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict, out_dir):
+    """Run check ``index``, a simulate or closed-form (``feynman``,
+    ``verify-recurrence``) check as ``load_config`` normalized it (which
+    also filled in its default name); returns (ledger row, result dict).
+    The identity checks run in ``_run_shared``."""
     kind, name = check["kind"], check["name"]
     n, seed, grid_n = _check_scalars(config, check, overrides)
     result = {"name": name, "kind": kind, "n_paths": n, "seed": seed, "grid_size": grid_n}
@@ -453,10 +465,12 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
                             n=n, grid=grid.N, seed=seed, passed=True)
         return row, result
 
+    spec = check["spec"]
+    value = feynman_monomial(spec, check["q"])
     if kind == "feynman":
-        spec = config.spec(check["theta"], check["ks"])
-        audit: list = []
-        value = feynman_monomial(spec, check["q"], audit=audit)
+        summary = monomial_summary(spec)
+        audit = [{"op": "feynman_monomial", "means": summary.mean.tolist(),
+                  "cov": summary.cov.tolist(), "value": value, "q": check["q"]}]
         result.update({"value": value, "q": check["q"], "audit": audit})
         if "expect" in check:
             ref, tol = check["expect"]
@@ -468,37 +482,14 @@ def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict
                             n=0, grid=0, seed=seed, passed=passed)
         return row, result
 
-    if kind == "verify-recurrence":
-        spec = config.spec(check["theta"], check["ks"])
-        value = feynman_monomial(spec, check["q"])
-        oracle = wick_moment(monomial_summary(spec), ComplexParam.feynman(check["q"]))
-        err = abs(value - oracle) / max(1.0, abs(oracle))
-        passed = err < RECURRENCE_TOL
-        result.update({"recurrence": value, "oracle": oracle, "relative_error": err,
-                       "pass": bool(passed)})
-        row = mc.ledger_row(name, config.config_hash, lhs=value, rhs=oracle,
-                            n=0, grid=0, seed=seed, se=0.0, sigma_ratio=0.0, passed=passed)
-        return row, result
-
-    # Statistical identity checks share the setup below.
-    F = check["functional"]
-    theta = config.element(check["theta"])
-    k1 = config.supp(check["k1"])
-    k2 = config.supp(check["k2"])
-    grid = config.grid(config.elements[check["theta"]][1], grid_n)
-    if kind == "verify-translation":
-        report = mc.verify_translation(F, theta, k1, k2, n, seed, grid=grid, columns=columns)
-    elif kind == "verify-parts":
-        report = mc.verify_parts(F, theta, k1, k2, check["rho"], n, seed, grid=grid,
-                                 columns=columns)
-    elif kind == "verify-cs":
-        report = mc.verify_cs_precursor(F, theta, k1, k2, check["lambda"], n, seed, grid=grid,
-                                        columns=columns)
-    else:  # pragma: no cover
-        raise ConfigError("unhandled check kind %r" % kind)
-    result.update(report.to_dict())
-    result["pass"] = report.passed
-    return mc.identity_ledger_row(name, config.config_hash, report), result
+    oracle = wick_moment(monomial_summary(spec), ComplexParam.feynman(check["q"]))
+    err = abs(value - oracle) / max(1.0, abs(oracle))
+    passed = err < RECURRENCE_TOL
+    result.update({"recurrence": value, "oracle": oracle, "relative_error": err,
+                   "pass": bool(passed)})
+    row = mc.ledger_row(name, config.config_hash, lhs=value, rhs=oracle,
+                        n=0, grid=0, seed=seed, se=0.0, sigma_ratio=0.0, passed=passed)
+    return row, result
 
 
 # ---------------------------------------------------------------------------
@@ -601,15 +592,16 @@ def _run_checks(config: ExperimentConfig, indices, overrides: dict, out_dir) -> 
 
     The identity checks are grouped by the stream they sample, their
     (profile, grid_size, n_paths, seed) after the flags, and each group
-    is drawn once and run one group at a time, in the order of its first
-    check; every other check runs alone."""
+    is drawn once and run by ``_run_shared``, one group at a time, in
+    the order of its first check; every other check runs alone through
+    ``run_check``."""
     groups: dict = {}
     for i in indices:
         check = config.checks[i]
-        if check["kind"] in _IDENTITY_KINDS:
+        if check["kind"] in _IDENTITY_RUNNERS:
             n, seed, grid_n = _check_scalars(config, check, overrides)
             _resolved("checks[%d]" % i, mc._require_two_paths, n)
-            key = (config.elements[check["theta"]][1], grid_n, n, seed)
+            key = (check["profile"], grid_n, n, seed)
         else:
             key = i
         groups.setdefault(key, []).append(i)
@@ -617,34 +609,38 @@ def _run_checks(config: ExperimentConfig, indices, overrides: dict, out_dir) -> 
     outcomes = {}
     for key, members in groups.items():
         if isinstance(key, tuple):
-            outcomes.update(_run_shared(config, members, key, overrides, out_dir))
+            outcomes.update(_run_shared(config, members, key))
         else:
             outcomes[key] = run_check(config, key, config.checks[key], overrides, out_dir)
     return [outcomes[i] for i in indices]
 
 
-def _run_shared(config: ExperimentConfig, members, key, overrides: dict, out_dir) -> dict:
-    """{index: outcome} of the identity checks ``members`` of one stream
-    ``key``, from one draw; ``mc.draw_columns`` decides which checks
-    share a columns array.  Each check's reference is dropped once it
-    has run, so a shared array is freed after the last of its checks.
+def _run_shared(config: ExperimentConfig, members, key) -> dict:
+    """{index: (ledger row, result dict)} of the identity checks
+    ``members`` of one stream ``key``, from one draw: the only runner of
+    the identity checks.  ``mc.draw_columns`` decides which checks share
+    a columns array, and each check's ``mc.verify_*`` function takes
+    its array as ``columns=``.  Each check's reference is dropped once
+    it has run, so a shared array is freed after the last of its checks.
     Each result gets a ``draw`` object: the draw's seconds and the names
     of the checks it served."""
     pname, grid_n, n, seed = key
     grid = config.grid(pname, grid_n)
-    densities = [mc.identity_densities(check["functional"], config.element(check["theta"]),
-                                       config.supp(check["k1"]), config.supp(check["k2"]), grid)
-                 for check in (config.checks[i] for i in members)]
+    checks = [config.checks[i] for i in members]
+    densities = [mc.identity_densities(*check["args"], grid) for check in checks]
     t0 = time.perf_counter()
     columns = mc.draw_columns(config.profiles[pname], grid, n, seed, densities)
-    draw = {"wall_time": time.perf_counter() - t0,
-            "shared_by": [config.checks[i]["name"] for i in members]}
+    draw = {"wall_time": time.perf_counter() - t0, "shared_by": [c["name"] for c in checks]}
     outcomes = {}
-    for pos, i in enumerate(members):
-        row, result = run_check(config, i, config.checks[i], overrides, out_dir, columns[pos])
+    for pos, (i, check) in enumerate(zip(members, checks)):
+        func, param = _IDENTITY_RUNNERS[check["kind"]]
+        scalars = () if param is None else (check[param],)
+        report = getattr(mc, func)(*check["args"], *scalars, n, seed, grid=grid,
+                                   columns=columns[pos])
         columns[pos] = None
-        result["draw"] = draw
-        outcomes[i] = (row, result)
+        result = {"name": check["name"], "kind": check["kind"], "n_paths": n, "seed": seed,
+                  "grid_size": grid_n, **report.to_dict(), "draw": draw}
+        outcomes[i] = (mc.identity_ledger_row(check["name"], config.config_hash, report), result)
     return outcomes
 
 

@@ -358,25 +358,19 @@ def _recurrence_value(summary: GaussianSummary, param: ComplexParam) -> complex:
     return ev((1 << summary.m) - 1)
 
 
-def feynman_monomial(spec: MonomialSpec, q: float, audit: list | None = None) -> complex:
+def feynman_monomial(spec: MonomialSpec, q: float) -> complex:
     """Analytic Feynman integral of the monomial at parameter q, by the
     subset-memoized peel-off recurrence."""
     param = ComplexParam.feynman(q)
-    summary = monomial_summary(spec)
-    value = _recurrence_value(summary, param)
-    _audit(audit, "feynman_monomial", summary, {"q": q}, value)
-    return value
+    return _recurrence_value(monomial_summary(spec), param)
 
 
-def analytic_fsi_monomial(spec: MonomialSpec, lam, audit: list | None = None) -> complex:
+def analytic_fsi_monomial(spec: MonomialSpec, lam) -> complex:
     """Analytic function-space integral at lambda in the right half
     plane: lambda^{-m/2} times the plain Gaussian moment (a polynomial in
     lambda^{-1/2}, so restriction to real lambda matches Monte Carlo)."""
     param = ComplexParam.analytic(lam)
-    summary = monomial_summary(spec)
-    value = wick_moment(summary, param)
-    _audit(audit, "analytic_fsi_monomial", summary, {"lambda": complex(lam)}, value)
-    return value
+    return wick_moment(monomial_summary(spec), param)
 
 
 def feynman_elements(elements, param: ComplexParam) -> complex:
@@ -446,7 +440,6 @@ def cameron_storvick_residual(
     k1: SuppElement,
     k2: SuppElement,
     q: float,
-    audit: list | None = None,
 ) -> complex:
     """Both sides of the Cameron-Storvick identity in closed form;
     returns LHS - RHS (zero up to rounding when the identity holds).
@@ -475,28 +468,5 @@ def cameron_storvick_residual(
     pairing_a = inner_with_a(theta_k2)
     minus_iq = param.effective_lambda
     rhs = minus_iq * t_prod - param.sqrt_lambda * pairing_a * t_plain
-
-    if audit is not None:
-        audit.append(
-            {
-                "op": "cameron_storvick_residual",
-                "q": q,
-                "pairing_a": pairing_a,
-                "lhs": lhs,
-                "rhs": rhs,
-            }
-        )
     return lhs - rhs
 
-
-def _audit(audit, op, summary: GaussianSummary, params: dict, value: complex):
-    if audit is None:
-        return
-    rec = {
-        "op": op,
-        "means": summary.mean.tolist(),
-        "cov": summary.cov.tolist(),
-        "value": value,
-    }
-    rec.update(params)
-    audit.append(rec)

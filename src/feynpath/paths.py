@@ -58,7 +58,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .cameron_martin import CMElement, SuppElement, _require_same_profile
+from .cameron_martin import CMElement, SuppElement, odot
 from .errors import GridMismatch, NonPositiveVariance
 from .measure import ProfilePair
 
@@ -857,9 +857,7 @@ def z_process_path(k: SuppElement, path_values: np.ndarray, grid: TimeGrid):
 def z_shift_path(k: SuppElement, w: CMElement, grid: TimeGrid) -> np.ndarray:
     """Deterministic path Z_k(w, .) of a Cameron-Martin element w:
     t -> integral of Dk Dw db over [0, t], by exact quadrature."""
-    profile = _require_same_profile(w, k)
-    prim = (w.density * k.density * profile.b_prime).antiderivative()
-    return prim(grid.nodes)
+    return odot(w, k).path_values(grid.nodes)
 
 
 def _check_seed(seed):

@@ -113,14 +113,37 @@ def test_load_config_resolves_names(tmp_path):
         load_config(path)
 
 
-def test_unknown_element_in_the_last_check_fails_before_any_check_runs(
-    tmp_path, capsys, monkeypatch
-):
+def _spy_runners(monkeypatch):
+    """A list that gets ("run_check", index) for each check run alone and
+    ("_run_shared", indices) for each group of identity checks, from
+    spies that then call the runner."""
     import feynpath.cli as cli
 
     ran = []
-    original = cli.run_check
-    monkeypatch.setattr(cli, "run_check", lambda *args: ran.append(args[1]) or original(*args))
+    for name in ("run_check", "_run_shared"):
+        def spy(config, which, *args, _name=name, _original=getattr(cli, name)):
+            ran.append((_name, which))
+            return _original(config, which, *args)
+
+        monkeypatch.setattr(cli, name, spy)
+    return ran
+
+
+def test_identity_checks_run_only_in_groups(tmp_path, capsys, monkeypatch):
+    """The closed-form checks run alone; the identity checks, one stream
+    here, run as one group and never reach run_check."""
+    ran = _spy_runners(monkeypatch)
+    code = run(["verify", "--all", "--config", write_config(tmp_path, std_config(n=200, grid=32)),
+                "--output-dir", str(tmp_path / "o")])
+    capsys.readouterr()
+    assert code != 2
+    assert ran == [("run_check", 0), ("run_check", 1), ("_run_shared", [2, 3, 4])]
+
+
+def test_unknown_element_in_the_last_check_fails_before_any_check_runs(
+    tmp_path, capsys, monkeypatch
+):
+    ran = _spy_runners(monkeypatch)
     cfg = std_config(n=200, grid=32)
     cfg["checks"][-1]["theta"] = "nosuch"
     out = tmp_path / "o"
@@ -670,10 +693,7 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, argv, key, value):
 def test_parameter_domain_is_checked_before_any_check_runs(
     tmp_path, capsys, monkeypatch, key, value, named
 ):
-    import feynpath.cli as cli
-
-    ran = []
-    monkeypatch.setattr(cli, "run_check", lambda *args: ran.append(args[1]))
+    ran = _spy_runners(monkeypatch)
     cfg = std_config(n=200, grid=32)
     _set(cfg, key, value)
     out = tmp_path / "o"
@@ -736,10 +756,7 @@ def test_verify_writes_the_header_into_an_empty_ledger(tmp_path, capsys):
 
 
 def test_verify_appends_under_no_foreign_header(tmp_path, capsys, monkeypatch):
-    import feynpath.cli as cli
-
-    ran = []
-    monkeypatch.setattr(cli, "run_check", lambda *args: ran.append(args[1]))
+    ran = _spy_runners(monkeypatch)
     out = tmp_path / "o"
     out.mkdir()
     ledger = out / "ledger.csv"
@@ -765,10 +782,7 @@ def _unterminated_ledger(kind):
 
 @pytest.mark.parametrize("kind", ["header", "truncated-row"])
 def test_verify_refuses_a_ledger_without_a_final_newline(tmp_path, capsys, monkeypatch, kind):
-    import feynpath.cli as cli
-
-    ran = []
-    monkeypatch.setattr(cli, "run_check", lambda *args: ran.append(args[1]))
+    ran = _spy_runners(monkeypatch)
     out = tmp_path / "o"
     out.mkdir()
     ledger = out / "ledger.csv"
@@ -913,7 +927,7 @@ def test_failed_verify_leaves_no_partial_output(tmp_path, capsys, monkeypatch):
     before the ledger or any check JSON is written."""
     import feynpath.cli as cli
 
-    monkeypatch.setattr(cli, "feynman_monomial", lambda spec, q, audit=None: complex("inf"))
+    monkeypatch.setattr(cli, "feynman_monomial", lambda spec, q: complex("inf"))
     cfg = std_config(n=200, grid=32)
     cfg["checks"] = cfg["checks"][3:4] + cfg["checks"][:1]
     out = tmp_path / "o"

@@ -328,14 +328,6 @@ def test_analytic_fsi_domain(std_spec):
         analytic_fsi_monomial(std_spec, 1j)
 
 
-def test_audit_records_scalars(std_spec):
-    audit = []
-    feynman_monomial(std_spec, 1.0, audit=audit)
-    assert audit and audit[0]["op"] == "feynman_monomial"
-    assert audit[0]["means"] == pytest.approx([0.5, 1.0 / 3.0])
-    assert audit[0]["cov"][0][1] == pytest.approx(5.0 / 6.0)
-
-
 # -- First variation ---------------------------------------------------------
 
 
