@@ -655,7 +655,8 @@ def _ledger_rows(path) -> list:
         reader = csv.reader(io.StringIO(text, newline=""))
         rows = [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(str(exc)) from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError("cannot read %s: %s" % (path, reason)) from exc
     if not rows or rows[0][1] != mc.LEDGER_COLUMNS:
         raise ConfigError("%s is not a ledger file" % path)
     if not text.endswith("\n"):

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import DomainMismatch, NonPositiveVariance
-from .piecewise import PiecewisePoly
+from .piecewise import PiecewisePoly, _merged
 
 # Fewest Gauss-Legendre nodes per sub-piece.  Low joint degrees would be
 # exact with fewer, but fewer nodes round differently and would change
@@ -192,7 +192,7 @@ def stieltjes_integral(
         return 0.0
     w = profile.weight(kind)
     gl_x, gl_w = _gauss_legendre(max(GAUSS_ORDER, (f.degree + w.degree) // 2 + 1))
-    cuts = np.union1d(f.breakpoints, w.breakpoints)
+    cuts = _merged(f.breakpoints, w.breakpoints)
     cuts = cuts[(cuts > lo) & (cuts < hi)]
     cuts = np.concatenate([[lo], cuts, [hi]])
     half = 0.5 * np.diff(cuts)

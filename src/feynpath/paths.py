@@ -32,9 +32,10 @@ Philox stream of its own keyed by (seed, block) (see _column_law and
 _projected_blocks).  Its counters and those of the path rows lie in
 regions of their own, so the two families share no normals.
 
-A materialized ensemble, and each streamed block, is a private anonymous
-mapping of its own, unmapped when the last view of it goes, so its
-memory returns to the operating system when it is released.
+A materialized ensemble, each streamed block and each writer worker's
+scratch (its row buffer, and the CSV formatter's buffers) is a private
+anonymous mapping of its own, unmapped when the last view of it goes,
+so its memory returns to the operating system when it is released.
 
 The CSV writer's formatter computes Python's ``%.17g`` text in numpy,
 exactly rounded with integer arithmetic, and hands every value that
@@ -61,6 +62,7 @@ import numpy as np
 from .cameron_martin import CMElement, SuppElement, odot
 from .errors import GridMismatch, NonPositiveVariance
 from .measure import ProfilePair
+from .piecewise import _merged
 
 DEFAULT_GRID_N = 1024
 CHUNK_PATHS = 4096
@@ -116,11 +118,12 @@ class TimeGrid:
         for e in elements:
             poly = e if not hasattr(e, "density") else e.density
             pts.append(poly.breakpoints)
-        nodes = np.unique(np.concatenate(pts))
-        return cls(nodes)
+        return cls(_merged(*pts))
 
     def require_breakpoints(self, poly):
-        if not np.all(np.isin(poly.breakpoints, self.nodes)):
+        # each breakpoint against the node it would sit at: the nodes are sorted
+        at = np.minimum(np.searchsorted(self.nodes, poly.breakpoints), self.N)
+        if not np.all(self.nodes[at] == poly.breakpoints):
             raise GridMismatch(
                 "breakpoints %s are not all grid nodes" % poly.breakpoints.tolist()
             )
@@ -163,8 +166,10 @@ class PathEnsemble:
         """Yield use(p0, rows) for the ranges of ``step`` rows from p0 = 0
         on, in order, computed on the block thread pool (see
         _ordered_map).  Each task samples its rows (see _path_rows) into a
-        buffer of its worker's own, made once per call, so use must be
-        done with them when it returns."""
+        buffer of its worker's own, a mapping made once per call and
+        unmapped when the worker ends, so use must be done with them when
+        it returns.  The rows are viewed as little-endian doubles, which
+        the binary writer writes as they are."""
         da, sdb = _checked_moments(self.profile, self.grid, self.n_paths, self.seed)
         step = min(step, self.n_paths)
         scratch = threading.local()
@@ -173,7 +178,7 @@ class PathEnsemble:
             p0 = i * step
             buffer = getattr(scratch, "rows", None)
             if buffer is None:
-                buffer = scratch.rows = np.zeros((step, self.grid.N + 1), dtype="<f8")
+                buffer = scratch.rows = _mapped_zeros((step, self.grid.N + 1)).view("<f8")
             rows = buffer[: min(step, self.n_paths - p0)]
             _path_rows(self.seed, da, sdb, p0, rows)
             return use(p0, rows)
@@ -345,12 +350,13 @@ def _csv_tables():
 
 class _CsvScratch:
     """One thread's formatter buffers, for up to ``size`` values at a
-    time, in one allocation: nine uint64 rows, eight byte rows and the
-    words of the text, at most 25 bytes a value."""
+    time, in one mapping of its own (see _mapped_zeros): nine uint64
+    rows, eight byte rows and the words of the text, at most 25 bytes a
+    value."""
 
     def __init__(self, size):
         self.size = size
-        self.buffer = np.empty(10 * size + 25 * size // 8 + 4, dtype=_U64)
+        self.buffer = _mapped_zeros((10 * size + 25 * size // 8 + 4,)).view(_U64)
 
     def views(self, n):
         """The rows, the byte rows and the text words for n values."""

@@ -14,6 +14,14 @@ and the quadrature in ``measure``, evaluate by Horner's rule over one
 zero-padded coefficient table cached on the object; the padding leaves
 each piece's arithmetic, and so its bits, exactly those of
 ``numpy.polynomial.polynomial.polyval``.
+
+The algebra runs on numpy primitives with the bits of the wrappers they
+replace: a piece product is ``np.convolve`` (``polymul``), a piece sum
+a copy of the longer piece with the shorter added in (``polyadd``), and
+merged breakpoints are sorted with repeats dropped (``np.union1d``).
+None of them loads numpy.ma, which ``np.unique`` imports on first use;
+``numpy.polynomial`` stays for the once-per-piece antiderivatives,
+evaluations, derivatives and roots.
 """
 
 from __future__ import annotations
@@ -30,6 +38,30 @@ from .errors import DomainMismatch
 # interior when further than _ROOT_EDGE_TOL * piece width from an edge.
 _ROOT_IMAG_TOL = 1e-9
 _ROOT_EDGE_TOL = 1e-12
+
+
+def _merged(*arrays) -> np.ndarray:
+    """The sorted distinct values of the arrays, each ravelled: what
+    ``np.union1d`` returns for NaN-free input, without the ``np.unique``
+    behind it, which imports numpy.ma."""
+    values = np.sort(np.concatenate(arrays, axis=None))
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _padded_add(a, b) -> np.ndarray:
+    """a + b, the shorter added into a copy of the longer, in the operand
+    order of ``npoly.polyadd``, so the sum has its bits (the longer's
+    tail, signed zeros too, is copied, never added to a zero)."""
+    if a.size > b.size:
+        out = a.copy()
+        out[: b.size] += b
+    else:
+        out = b.copy()
+        out[: a.size] += a
+    return out
 
 
 def _as_coeffs(c):
@@ -159,7 +191,7 @@ class PiecewisePoly:
             raise DomainMismatch(
                 "domains differ: [0, %r] vs [0, %r]" % (self.T, other.T)
             )
-        bp = np.union1d(self.breakpoints, other.breakpoints)
+        bp = _merged(self.breakpoints, other.breakpoints)
         return bp, self._piece_index(bp[:-1]), other._piece_index(bp[:-1])
 
     def __add__(self, other):
@@ -167,8 +199,7 @@ class PiecewisePoly:
             return NotImplemented
         bp, ia, ib = self._merged_pieces(other)
         return PiecewisePoly(
-            bp,
-            [npoly.polyadd(self.coeffs[i], other.coeffs[j]) for i, j in zip(ia, ib)],
+            bp, [_padded_add(self.coeffs[i], other.coeffs[j]) for i, j in zip(ia, ib)]
         )
 
     def __sub__(self, other):
@@ -183,11 +214,7 @@ class PiecewisePoly:
         if isinstance(other, PiecewisePoly):
             bp, ia, ib = self._merged_pieces(other)
             return PiecewisePoly(
-                bp,
-                [
-                    npoly.polymul(self.coeffs[i], other.coeffs[j])
-                    for i, j in zip(ia, ib)
-                ],
+                bp, [np.convolve(self.coeffs[i], other.coeffs[j]) for i, j in zip(ia, ib)]
             )
         if isinstance(other, (int, float)):
             return PiecewisePoly(self.breakpoints, [c * float(other) for c in self.coeffs])
@@ -217,20 +244,15 @@ class PiecewisePoly:
         pts = np.asarray(points, dtype=float)
         if pts.size and (pts.min() < 0.0 or pts.max() > self.T):
             raise DomainMismatch("refinement points outside [0, %r]" % self.T)
-        bp = np.union1d(self.breakpoints, pts)
+        bp = _merged(self.breakpoints, pts)
         return PiecewisePoly(bp, [self.coeffs[i] for i in self._piece_index(bp[:-1])])
 
     def coeff_error(self, other: "PiecewisePoly") -> float:
         """Max absolute coefficient difference on the common refinement."""
-        bp, ia, ib = self._merged_pieces(other)
+        _, ia, ib = self._merged_pieces(other)
         err = 0.0
         for i, j in zip(ia, ib):
-            a, b = self.coeffs[i], other.coeffs[j]
-            n = max(a.size, b.size)
-            d = np.zeros(n)
-            d[: a.size] += a
-            d[: b.size] -= b
-            err = max(err, float(np.abs(d).max()))
+            err = max(err, float(np.abs(_padded_add(self.coeffs[i], -other.coeffs[j])).max()))
         return err
 
     # -- calculus ---------------------------------------------------------

@@ -16,9 +16,13 @@ paths those writers read one row at a time, each from a freshly built
 numpy Philox, with none of the package's sampling code.
 ``exact_law_columns_loop`` is the exact-law column draw one path and
 one term at a time, in Python floats, whose bits the package's
-vectorized draw must equal.  ``mean_se_two_pass`` is the mean and
-standard error of a whole array in two passes, which the package's
-span-by-span reduction must agree with to a few ulps.
+vectorized draw must equal.  ``piecewise_combine_numpy`` is the
+piecewise product or sum through ``np.union1d``, ``npoly.polymul`` and
+``npoly.polyadd``, and ``breakpoints_on_grid_isin`` grid membership
+through ``np.isin``: the numpy routes whose bits the package's merge,
+product, sum and membership test must reproduce.  ``mean_se_two_pass``
+is the mean and standard error of a whole array in two passes, which
+the package's span-by-span reduction must agree with to a few ulps.
 """
 
 import struct
@@ -132,6 +136,22 @@ def piecewise_eval_loop(f, tau):
         mask = idx == i
         out[mask] = npoly.polyval(t[mask], f.coeffs[i])
     return float(out) if np.isscalar(tau) or tau_arr.ndim == 0 else out
+
+
+def piecewise_combine_numpy(f, g, op):
+    """(breakpoints, pieces) of f op g by numpy's wrappers: the common
+    breakpoints by ``np.union1d``, and on each piece of that refinement
+    op, ``npoly.polymul`` or ``npoly.polyadd``, of the pieces of f and g
+    holding its start."""
+    bp = np.union1d(f.breakpoints, g.breakpoints)
+    i = np.searchsorted(f.breakpoints, bp[:-1], side="right") - 1
+    j = np.searchsorted(g.breakpoints, bp[:-1], side="right") - 1
+    return bp, [op(f.coeffs[a], g.coeffs[b]) for a, b in zip(i, j)]
+
+
+def breakpoints_on_grid_isin(breakpoints, nodes):
+    """Whether every breakpoint is a grid node, by ``np.isin``."""
+    return bool(np.all(np.isin(breakpoints, nodes)))
 
 
 def stieltjes_node_formula(f, w, lo, hi, order):

@@ -321,8 +321,13 @@ def test_report_subcommand(tmp_path, capsys):
     assert summary["entries"] == 2 and summary["failed"] == 0
 
 
-def test_report_missing_file():
+def test_report_missing_file(capsys):
     assert run(["report", "--ledger", "/nonexistent/ledger.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cannot read /nonexistent/ledger.csv: No such file or directory\n"
+    )
 
 
 def _ledger_with(tmp_path, body):
@@ -484,6 +489,65 @@ def test_check_json_bytes_are_pinned(tmp_path, capsys):
     written = {name: (out / name).read_text().replace(str(out), "<out>")
                for name in os.listdir(out) if name.startswith("check_")}
     assert written == PINNED_CHECK_JSONS
+
+
+def _pieces(*coeffs):
+    return {"breakpoints": [0.0, 0.25, 0.5, 0.75, 1.0], "coeffs": [list(c) for c in coeffs]}
+
+
+# A closed-form config over a 4-piece profile whose a' changes sign inside
+# every piece (so |a'| has 8 pieces), with multi-piece densities and
+# monomial degrees up to 11: every check merges breakpoints and multiplies
+# and adds pieces.
+CLOSED_FORM_CONFIG = {
+    "seed": 5,
+    "profiles": {"p4": {
+        "T": 1.0,
+        "a_prime": _pieces([-0.1, 1.0], [0.4375, -1.25], [-0.45, 0.75], [1.35, -1.5]),
+        "b_prime": _pieces([1.5, -0.25, 0.3], [1.25, 0.4, 0.1], [1.75, -0.5, 0.2],
+                           [1.1, 0.3, 0.45]),
+    }},
+    "elements": {
+        "theta": {"profile": "p4", "density": _pieces([0.6, -0.4, 0.7], [-0.5, 0.35, 0.45],
+                                                      [0.75, 0.3, -0.55], [-0.65, 0.5, 0.4])},
+        "k1": {"profile": "p4", "density": {"breakpoints": [0.0, 1.0],
+                                            "coeffs": [[0.45, -0.7, 0.35, 0.6]]}},
+        "k2": {"profile": "p4", "density": _pieces([0.5, 0.4, -0.3], [-0.55, 0.65, 0.35],
+                                                   [0.7, -0.45, 0.5], [0.4, 0.6, -0.75])},
+        "k3": {"profile": "p4", "density": {"breakpoints": [0.0, 1.0],
+                                            "coeffs": [[-0.35, 0.55, 0.8, -0.45]]}},
+        "k4": {"profile": "p4", "density": _pieces([-0.8, 0.3, 0.55], [0.45, -0.6, 0.7],
+                                                   [-0.4, 0.75, 0.3], [0.65, -0.35, -0.5])},
+    },
+    "checks": [
+        {"kind": kind, "name": "%s-m%d" % (kind, m), "theta": "theta",
+         "ks": ["k%d" % ((j + m) % 4 + 1) for j in range(m)], "q": q}
+        for m, q in ((2, 1.25), (5, -0.75), (8, 1.5), (11, -1.75))
+        for kind in ("feynman", "verify-recurrence")
+    ],
+}
+
+# Its ledger rows below the header, as written before the piecewise
+# products and merges moved off numpy.polynomial and np.union1d.
+PINNED_CLOSED_FORM_LEDGER = """\
+feynman-m2,c395b2894913,0,0,5,0,0.024529697807234952,0,0.024529697807234952,0,0,true
+verify-recurrence-m2,c395b2894913,0,0,5,0,0.024529697807234952,0,0.024529697807234952,0,0,true
+feynman-m5,c395b2894913,0,0,5,-1.7860603563629219e-05,1.7860603563629219e-05,-1.7860603563629219e-05,1.7860603563629219e-05,0,0,true
+verify-recurrence-m5,c395b2894913,0,0,5,-1.7860603563629219e-05,1.7860603563629219e-05,-1.7860603563629219e-05,1.7860603563629219e-05,0,0,true
+feynman-m8,c395b2894913,0,0,5,7.8539418371348048e-06,0,7.8539418371348048e-06,0,0,0,true
+verify-recurrence-m8,c395b2894913,0,0,5,7.8539418371348048e-06,0,7.8539418371348065e-06,0,0,0,true
+feynman-m11,c395b2894913,0,0,5,3.7329386062131576e-09,3.7329386062131659e-09,3.7329386062131576e-09,3.7329386062131659e-09,0,0,true
+verify-recurrence-m11,c395b2894913,0,0,5,3.7329386062131576e-09,3.7329386062131659e-09,3.7329386062133702e-09,3.7329386062133784e-09,0,0,true
+"""
+
+
+def test_closed_form_ledger_is_pinned(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["verify", "--all", "--config", write_config(tmp_path, CLOSED_FORM_CONFIG),
+                "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    rows = (out / "ledger.csv").read_text().split("\n", 1)[1]
+    assert rows == PINNED_CLOSED_FORM_LEDGER
 
 
 def test_validate_profile_from_full_config(tmp_path, capsys):
@@ -1124,3 +1188,31 @@ def test_verify_peak_rss_grows_by_little_more_than_its_columns(tmp_path):
                               env=env, check=True, capture_output=True, text=True, timeout=300)
         peak[n] = 1024 * int(done.stdout)
     assert peak[400_000] - peak[20_000] <= 1.3 * 8 * (400_000 - 20_000) * columns
+
+
+# Every command a run can take, in one process, then whether numpy.ma
+# was imported.  np.unique, behind np.union1d and np.isin, imports it on
+# its first call (12 ms and about 1.2 MiB resident).
+_NO_NUMPY_MA = """
+import contextlib, io, os, sys
+from feynpath.cli import load_config, run
+config, out = sys.argv[1:]
+load_config(config)
+for argv in (["verify", "--all", "--n", "300", "--grid", "16", "--output-dir", out],
+             ["simulate", "--n", "20", "--grid", "16", "--out", os.path.join(out, "p.csv")],
+             ["simulate", "--n", "20", "--grid", "16", "--out", os.path.join(out, "p.bin")],
+             ["feynman", "--q", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv + ["--config", config]) in (0, 1), argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["validate-profile", config, "--profile", "std"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA, str(STD_JSON), str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout == "False\n"

@@ -35,7 +35,13 @@ from feynpath.montecarlo import draw_columns
 from feynpath.paths import CHUNK_PATHS, _csv_rows, _scratch_rows
 
 from conftest import indicator_element, pp, random_poly, random_nonvanishing_poly
-from oracles import exact_law_columns_loop, serial_ensemble, to_binary_loop, to_csv_loop
+from oracles import (
+    breakpoints_on_grid_isin,
+    exact_law_columns_loop,
+    serial_ensemble,
+    to_binary_loop,
+    to_csv_loop,
+)
 
 
 @pytest.fixture
@@ -51,6 +57,32 @@ def test_grid_build_merges_breakpoints(standard):
     other = PiecewisePoly([0.0, 0.17, 1.0], [[1.0], [2.0]])
     with pytest.raises(GridMismatch):
         grid.require_breakpoints(other)
+
+
+def test_grid_nodes_and_membership_equal_unique_and_isin(standard):
+    """Built nodes have the bits of np.unique over every breakpoint, and a
+    density is accepted exactly when np.isin finds all its breakpoints:
+    on the grid, off it between nodes, from -0.0, and past T."""
+    rng = np.random.default_rng(12)
+    polys = [random_poly(rng, max_pieces=4) for _ in range(6)]
+    polys += [PiecewisePoly([-0.0, 0.5, 1.0], [[1.0], [2.0]]),
+              PiecewisePoly([0.0, 0.3, 1.0], [[1.0], [2.0]]),
+              PiecewisePoly([0.0, 0.5, 1.5], [[1.0], [2.0]]),
+              PiecewisePoly([0.0, 1.0 + 2**-40], [[1.0]])]
+    for n in (1, 4, 10):
+        grid = TimeGrid.build(standard, polys[:3], n=n)
+        pts = [np.linspace(0.0, 1.0, n + 1), standard.a_prime.breakpoints,
+               standard.b_prime.breakpoints] + [q.breakpoints for q in polys[:3]]
+        assert grid.nodes.tobytes() == np.unique(np.concatenate(pts)).tobytes()
+        for q in polys:
+            if breakpoints_on_grid_isin(q.breakpoints, grid.nodes):
+                grid.require_breakpoints(q)
+            else:
+                with pytest.raises(GridMismatch):
+                    grid.require_breakpoints(q)
+    grid.require_breakpoints(polys[6])
+    with pytest.raises(GridMismatch):
+        grid.require_breakpoints(polys[7])
 
 
 def test_grid_validation():
@@ -645,20 +677,26 @@ def test_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, standard, monkeypat
 
 def _csv_rows_peak(values):
     """The tracemalloc peak of _csv_rows(values) in a fresh thread, so
-    that the formatter's scratch is made within it."""
-    got = []
+    that the formatter's scratch is made within it, plus the bytes of
+    the mappings it asks _mapped_zeros for, which tracemalloc does not
+    see: the scratch is one."""
+    got, mapped, real = [], [], paths._mapped_zeros
 
     def run():
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         _csv_rows(values)
         got.append(tracemalloc.get_traced_memory()[1] - base)
+        got.append(sum(8 * int(np.prod(shape)) for shape in mapped))
 
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join(timeout=60)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paths, "_mapped_zeros", lambda shape: mapped.append(shape) or real(shape))
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=60)
     assert not worker.is_alive()
-    return got[0]
+    assert got[1] > 0
+    return got[0] + got[1]
 
 
 def test_csv_formatter_memory_per_value():
@@ -680,10 +718,11 @@ def test_csv_is_written_in_blocks(tmp_path, standard, monkeypatch):
     """The CSV writer neither builds the ensemble nor maps a block of it.
 
     tracemalloc sees what goes through Python's and numpy's allocators:
-    the formatter's temporaries and text, and the sampled chunks of
-    rows.  It does not see the private anonymous mappings of
-    _mapped_zeros, which hold values and the streamed blocks; so a spy
-    on _mapped_zeros checks that no block of rows is asked for."""
+    the formatter's temporaries and text.  It does not see the private
+    anonymous mappings of _mapped_zeros, which hold values, the streamed
+    blocks, the workers' row buffers and the formatter's scratch; so a
+    spy on _mapped_zeros checks that no block of rows is asked for, and
+    that the mappings asked for are small."""
     monkeypatch.setattr(paths, "_usable_cpus", lambda: 2)
     real, asked = paths._mapped_zeros, []
 
@@ -703,7 +742,10 @@ def test_csv_is_written_in_blocks(tmp_path, standard, monkeypatch):
     assert (tmp_path / "ens.csv").stat().st_size > 32 * 2**20
     assert peak < 16 * 2**20
     block_rows = min(CHUNK_PATHS, ens.n_paths)
-    assert [shape for shape in asked if shape[0] >= block_rows] == []
+    rows = [shape for shape in asked if len(shape) == 2]
+    assert rows and max(shape[0] for shape in rows) < block_rows
+    # the others are 1-D: the formatter scratch of each thread that formats
+    assert sum(8 * int(np.prod(shape)) for shape in asked) < 8 * 2**20
     assert "values" not in vars(ens)
 
 

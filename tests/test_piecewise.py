@@ -5,7 +5,17 @@ import pytest
 
 from feynpath import DomainMismatch, PiecewisePoly
 
-from oracles import frac_coeffs, piecewise_eval_loop, poly_eval, poly_integral, poly_mul
+from numpy.polynomial import polynomial as npoly
+
+from feynpath.piecewise import _merged
+from oracles import (
+    frac_coeffs,
+    piecewise_combine_numpy,
+    piecewise_eval_loop,
+    poly_eval,
+    poly_integral,
+    poly_mul,
+)
 from conftest import pp, random_poly
 
 
@@ -84,6 +94,88 @@ def test_add_mul_match_rational_oracle():
         want_prod = float(poly_eval(poly_mul(frac_coeffs(ca), frac_coeffs(cb)), t))
         assert (f + g)(t) == pytest.approx(want_sum, rel=1e-14, abs=1e-14)
         assert (f * g)(t) == pytest.approx(want_prod, rel=1e-13, abs=1e-13)
+
+
+def _same_poly_bits(f, g):
+    return (
+        _same_bits(f.breakpoints, g.breakpoints)
+        and f.n_pieces == g.n_pieces
+        and all(_same_bits(a, b) for a, b in zip(f.coeffs, g.coeffs))
+    )
+
+
+def _signed_zero_poly(rng, breakpoints=None):
+    """random_poly with coefficients set to +0.0 and -0.0 at random, and
+    now and then a whole piece of zeros, on breakpoints of its own or the
+    given ones."""
+    f = random_poly(rng, max_pieces=5, max_degree=6)
+    bp = f.breakpoints if breakpoints is None else breakpoints
+    coeffs = []
+    for i in range(bp.size - 1):
+        c = rng.uniform(-1.0, 1.0, size=rng.integers(1, 8))
+        c[rng.random(c.size) < 0.25] = 0.0
+        c[rng.random(c.size) < 0.25] = -0.0
+        coeffs.append(c * 0.0 if rng.random() < 0.15 else c)
+    return PiecewisePoly(bp, coeffs)
+
+
+def test_merge_equals_union1d_bit_for_bit():
+    """Repeats, signed zeros, a scalar, empty inputs and random cuts."""
+    rng = np.random.default_rng(31)
+    cases = [
+        ([0.0, -0.0], [0.5]),
+        ([-0.0, 0.5, 1.0], [0.0, 0.5, -0.0]),
+        ([0.0, 0.25, 0.25, 1.0], 0.25),
+        ([0.0, 1.0], []),
+        ([], []),
+    ]
+    cases += [(rng.choice([0.0, -0.0, 0.125, 0.5, 1.0], size=rng.integers(0, 9)),
+               rng.uniform(0.0, 1.0, size=rng.integers(0, 9))) for _ in range(40)]
+    for a, b in cases:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert _same_bits(_merged(a, b), np.union1d(a, b))
+    pts = [rng.choice([0.0, -0.0, 0.5], size=5), np.linspace(0.0, 1.0, 9), rng.uniform(size=7)]
+    assert _same_bits(_merged(*pts), np.unique(np.concatenate(pts)))
+
+
+def test_product_and_sum_equal_polymul_and_polyadd_bit_for_bit():
+    """Random multi-piece polynomials of unequal lengths with signed zero
+    coefficients and zero pieces, on their own breakpoints and on shared
+    ones, and sums that cancel to zero pieces or to a lower degree."""
+    rng = np.random.default_rng(30)
+    pairs = []
+    for _ in range(60):
+        f = _signed_zero_poly(rng)
+        shared = f.breakpoints if rng.random() < 0.3 else None
+        pairs.append((f, _signed_zero_poly(rng, shared)))
+    f = PiecewisePoly([0.0, 0.5, 1.0], [[1.0, -0.0, 1.0], [0.0]])
+    g = PiecewisePoly([0.0, 0.25, 1.0], [[1.0, 2.0, -1.0], [-0.0, -3.0]])
+    pairs += [(f, g), (f, -f), (g, -g), (f, f * -1.0)]
+    cancelled = 0
+    for f, g in pairs:
+        for a, b in ((f, g), (g, f)):
+            want = PiecewisePoly(*piecewise_combine_numpy(a, b, npoly.polymul))
+            assert _same_poly_bits(a * b, want)
+            want = PiecewisePoly(*piecewise_combine_numpy(a, b, npoly.polyadd))
+            assert _same_poly_bits(a + b, want)
+            cancelled += (a + b).has_zero_piece()
+            minus = PiecewisePoly(*piecewise_combine_numpy(a, -b, npoly.polyadd))
+            assert _same_poly_bits(a - b, minus)
+    assert cancelled and (f + -f).is_zero()
+    # the sum keeps a -0.0 inside the longer piece, as polyadd does
+    h = PiecewisePoly.from_coeffs([1.0, -0.0, 0.0, 2.0], 1.0) + PiecewisePoly.constant(0.5, 1.0)
+    assert _same_bits(h.coeffs[0], [1.5, -0.0, 0.0, 2.0])
+
+
+def test_refined_equals_union1d_for_scalars_and_empty_lists():
+    f = PiecewisePoly([0.0, 0.5, 1.0], [[1.0, 2.0], [-0.0, 3.0]])
+    for points in (0.25, 0.5, [], [0.75, 0.25, 0.75], np.array([[0.1], [0.9]]), [-0.0, 1.0]):
+        g = f.refined(points)
+        assert _same_bits(g.breakpoints, np.union1d(f.breakpoints, points))
+        assert f.coeff_error(g) == 0.0
+    assert _same_poly_bits(f.refined([]), f)
+    with pytest.raises(DomainMismatch):
+        f.refined(1.5)
 
 
 def test_product_merges_breakpoints():
