@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainMismatch, ProfileMismatch, SupportViolation
 from .measure import MeasureKind, ProfilePair, stieltjes_integral
 from .piecewise import PiecewisePoly
@@ -40,12 +38,6 @@ class CMElement:
                 % (self.density.T, self.profile.T)
             )
 
-    def norm_sq(self) -> float:
-        return cm_inner(self, self)
-
-    def norm(self) -> float:
-        return float(np.sqrt(max(self.norm_sq(), 0.0)))
-
     def path_values(self, ts):
         """w(t) = integral of the density db over [0, t], exactly."""
         prim = (self.density * self.profile.b_prime).antiderivative()
@@ -57,9 +49,6 @@ class CMElement:
         return self.density == other.density and self.profile == other.profile
 
     __hash__ = None
-
-    def to_dict(self) -> dict:
-        return {"density": self.density.to_dict()}
 
 
 @dataclass(frozen=True, eq=False)

@@ -100,10 +100,6 @@ class MonomialSpec:
         object.__setattr__(self, "ks", tuple(self.ks))
         _require_same_profile(self.theta, *self.ks)
 
-    @property
-    def m(self) -> int:
-        return len(self.ks)
-
     def elements(self) -> list[CMElement]:
         return list(self._elements)
 

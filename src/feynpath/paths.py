@@ -104,10 +104,6 @@ class TimeGrid:
     def N(self) -> int:
         return self.nodes.size - 1
 
-    @property
-    def T(self) -> float:
-        return float(self.nodes[-1])
-
     @classmethod
     def build(cls, profile: ProfilePair, elements=(), n: int = DEFAULT_GRID_N) -> "TimeGrid":
         """Uniform n-interval grid merged with every breakpoint of the
@@ -196,10 +192,12 @@ class PathEnsemble:
         are in memory, never a whole CHUNK_PATHS block.  Each worker
         formats its chunks in one scratch allocation of its own (see
         _csv_rows), made on its first chunk and freed when the pool's
-        threads end with the write."""
-        step = max(1, _CSV_BLOCK_VALUES // (self.grid.N + 1))
+        threads end with the write.  The node row is formatted in a
+        scratch of this call's own, so the calling thread keeps none."""
+        width = self.grid.N + 1
+        step = max(1, _CSV_BLOCK_VALUES // width)
         with open(path, "wb") as fh:
-            fh.write(_csv_rows(self.grid.nodes[None, :]))
+            fh.write(_csv_text(_CsvScratch(width), self.grid.nodes, width, 0))
             for text in self._row_ranges(step, lambda p0, rows: _csv_rows(rows)):
                 fh.write(text)
 

@@ -134,9 +134,6 @@ class PiecewisePoly:
     def degree(self) -> int:
         return max(c.size - 1 for c in self.coeffs)
 
-    def is_zero(self) -> bool:
-        return all(not np.any(c) for c in self.coeffs)
-
     def has_zero_piece(self) -> bool:
         """True if some piece of positive length is identically zero."""
         return any(not np.any(c) for c in self.coeffs)
@@ -239,14 +236,6 @@ class PiecewisePoly:
             [c.tolist() for c in self.coeffs],
         )
 
-    def refined(self, points) -> "PiecewisePoly":
-        """Same function with extra breakpoints inserted."""
-        pts = np.asarray(points, dtype=float)
-        if pts.size and (pts.min() < 0.0 or pts.max() > self.T):
-            raise DomainMismatch("refinement points outside [0, %r]" % self.T)
-        bp = _merged(self.breakpoints, pts)
-        return PiecewisePoly(bp, [self.coeffs[i] for i in self._piece_index(bp[:-1])])
-
     def coeff_error(self, other: "PiecewisePoly") -> float:
         """Max absolute coefficient difference on the common refinement."""
         _, ia, ib = self._merged_pieces(other)
@@ -269,10 +258,9 @@ class PiecewisePoly:
             running = npoly.polyval(self.breakpoints[i + 1], ci)
         return PiecewisePoly(self.breakpoints, out)
 
-    def definite_integral(self, lo=0.0, hi=None) -> float:
-        hi = self.T if hi is None else float(hi)
+    def definite_integral(self) -> float:
         F = self.antiderivative()
-        return F(hi) - F(lo)
+        return F(self.T) - F(0.0)
 
     def minimum(self) -> float:
         """Least value over the pieces, each on its closed interval: at its
@@ -294,18 +282,6 @@ class PiecewisePoly:
                 new_bp.append(b)
                 new_coeffs.append(c if _piece_sign(c, a, b) >= 0 else -c)
         return PiecewisePoly(new_bp, new_coeffs)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "breakpoints": self.breakpoints.tolist(),
-            "coeffs": [c.tolist() for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PiecewisePoly":
-        return cls(d["breakpoints"], d["coeffs"])
 
 
 def _real_roots_inside(c, lo, hi):

@@ -161,10 +161,14 @@ def test_wick_moment_degree_one_matches_closed_form(std_elements):
         assert abs(got - want) < 1e-15
 
 
-def test_degree_cap():
+def test_degree_cap(std_elements):
+    """Wick and the recurrence each refuse more than 12 factors."""
     s = GaussianSummary(mean=np.zeros(13), cov=np.eye(13))
     with pytest.raises(TooLargeDegree):
         gaussian_moment(s)
+    theta, k1, _ = std_elements
+    with pytest.raises(TooLargeDegree, match="recurrence"):
+        feynman_monomial(MonomialSpec(theta, (k1,) * 13), 1.0)
 
 
 def _bit_equal(a, b):
@@ -421,6 +425,12 @@ def test_cs_residual_wick_route(std_elements):
     for elements in terms:
         want = wick_moment(summary_of_elements(elements), param)
         assert abs(feynman_elements(elements, param) - want) < 1e-12 * max(1.0, abs(want))
+
+
+def test_cs_residual_needs_a_monomial(std_elements):
+    theta, k1, k2 = std_elements
+    with pytest.raises(UnsupportedFunctional, match="monomial"):
+        cameron_storvick_residual(CosLinear(theta), theta, k1, k2, 1.0)
 
 
 def test_cs_residual_rejects_zero_q(std_elements):

@@ -10,6 +10,7 @@ from feynpath import (
     ExpLinear,
     MonomialSpec,
     TimeGrid,
+    UnsupportedFunctional,
     analytic_fsi_monomial,
     cameron_storvick_residual,
     cm_inner,
@@ -23,7 +24,7 @@ from feynpath import (
     verify_parts,
     verify_translation,
 )
-from feynpath.feynman import _direction_scalars, _value_at, _variation_at
+from feynpath.feynman import _direction_scalars, _linear_factors, _value_at, _variation_at
 from feynpath.montecarlo import (
     LEDGER_COLUMNS,
     _span_moments,
@@ -218,6 +219,20 @@ def test_parts_rejects_nonpositive_rho(ctx):
         verify_parts(F, theta, k1, k2, 0.0, 100, 1, grid=grid)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_cs_precursor_rejects_nonpositive_lambda(ctx, lam):
+    profile, theta, k1, k2, grid = ctx
+    F = MonomialSpec(theta, (k1,))
+    with pytest.raises(BadDomain, match="lambda must be a positive real"):
+        verify_cs_precursor(F, theta, k1, k2, lam, 100, 1, grid=grid)
+
+
+def test_identity_checks_reject_an_unknown_functional(ctx):
+    profile, theta, k1, k2, grid = ctx
+    with pytest.raises(UnsupportedFunctional, match="unknown functional"):
+        verify_translation(object(), theta, k1, k2, 100, 1, grid=grid)
+
+
 def test_identity_checks_need_two_paths(ctx):
     """One path has no standard error: the identity checks and mc_fsi
     reject it."""
@@ -361,6 +376,21 @@ def test_given_columns_give_the_report_of_an_own_draw(ctx, identity, kind):
     shared = check(F, theta, k1, k2, 1001, 13, grid, columns=columns)
     alone = check(F, theta, k1, k2, 1001, 13, grid)
     assert _without_wall_times(shared.to_dict()) == _without_wall_times(alone.to_dict())
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+@pytest.mark.parametrize("kind", ["m2", "cos"])
+def test_default_grid_runs_through_every_breakpoint(ctx, identity, kind):
+    """grid=None gives, bit for bit, the report on the default-size grid
+    built through the breakpoints of F's linear factors and theta, k1
+    and k2."""
+    profile, theta, k1, k2, _ = ctx
+    F = FUNCTIONALS[kind](theta, k1, k2)
+    check = IDENTITIES[identity]
+    grid = TimeGrid.build(profile, _linear_factors(F) + [theta, k1, k2])
+    default = check(F, theta, k1, k2, 1001, 17, None).to_dict()
+    explicit = check(F, theta, k1, k2, 1001, 17, grid).to_dict()
+    assert json.dumps(_without_wall_times(default)) == json.dumps(_without_wall_times(explicit))
 
 
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))

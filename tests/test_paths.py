@@ -86,6 +86,8 @@ def test_grid_nodes_and_membership_equal_unique_and_isin(standard):
 
 
 def test_grid_validation():
+    with pytest.raises(ValueError, match="at least two nodes"):
+        TimeGrid([0.0])
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(ValueError):
@@ -749,6 +751,22 @@ def test_csv_is_written_in_blocks(tmp_path, standard, monkeypatch):
     assert "values" not in vars(ens)
 
 
+def test_csv_leaves_no_formatter_scratch_on_the_calling_thread(tmp_path, standard):
+    """The node row is formatted in a scratch of the write's own, so the
+    thread that calls to_csv holds no formatter buffers afterwards."""
+    ens = sample_gbmp_paths(standard, TimeGrid.build(standard, n=2048), 8, 5)
+    kept = []
+
+    def write():
+        ens.to_csv(tmp_path / "ens.csv")
+        kept.append(getattr(paths._csv_scratch, "buffers", None))
+
+    thread = threading.Thread(target=write)
+    thread.start()
+    thread.join()
+    assert kept == [None]
+
+
 def test_writers_after_values_is_built_sample_the_recipe(tmp_path, standard, streamed_oracle):
     """Writers called after values is built give the serial oracle's
     bytes, and leave values read-only and as it was: the array cannot be
@@ -903,19 +921,21 @@ _CSV_FAILURE_N = 3 * CHUNK_PATHS
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("where, call", [("_csv_rows", 1), ("_csv_rows", 3), ("_csv_rows", "last"),
-                                         ("_path_rows", 1), ("_path_rows", 2), ("_path_rows", 3)])
+@pytest.mark.parametrize("where, call", [("_csv_text", 1), ("_csv_rows", 1), ("_csv_rows", 3),
+                                         ("_csv_rows", "last"), ("_path_rows", 1),
+                                         ("_path_rows", 2), ("_path_rows", 3)])
 def test_a_failed_csv_task_ends_the_write(tmp_path, monkeypatch, workers, where, call):
-    """An exception in formatting a chunk (call 1 formats the header row)
-    or in sampling its rows ends simulate promptly with that exception,
+    """An exception in formatting the header row (the first _csv_text
+    call, made by to_csv itself) or a chunk (one _csv_rows call each),
+    or in sampling its rows, ends simulate promptly with that exception,
     leaves neither the file nor its .part, and leaves no thread behind,
     whatever the number of workers."""
     from feynpath.cli import load_config, run
 
     config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "std.json"
-    if call == "last":  # the header, then one call per chunk
+    if call == "last":
         step = paths._CSV_BLOCK_VALUES // (load_config(str(config)).grid("std", 16).N + 1)
-        call = 1 + -(-_CSV_FAILURE_N // step)
+        call = -(-_CSV_FAILURE_N // step)
     monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
     real, calls = getattr(paths, where), []
 
