@@ -117,7 +117,7 @@ class MonomialSpec:
 
 @dataclass(frozen=True)
 class ExpLinear:
-    """F(x) = exp(c * (w0, x)~); bounded when c is purely imaginary.
+    """F(x) = exp(c * (w0, x)~), c finite; bounded when c is purely imaginary.
 
     A real part in c makes the functional unbounded along paths; pass
     allow_unbounded=True to accept that (heavy tails are on the caller).
@@ -128,6 +128,8 @@ class ExpLinear:
     allow_unbounded: bool = field(default=False)
 
     def __post_init__(self):
+        if not cmath.isfinite(complex(self.c)):
+            raise BadDomain("exp-linear needs a finite c, got %r" % (self.c,))
         if abs(complex(self.c).real) > 0.0 and not self.allow_unbounded:
             raise UnsupportedFunctional(
                 "exp-linear with a real exponent part needs allow_unbounded=True"

@@ -4,12 +4,13 @@ Every identity check evaluates both sides on the same path ensemble
 (common random numbers): where the algebra forces pathwise equality
 (null shift, constant functionals) the discrepancy is exactly zero, and
 elsewhere the variance of the difference is what sets the reported
-standard error.  A check evaluates its sides one CHUNK_PATHS span of
-its columns at a time, reduces each span to (count, mean, M2), M2 the
-sum of |x - mean|^2, and merges the spans in span order by the update
-of Chan, Golub and LeVeque (Am. Stat. 37, 1983).  So beyond the
-columns it holds no n-length per-path array, and its report depends
-only on the columns and n, not on their memory order.
+standard error.  A check's sides are functions of one block of its
+columns: ``_span_moments`` calls them on each CHUNK_PATHS-row block in
+turn, reduces each block's values to (count, mean, M2), M2 the sum of
+|x - mean|^2, and merges the blocks in order by the update of Chan,
+Golub and LeVeque (Am. Stat. 37, 1983).  So beyond the columns a check
+holds no n-length per-path array, and its report depends only on the
+columns, not on their memory order.
 
 A check sees the paths only through their stochastic-integral columns
 (x, D)~ on the check's density matrix D (``identity_densities``).
@@ -59,10 +60,11 @@ class MCReport:
     """One Monte Carlo estimate with its combined standard error.
 
     ``wall_time`` is the seconds from the drawn columns to the estimate:
-    the span-by-span evaluation and reduction of every side of the
-    check, so an identity's two estimates report the same time.  It
-    leaves out the draw, which may be shared with other checks
-    (``feynpath verify`` reports it as the check's ``draw``)."""
+    the evaluation of every side of the check on each block of its
+    columns and the reduction of their values, so an identity's two
+    estimates report the same time.  It leaves out the draw, which may
+    be shared with other checks (``feynpath verify`` reports it as the
+    check's ``draw``)."""
 
     estimate: complex
     std_error: float
@@ -86,15 +88,22 @@ class MCReport:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Two coupled estimates and their sigma-distance: sigma_ratio is
-    discrepancy / diff_se, the standard error of the per-path LHS - RHS."""
+    """Two coupled estimates, |mean LHS - RHS| and diff_se, the standard
+    error of the per-path LHS - RHS; sigma_ratio and pass derive from these."""
 
     lhs: MCReport
     rhs: MCReport
     discrepancy: float
     diff_se: float
-    sigma_ratio: float
-    threshold: float
+    threshold = DEFAULT_SIGMA_THRESHOLD  # a class constant, not a field
+
+    @property
+    def sigma_ratio(self) -> float:
+        """discrepancy / diff_se; if diff_se is 0, 0 when exact to rounding, else inf."""
+        if self.diff_se == 0.0:
+            scale = max(1.0, abs(self.lhs.estimate), abs(self.rhs.estimate))
+            return 0.0 if self.discrepancy <= _EXACT_TOL * scale else math.inf
+        return self.discrepancy / self.diff_se
 
     @property
     def passed(self) -> bool:
@@ -112,22 +121,22 @@ class IdentityReport:
         }
 
 
-def _span_moments(n: int, sides, difference: bool = False) -> list:
-    """[(mean, standard error)] over n paths of each per-path array that
-    ``sides(rows)`` returns for the paths in the slice ``rows``, and
-    then of the first minus the second when ``difference``.
+def _span_moments(cols: np.ndarray, sides, difference: bool = False) -> list:
+    """[(mean, standard error)] over the n rows of ``cols`` of each
+    per-row array that ``sides(block)`` returns for a block of those
+    rows, and then of the first minus the second when ``difference``.
 
-    ``sides`` is called once per CHUNK_PATHS span of the paths, in
-    order.  Its arrays are copied into one (k, span) buffer, reduced to
-    their span means (numpy's pairwise sums) and M2, and the spans are
-    merged in order by the update of Chan, Golub and LeVeque.  A
-    complex array is reduced as its real and imaginary parts, each as a
-    real array is, and its M2 is the sum of the two parts' M2: real
-    values give the bits of the same values with a zero imaginary
-    part."""
-    count = 0
+    ``sides`` is called on each block ``cols[p0 : p0 + CHUNK_PATHS]``, a
+    view, in order.  Its arrays are copied into one (k, rows) buffer,
+    reduced to their block means (numpy's pairwise sums) and M2, and
+    the blocks are merged in order by the update of Chan, Golub and
+    LeVeque.  A complex array is reduced as its real and imaginary
+    parts, each as a real array is, and its M2 is the sum of the two
+    parts' M2: real values give the bits of the same values with a zero
+    imaginary part."""
+    n, count = len(cols), 0
     for p0 in range(0, n, CHUNK_PATHS):
-        vals = sides(slice(p0, min(n, p0 + CHUNK_PATHS)))
+        vals = sides(cols[p0 : p0 + CHUNK_PATHS])
         rows = len(vals[0])
         if not count:
             buf = np.empty((len(vals) + difference, rows), np.result_type(*vals))
@@ -156,7 +165,8 @@ def _span_moments(n: int, sides, difference: bool = False) -> list:
 
 
 def _densities(elements, grid: TimeGrid) -> np.ndarray:
-    return np.column_stack([left_density(e, grid) for e in elements])
+    """(N, c): the left densities of c >= 0 elements, one a column."""
+    return np.reshape([left_density(e, grid) for e in elements], (-1, grid.N)).T
 
 
 def draw_columns(profile, grid: TimeGrid, n: int, seed: int, densities) -> list:
@@ -215,23 +225,15 @@ def _report(F, moments, n, grid, seed, wall_time):
     )
 
 
-def _identity_report(F, n, grid, seed, t0, sides):
-    """The report of an identity whose per-path (LHS, RHS) on the paths
-    in a slice ``rows`` are ``sides(rows)``, evaluated from time t0."""
-    lhs_moments, rhs_moments, (diff_mean, diff_se) = _span_moments(n, sides, difference=True)
+def _identity_report(F, cols, grid, seed, sides):
+    """The report of an identity whose (LHS, RHS) on a block of ``cols`` are ``sides(block)``."""
+    t0 = time.perf_counter()
+    lhs_moments, rhs_moments, (diff_mean, diff_se) = _span_moments(cols, sides, difference=True)
     wall_time = time.perf_counter() - t0
-    lhs = _report(F, lhs_moments, n, grid, seed, wall_time)
-    rhs = _report(F, rhs_moments, n, grid, seed, wall_time)
-    discrepancy = abs(diff_mean)
-    scale = max(1.0, abs(lhs.estimate), abs(rhs.estimate))
-    if diff_se == 0.0:
-        sigma = 0.0 if discrepancy <= _EXACT_TOL * scale else np.inf
-    else:
-        sigma = discrepancy / diff_se
-    return IdentityReport(
-        lhs=lhs, rhs=rhs, discrepancy=discrepancy, diff_se=diff_se,
-        sigma_ratio=float(sigma), threshold=DEFAULT_SIGMA_THRESHOLD,
-    )
+    lhs = _report(F, lhs_moments, len(cols), grid, seed, wall_time)
+    rhs = _report(F, rhs_moments, len(cols), grid, seed, wall_time)
+    return IdentityReport(lhs=lhs, rhs=rhs, discrepancy=abs(diff_mean), diff_se=diff_se)
+
 
 
 def _profile_and_grid(F: FunctionalSpec, elements, grid):
@@ -256,18 +258,14 @@ def mc_fsi(
     """Monte Carlo estimate of E[F(lambda^{-1/2} Z_k(x, .))] for real
     lambda > 0, over n >= 2 paths (one path has no standard error)."""
     lam = float(lambda_real)
-    if not lam > 0.0:
-        raise BadDomain("lambda must be a positive real, got %r" % lambda_real)
+    if not 0.0 < lam < math.inf:
+        raise BadDomain("lambda must be a positive real, 0 < lambda < inf; got %r" % lambda_real)
     _require_two_paths(n, "mc_fsi")
     profile, grid = _profile_and_grid(F, [k], grid)
-    factors = _linear_factors(F)
-    if factors:
-        (cols,) = draw_columns(profile, grid, n, seed,
-                               [_densities([odot(u, k) for u in factors], grid)])
-    else:  # a monomial of no factors is 1 on every path
-        cols = np.empty((n, 0))
+    (cols,) = draw_columns(profile, grid, n, seed,
+                           [_densities([odot(u, k) for u in _linear_factors(F)], grid)])
     t0 = time.perf_counter()
-    (moments,) = _span_moments(n, lambda rows: (_value_at(F, lam**-0.5 * cols[rows]),))
+    (moments,) = _span_moments(cols, lambda block: (_value_at(F, lam**-0.5 * block),))
     return _report(F, moments, n, grid, seed, time.perf_counter() - t0)
 
 
@@ -293,16 +291,15 @@ def verify_translation(
     shape other than (n, c) of that matrix raises ValueError.  The same
     holds for verify_parts and verify_cs_precursor.
     """
-    grid, shift, theta_k2, pairing_a, t0, cols = _identity_setup(F, theta, k1, k2, n, seed, grid,
-                                                                 columns)
+    grid, shift, theta_k2, pairing_a, cols = _identity_setup(F, theta, k1, k2, n, seed, grid,
+                                                             columns)
     weight = float(np.exp(-0.5 * cm_inner(theta_k2, theta_k2) - pairing_a))
 
-    def sides(rows):
-        span = cols[rows]
-        v = span[:, :-1]
-        return _value_at(F, v + shift), weight * _value_at(F, v) * np.exp(span[:, -1])
+    def sides(block):
+        v = block[:, :-1]
+        return _value_at(F, v + shift), weight * _value_at(F, v) * np.exp(block[:, -1])
 
-    return _identity_report(F, n, grid, seed, t0, sides)
+    return _identity_report(F, cols, grid, seed, sides)
 
 
 def verify_parts(
@@ -321,10 +318,10 @@ def verify_parts(
     the first variation of F at rho-scaled Z_{k1}-paths (direction
     rho Z_{k2}(theta (.) k1, .)) against the product-minus-mean form."""
     rho = float(rho)
-    if not rho > 0.0:
-        raise BadDomain("rho must be positive, got %r" % rho)
-    grid, t0, sides = _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns)
-    return _identity_report(F, n, grid, seed, t0, sides)
+    if not 0.0 < rho < math.inf:
+        raise BadDomain("rho must be positive, 0 < rho < inf; got %r" % rho)
+    grid, cols, sides = _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns)
+    return _identity_report(F, cols, grid, seed, sides)
 
 
 def verify_cs_precursor(
@@ -348,29 +345,27 @@ def verify_cs_precursor(
     it carries the same sigma_ratio as verify_parts at that rho, for
     every functional."""
     lam = float(lambda_real)
-    if not lam > 0.0:
-        raise BadDomain("lambda must be a positive real, got %r" % lambda_real)
-    grid, t0, sides = _parts_engine(F, theta, k1, k2, lam**-0.5, n, seed, grid, columns)
+    if not 0.0 < lam < math.inf:
+        raise BadDomain("lambda must be a positive real, 0 < lambda < inf; got %r" % lambda_real)
+    grid, cols, sides = _parts_engine(F, theta, k1, k2, lam**-0.5, n, seed, grid, columns)
     root = lam**0.5
-    return _identity_report(F, n, grid, seed, t0,
-                            lambda rows: [root * vals for vals in sides(rows)])
+    return _identity_report(F, cols, grid, seed, lambda block: [root * v for v in sides(block)])
 
 
 def _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns):
-    """The grid used, the start time and the per-path sides of
-    integration by parts at path scale rho, as a function of the paths
-    ``rows``: the variation of F at rho-scaled paths in direction
+    """The grid used, the columns and the per-path sides of integration
+    by parts at path scale rho, as a function of a block of the columns:
+    the variation of F at rho-scaled paths in direction
     rho Z_{k2}(theta (.) k1, .), and
     ((theta (.) k2, x)~ - (theta (.) k2, a)) F at the same paths."""
-    grid, d, _, pairing_a, t0, cols = _identity_setup(F, theta, k1, k2, n, seed, grid, columns)
+    grid, d, _, pairing_a, cols = _identity_setup(F, theta, k1, k2, n, seed, grid, columns)
     direction = [rho * c for c in d]
 
-    def sides(rows):
-        span = cols[rows]
-        v = rho * span[:, :-1]
-        return _variation_at(F, v, direction), (span[:, -1] - pairing_a) * _value_at(F, v)
+    def sides(block):
+        v = rho * block[:, :-1]
+        return _variation_at(F, v, direction), (block[:, -1] - pairing_a) * _value_at(F, v)
 
-    return grid, t0, sides
+    return grid, cols, sides
 
 
 def _require_two_paths(n, what="an identity check"):
@@ -384,9 +379,9 @@ def _require_two_paths(n, what="an identity check"):
 def _identity_setup(F, theta, k1, k2, n, seed, grid, columns):
     """What the translation and parts identities share: the grid used,
     the exact scalars (u (.) k2, theta (.) k1) for the linear factors u
-    of F, theta (.) k2 and its pairing with a, the start time, and the
-    columns (u (.) k1, x)~ per factor followed by (theta (.) k2, x)~:
-    the given ``columns``, once their shape is checked, or a draw."""
+    of F, theta (.) k2 and its pairing with a, and the columns
+    (u (.) k1, x)~ per factor followed by (theta (.) k2, x)~: the given
+    ``columns``, once their shape is checked, or a draw."""
     _require_two_paths(n)
     profile, grid = _profile_and_grid(F, [theta, k1, k2], grid)
     theta_k2 = odot(theta, k2)
@@ -398,7 +393,7 @@ def _identity_setup(F, theta, k1, k2, n, seed, grid, columns):
     elif np.shape(columns) != (n, len(consts) + 1):
         raise ValueError("columns must be (n, c) = %r for this check's density matrix, got %r"
                          % ((n, len(consts) + 1), np.shape(columns)))
-    return grid, consts, theta_k2, pairing_a, time.perf_counter(), columns
+    return grid, consts, theta_k2, pairing_a, columns
 
 
 # ---------------------------------------------------------------------------

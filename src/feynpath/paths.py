@@ -865,7 +865,7 @@ def z_shift_path(k: SuppElement, w: CMElement, grid: TimeGrid) -> np.ndarray:
 
 
 def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise TypeError("seed must be an integer")
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")

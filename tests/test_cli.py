@@ -741,6 +741,41 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, argv, key, value):
 
 
 @pytest.mark.parametrize(
+    "argv, key, value, named",
+    [
+        (["verify", "--all"], "profiles.std", 5, "profiles.std: expected an object"),
+        (["verify", "--all"], "checks.1.q", 10**400, "checks[1].q must be a finite number"),
+        (["verify", "--all"], "profiles.std.a_prime",
+         {"breakpoints": [0.0, 0.6, 0.4, 1.0], "coeffs": [[0.0], [1.0], [0.0]]},
+         "profiles.std.a_prime: breakpoints must be strictly increasing"),
+        (["verify", "--all"], "checks.3.functional", {"type": "nosuch"},
+         "checks[3].functional: unknown functional type 'nosuch'"),
+        (["verify", "--all"], "checks.4", 5, "checks[4]: expected an object"),
+        (["verify", "--all"], "elements.k2.profile", "nosuch",
+         "elements.k2: unknown profile 'nosuch'"),
+        (["validate-profile", "--profile", "nosuch"], None, None, "unknown profile 'nosuch'"),
+    ],
+    ids=["profile-not-an-object", "q-400-digits", "breakpoints-not-increasing",
+         "functional-type-unknown", "check-not-an-object", "element-profile-unknown",
+         "validate-profile-unknown"],
+)
+def test_config_error_names_its_key_in_one_line(tmp_path, capsys, argv, key, value, named):
+    cfg = std_config(n=200, grid=32)
+    if key is not None:
+        _set(cfg, key, value)
+    out = tmp_path / "o"
+    path = write_config(tmp_path, cfg)
+    if argv[0] == "verify":
+        argv = argv + ["--config", path, "--output-dir", str(out)]
+    else:
+        argv = [argv[0], path] + argv[1:]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: %s" % named) and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
     "key, value, named",
     [
         ("checks.0.q", 0.0, "checks[0].q"),

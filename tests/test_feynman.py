@@ -390,6 +390,15 @@ def test_exp_linear_real_exponent_gate(std_elements):
     ExpLinear(theta, 1j)  # purely imaginary is always fine
 
 
+@pytest.mark.parametrize("c", [float("nan"), complex(0.0, float("inf")), complex(float("-inf"), 0)],
+                         ids=["nan", "imaginary-inf", "real-minus-inf"])
+def test_exp_linear_rejects_a_non_finite_exponent(std_elements, c):
+    theta, _, _ = std_elements
+    for allow_unbounded in (False, True):
+        with pytest.raises(BadDomain, match="finite"):
+            ExpLinear(theta, c, allow_unbounded=allow_unbounded)
+
+
 # -- Cameron-Storvick residual ------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,8 @@ from feynpath import (
     CMElement,
     CosLinear,
     ExpLinear,
+    IdentityReport,
+    MCReport,
     MonomialSpec,
     TimeGrid,
     UnsupportedFunctional,
@@ -92,6 +95,9 @@ def test_mc_constant_functional_is_exact(ctx):
     rep = mc_fsi(F, identity_element(profile), 1.0, 500, 3, grid=grid)
     assert rep.estimate == 1.0
     assert rep.std_error == 0.0
+    # its draw is zero columns wide, but the seed is checked as for any other
+    with pytest.raises(ValueError, match="seed"):
+        mc_fsi(F, identity_element(profile), 1.0, 500, -1, grid=grid)
 
 
 def test_mc_centered_gaussian_mean(wiener):
@@ -116,8 +122,9 @@ def test_mc_matches_closed_form(ctx):
 def test_mc_rejects_bad_lambda(ctx):
     profile, theta, k1, k2, grid = ctx
     F = MonomialSpec(theta, (k1,))
-    with pytest.raises(BadDomain):
-        mc_fsi(F, k1, 0.0, 100, 1, grid=grid)
+    for lam in (0.0, np.inf):
+        with pytest.raises(BadDomain):
+            mc_fsi(F, k1, lam, 100, 1, grid=grid)
 
 
 def test_mc_determinism(ctx):
@@ -215,11 +222,12 @@ def test_parts_scaled_bounded_functional(ctx, kind, rho):
 def test_parts_rejects_nonpositive_rho(ctx):
     profile, theta, k1, k2, grid = ctx
     F = MonomialSpec(theta, (k1,))
-    with pytest.raises(BadDomain):
-        verify_parts(F, theta, k1, k2, 0.0, 100, 1, grid=grid)
+    for rho in (0.0, np.inf):
+        with pytest.raises(BadDomain):
+            verify_parts(F, theta, k1, k2, rho, 100, 1, grid=grid)
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0])
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.inf])
 def test_cs_precursor_rejects_nonpositive_lambda(ctx, lam):
     profile, theta, k1, k2, grid = ctx
     F = MonomialSpec(theta, (k1,))
@@ -486,7 +494,8 @@ def test_span_moments_agree_with_the_two_pass_oracle(n, kind):
     two-pass mean and standard error over the whole arrays to a few
     ulps, within one span, at its edge and across three spans."""
     lhs, rhs = _two_sides(n, kind, n)
-    got = _span_moments(n, lambda rows: (lhs[rows], rhs[rows]), difference=True)
+    got = _span_moments(np.column_stack([lhs, rhs]), lambda block: (block[:, 0], block[:, 1]),
+                        difference=True)
     ulp = np.finfo(float).eps
     for (mean, se), vals in zip(got, (lhs, rhs, lhs - rhs)):
         want_mean, want_se = mean_se_two_pass(vals)
@@ -499,8 +508,47 @@ def test_span_moments_of_real_values_keep_the_bits_of_the_complex_route():
     imaginary part: each part is reduced as a real array, and the zero
     part adds 0.0 to the mean's imaginary part and to M2."""
     n = 2 * CHUNK_PATHS + 301
-    lhs, rhs = _two_sides(n, "real", 5)
-    real = _span_moments(n, lambda rows: (lhs[rows], rhs[rows]), difference=True)
-    as_complex = _span_moments(n, lambda rows: (lhs[rows] + 0j, rhs[rows] + 0j), difference=True)
+    cols = np.column_stack(_two_sides(n, "real", 5))
+    real = _span_moments(cols, lambda block: (block[:, 0], block[:, 1]), difference=True)
+    as_complex = _span_moments(cols, lambda block: (block[:, 0] + 0j, block[:, 1] + 0j),
+                               difference=True)
     assert _bits(real) == _bits(as_complex)
     assert all(np.float64(m.imag).tobytes() == np.float64(0.0).tobytes() for m, _ in real)
+
+
+@pytest.mark.parametrize("n", [2, CHUNK_PATHS, 2 * CHUNK_PATHS + 301])
+def test_span_moments_hand_sides_views_of_the_columns_in_order(n):
+    """Each block ``sides`` gets is a view of the columns of at most
+    CHUNK_PATHS rows, and the blocks, in call order, are every row once."""
+    cols = np.asfortranarray(np.arange(2.0 * n).reshape(n, 2))
+    blocks = []
+
+    def sides(block):
+        blocks.append(block)
+        return block[:, 0], block[:, 1]
+
+    _span_moments(cols, sides, difference=True)
+    assert all(np.shares_memory(block, cols) and len(block) <= CHUNK_PATHS for block in blocks)
+    np.testing.assert_array_equal(np.concatenate(blocks), cols)
+
+
+def _estimate(value):
+    return MCReport(estimate=value, std_error=0.1, n_paths=10, grid_size=4, seed=1, wall_time=0.0)
+
+
+@pytest.mark.parametrize(
+    "discrepancy, diff_se, want",
+    [(0.3, 0.1, 0.3 / 0.1), (1e-12 * 5.0, 0.0, 0.0), (np.nextafter(1e-12 * 5.0, 1.0), 0.0, np.inf)],
+    ids=["diff_se-positive", "exact-at-tolerance", "exact-above-tolerance"],
+)
+def test_identity_report_derives_its_verdict_from_its_fields(discrepancy, diff_se, want):
+    """sigma_ratio is discrepancy / diff_se; with diff_se = 0 it is 0 up
+    to 1e-12 max(1, |lhs|, |rhs|), here 1e-12 * |3 + 4j|, and inf above."""
+    report = IdentityReport(lhs=_estimate(3 + 4j), rhs=_estimate(2.0), discrepancy=discrepancy,
+                            diff_se=diff_se)
+    assert [f.name for f in dataclasses.fields(report)] == ["lhs", "rhs", "discrepancy", "diff_se"]
+    assert report.sigma_ratio == want and report.threshold == 3.0
+    assert report.passed is (want < 3.0)
+    d = report.to_dict()
+    assert list(d) == ["lhs", "rhs", "discrepancy", "diff_se", "sigma_ratio", "threshold", "pass"]
+    assert (d["sigma_ratio"], d["threshold"], d["pass"]) == (want, 3.0, want < 3.0)

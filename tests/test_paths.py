@@ -1111,6 +1111,8 @@ def test_seed_validation(standard, grid256):
         sample_gbmp_paths(standard, grid256, 1, -1)
     with pytest.raises(TypeError):
         sample_gbmp_paths(standard, grid256, 1, 1.5)
+    with pytest.raises(TypeError):
+        sample_gbmp_paths(standard, grid256, 1, True)
 
 
 def test_read_binary_rejects_bad_magic(tmp_path):
