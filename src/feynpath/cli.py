@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -617,29 +616,34 @@ def _run_checks(config: ExperimentConfig, indices, overrides: dict, out_dir) -> 
 
 def _run_shared(config: ExperimentConfig, members, key) -> dict:
     """{index: (ledger row, result dict)} of the identity checks
-    ``members`` of one stream ``key``, from one draw: the only runner of
-    the identity checks.  ``mc.draw_columns`` decides which checks share
-    a columns array, and each check's ``mc.verify_*`` function takes
-    its array as ``columns=``.  Each check's reference is dropped once
-    it has run, so a shared array is freed after the last of its checks.
-    Each result gets a ``draw`` object: the draw's seconds and the names
-    of the checks it served."""
+    ``members`` of one stream ``key``, from one pass over one draw: the
+    only runner of the identity checks.  ``mc._SharedDraw`` streams the
+    draw one block at a time into every member's sides, so no n-row
+    array is held, and each check's ``mc.verify_*`` function, called
+    once, takes its member as ``columns=`` and returns its report; the
+    first call runs the pass.  Each result gets a ``draw`` object: the
+    seconds spent filling the draw's blocks and the names of the checks
+    it served.  An infinite sigma_ratio (diff_se 0, the discrepancy
+    above rounding) fails its check and is written as null, since JSON
+    has no infinity."""
     pname, grid_n, n, seed = key
     grid = config.grid(pname, grid_n)
     checks = [config.checks[i] for i in members]
-    densities = [mc.identity_densities(*check["args"], grid) for check in checks]
-    t0 = time.perf_counter()
-    columns = mc.draw_columns(config.profiles[pname], grid, n, seed, densities)
-    draw = {"wall_time": time.perf_counter() - t0, "shared_by": [c["name"] for c in checks]}
-    outcomes = {}
-    for pos, (i, check) in enumerate(zip(members, checks)):
+    calls = []
+    for check in checks:
         func, param = _IDENTITY_RUNNERS[check["kind"]]
-        scalars = () if param is None else (check[param],)
-        report = getattr(mc, func)(*check["args"], *scalars, n, seed, grid=grid,
-                                   columns=columns[pos])
-        columns[pos] = None
+        calls.append((func, (*check["args"], *(() if param is None else (check[param],)))))
+    shared = mc._SharedDraw(config.profiles[pname], grid, n, seed,
+                            [(mc._SIDES[func], args) for func, args in calls])
+    reports = [getattr(mc, func)(*args, n, seed, grid=grid, columns=member)
+               for (func, args), member in zip(calls, shared.members)]
+    draw = {"wall_time": shared.wall_time, "shared_by": [c["name"] for c in checks]}
+    outcomes = {}
+    for i, check, report in zip(members, checks, reports):
         result = {"name": check["name"], "kind": check["kind"], "n_paths": n, "seed": seed,
                   "grid_size": grid_n, **report.to_dict(), "draw": draw}
+        if math.isinf(result["sigma_ratio"]):
+            result["sigma_ratio"] = None
         outcomes[i] = (mc.identity_ledger_row(check["name"], config.config_hash, report), result)
     return outcomes
 

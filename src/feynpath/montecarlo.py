@@ -5,12 +5,12 @@ Every identity check evaluates both sides on the same path ensemble
 (null shift, constant functionals) the discrepancy is exactly zero, and
 elsewhere the variance of the difference is what sets the reported
 standard error.  A check's sides are functions of one block of its
-columns: ``_span_moments`` calls them on each CHUNK_PATHS-row block in
-turn, reduces each block's values to (count, mean, M2), M2 the sum of
-|x - mean|^2, and merges the blocks in order by the update of Chan,
-Golub and LeVeque (Am. Stat. 37, 1983).  So beyond the columns a check
-holds no n-length per-path array, and its report depends only on the
-columns, not on their memory order.
+columns: ``_Moments`` takes the CHUNK_PATHS-row blocks in turn, reduces
+each block's values to (count, mean, M2), M2 the sum of |x - mean|^2,
+and merges the blocks in order by the update of Chan, Golub and
+LeVeque (Am. Stat. 37, 1983).  So a check holds no n-length per-path
+array, and its report depends only on the columns, not on their
+memory order or on how they reach it.
 
 A check sees the paths only through their stochastic-integral columns
 (x, D)~ on the check's density matrix D (``identity_densities``).
@@ -20,15 +20,20 @@ path for a matrix of c columns and rank r, without sampling a path
 (see ``paths.stream_increments``).  The law comes from the grid's
 increment moments, not from the closed-form Gaussian summary, so the
 Monte Carlo stays independent of the quadrature.  The draw is keyed by
-(profile, grid, n, seed), so checks with the same key can share one:
-``draw_columns`` draws the normals once for every distinct matrix, and
-the identity checks take the result as ``columns=``.  It alone decides
-what a draw shares: only whole matrices of equal shape and bytes, which
-get one array.  A matrix's columns depend only on (profile, grid, seed,
-D), so a shared draw gives every check the same columns, to the bit,
-as a draw of its own.  Checks on different matrices share normals, not
-paths: each check's columns have their exact law, but the joint law of
-two checks' columns is not that of one set of paths.
+(profile, grid, n, seed), so checks with the same key can share one.
+``_SharedDraw`` reduces every check of such a group in one pass: it
+streams the draw onto the group's distinct matrices, equal shape and
+bytes counting as one, hands each block to every check's sides and
+running moments, and drops it, so no n-row array of columns or of
+normals exists at any n.  A ``verify_*`` function given a member of the
+group as ``columns=`` returns that check's report; with ``columns``
+None it streams a one-member group.  ``draw_columns`` instead holds the
+same columns as (n, c) arrays, which ``columns=`` also takes, with the
+same reports to the bit.  A matrix's columns depend only on (profile,
+grid, seed, D), so a shared draw gives every check the same columns, to
+the bit, as a draw of its own.  Checks on different matrices share
+normals, not paths: each check's columns have their exact law, but the
+joint law of two checks' columns is not that of one set of paths.
 
 Integrability of the compared functionals is a hypothesis of the
 identities, not something a sampler can certify; reports carry an
@@ -59,12 +64,12 @@ _EXACT_TOL = 1e-12
 class MCReport:
     """One Monte Carlo estimate with its combined standard error.
 
-    ``wall_time`` is the seconds from the drawn columns to the estimate:
-    the evaluation of every side of the check on each block of its
-    columns and the reduction of their values, so an identity's two
-    estimates report the same time.  It leaves out the draw, which may
-    be shared with other checks (``feynpath verify`` reports it as the
-    check's ``draw``)."""
+    ``wall_time`` is the seconds the check spent on its own columns: the
+    evaluation of every side of the check on each block of its columns
+    and the reduction of their values, summed over the blocks, so an
+    identity's two estimates report the same time.  It leaves out the
+    filling of the blocks, which may be shared with other checks
+    (``feynpath verify`` reports it as the check's ``draw.wall_time``)."""
 
     estimate: complex
     std_error: float
@@ -121,29 +126,34 @@ class IdentityReport:
         }
 
 
-def _span_moments(cols: np.ndarray, sides, difference: bool = False) -> list:
-    """[(mean, standard error)] over the n rows of ``cols`` of each
-    per-row array that ``sides(block)`` returns for a block of those
-    rows, and then of the first minus the second when ``difference``.
+class _Moments:
+    """The running moments of each per-row array that ``sides(block)``
+    returns for the blocks handed to ``add``, and then of the first
+    minus the second when ``difference``.
 
-    ``sides`` is called on each block ``cols[p0 : p0 + CHUNK_PATHS]``, a
-    view, in order.  Its arrays are copied into one (k, rows) buffer,
-    reduced to their block means (numpy's pairwise sums) and M2, and
-    the blocks are merged in order by the update of Chan, Golub and
-    LeVeque.  A complex array is reduced as its real and imaginary
-    parts, each as a real array is, and its M2 is the sum of the two
-    parts' M2: real values give the bits of the same values with a zero
-    imaginary part."""
-    n, count = len(cols), 0
-    for p0 in range(0, n, CHUNK_PATHS):
-        vals = sides(cols[p0 : p0 + CHUNK_PATHS])
+    Each block's arrays are copied into one (k, rows) buffer, reduced
+    to their block means (numpy's pairwise sums) and M2, the sum of
+    |x - mean|^2, and merged into the running (count, mean, M2) in the
+    order the blocks come, by the update of Chan, Golub and LeVeque.  A
+    complex array is reduced as its real and imaginary parts, each as a
+    real array is, and its M2 is the sum of the two parts' M2: real
+    values give the bits of the same values with a zero imaginary part.
+    ``wall_time`` sums the seconds spent in ``add``."""
+
+    def __init__(self, sides, difference: bool = False):
+        self.sides, self.difference = sides, difference
+        self.count, self.wall_time = 0, 0.0
+
+    def add(self, block):
+        t0 = time.perf_counter()
+        vals = self.sides(block)
         rows = len(vals[0])
-        if not count:
-            buf = np.empty((len(vals) + difference, rows), np.result_type(*vals))
-        span = buf[:, :rows]
+        if not self.count:  # the first block is the largest
+            self.buf = np.empty((len(vals) + self.difference, rows), np.result_type(*vals))
+        span = self.buf[:, :rows]
         for row, v in zip(span, vals):
             row[...] = v
-        if difference:
+        if self.difference:
             np.subtract(span[0], span[1], out=span[-1])
         parts = (span.real, span.imag) if np.iscomplexobj(span) else (span,)
         span_mean = np.array([np.add.reduce(part, axis=1) for part in parts]) / rows
@@ -152,21 +162,61 @@ def _span_moments(cols: np.ndarray, sides, difference: bool = False) -> list:
             part -= mu[:, None]
             np.square(part, out=part)
             span_m2 = span_m2 + np.add.reduce(part, axis=1)
-        if count:
-            total = count + rows
-            delta = span_mean - mean
-            mean = mean + delta * (rows / total)
-            m2 = m2 + span_m2 + np.add.reduce(delta * delta) * (count * rows / total)
+        if self.count:
+            count, total = self.count, self.count + rows
+            delta = span_mean - self.mean
+            self.mean = self.mean + delta * (rows / total)
+            self.m2 = self.m2 + span_m2 + np.add.reduce(delta * delta) * (count * rows / total)
         else:
-            mean, m2 = span_mean, span_m2
-        count += rows
-    imag = mean[1] if len(mean) > 1 else np.zeros_like(mean[0])
-    return [(complex(re, im), math.sqrt(sq / (n - 1) / n)) for re, im, sq in zip(mean[0], imag, m2)]
+            self.mean, self.m2 = span_mean, span_m2
+        self.count += rows
+        self.wall_time += time.perf_counter() - t0
+
+    def moments(self) -> list:
+        """[(mean, standard error)] per array, over the rows seen."""
+        n, mean = self.count, self.mean
+        imag = mean[1] if len(mean) > 1 else np.zeros_like(mean[0])
+        return [(complex(re, im), math.sqrt(sq / (n - 1) / n))
+                for re, im, sq in zip(mean[0], imag, self.m2)]
+
+
+def _span_moments(cols: np.ndarray, sides, difference: bool = False) -> _Moments:
+    """The ``_Moments`` of ``sides`` over the n rows of ``cols``: it is
+    handed each block ``cols[p0 : p0 + CHUNK_PATHS]``, a view, in order."""
+    acc = _Moments(sides, difference)
+    for p0 in range(0, len(cols), CHUNK_PATHS):
+        acc.add(cols[p0 : p0 + CHUNK_PATHS])
+    return acc
 
 
 def _densities(elements, grid: TimeGrid) -> np.ndarray:
     """(N, c): the left densities of c >= 0 elements, one a column."""
     return np.reshape([left_density(e, grid) for e in elements], (-1, grid.N)).T
+
+
+def _distinct(densities):
+    """(matrices, slots): the distinct matrices of ``densities``, equal
+    shape and bytes counting as one, in the order first seen, and the
+    position of each given matrix among them."""
+    mats = [np.asarray(D, dtype=float) for D in densities]
+    keys = [(D.shape, D.tobytes()) for D in mats]
+    distinct = dict(zip(keys, mats))
+    slot = {key: i for i, key in enumerate(distinct)}
+    return list(distinct.values()), [slot[key] for key in keys]
+
+
+def _reduce_draw(profile, grid: TimeGrid, n: int, seed: int, densities, accs) -> float:
+    """Hand each block of the draw of n paths of (profile, grid, seed)
+    onto ``densities[i]`` to ``accs[i].add``, block by block, in the
+    order of ``accs``, and drop it; each distinct matrix is projected
+    once.  Returns the seconds of the pass spent outside ``add``, which
+    is filling the blocks."""
+    mats, slots = _distinct(densities)
+    t0 = time.perf_counter()
+    for _, chunks in stream_increments(profile, grid, n, seed, onto=mats):
+        for acc, slot in zip(accs, slots):
+            acc.add(chunks[slot])
+    return time.perf_counter() - t0 - sum(acc.wall_time for acc in accs)
 
 
 def draw_columns(profile, grid: TimeGrid, n: int, seed: int, densities) -> list:
@@ -184,17 +234,19 @@ def draw_columns(profile, grid: TimeGrid, n: int, seed: int, densities) -> list:
     they are bit-identical to a draw onto that matrix alone, and the
     first rows are those of a draw of more paths.  Distinct matrices
     read the same normals, so their columns are not those of one set of
-    paths."""
-    mats = [np.asarray(D, dtype=float) for D in densities]
-    keys = [(D.shape, D.tobytes()) for D in mats]
-    distinct = dict(zip(keys, mats))
-    out = {key: np.empty((n, D.shape[1]), order="F") for key, D in distinct.items()}
-    for p0, chunks in stream_increments(profile, grid, n, seed, onto=list(distinct.values())):
-        for cols, chunk in zip(out.values(), chunks):
+    paths.
+
+    The identity checks do not call this: they stream the same blocks
+    (``_SharedDraw``), and hold none of these n-row arrays.  Given this
+    function's arrays as ``columns=``, they return the same reports."""
+    mats, slots = _distinct(densities)
+    out = [np.empty((n, D.shape[1]), order="F") for D in mats]
+    for p0, chunks in stream_increments(profile, grid, n, seed, onto=mats):
+        for cols, chunk in zip(out, chunks):
             cols[p0 : p0 + chunk.shape[0]] = chunk
-    for cols in out.values():
+    for cols in out:
         cols.flags.writeable = False
-    return [out[key] for key in keys]
+    return [out[slot] for slot in slots]
 
 
 def identity_densities(F: FunctionalSpec, theta: CMElement, k1: SuppElement, k2: SuppElement,
@@ -225,15 +277,77 @@ def _report(F, moments, n, grid, seed, wall_time):
     )
 
 
-def _identity_report(F, cols, grid, seed, sides):
-    """The report of an identity whose (LHS, RHS) on a block of ``cols`` are ``sides(block)``."""
-    t0 = time.perf_counter()
-    lhs_moments, rhs_moments, (diff_mean, diff_se) = _span_moments(cols, sides, difference=True)
-    wall_time = time.perf_counter() - t0
-    lhs = _report(F, lhs_moments, len(cols), grid, seed, wall_time)
-    rhs = _report(F, rhs_moments, len(cols), grid, seed, wall_time)
+def _identity_report(F, acc: _Moments, grid, seed):
+    """The report of an identity whose (LHS, RHS) moments ``acc`` holds."""
+    lhs_moments, rhs_moments, (diff_mean, diff_se) = acc.moments()
+    lhs = _report(F, lhs_moments, acc.count, grid, seed, acc.wall_time)
+    rhs = _report(F, rhs_moments, acc.count, grid, seed, acc.wall_time)
     return IdentityReport(lhs=lhs, rhs=rhs, discrepancy=abs(diff_mean), diff_se=diff_se)
 
+
+@dataclass(frozen=True)
+class _Member:
+    """Check ``index`` of a ``_SharedDraw``, as a ``verify_*`` function
+    takes it for ``columns=``."""
+
+    draw: "_SharedDraw"
+    index: int
+
+
+class _SharedDraw:
+    """The identity checks of one draw, keyed by (profile, grid, n,
+    seed), reduced in one pass over it.
+
+    Each check is (build, args): ``build(*args, grid)`` returns its
+    density matrix and its ``sides``, and ``members[i]`` stands for
+    check i.  The first report asked for runs the pass: each block of
+    the draw goes to every check's sides, in check order, and into that
+    check's ``_Moments``, and is then dropped.  So no n-row array of
+    columns or of normals exists, and each check keeps only (count,
+    mean, M2) per side.  The blocks are ``_span_moments``' spans, so
+    each report has the bits it gets from ``draw_columns``' arrays.
+    ``wall_time`` is then the seconds spent filling the blocks."""
+
+    def __init__(self, profile, grid: TimeGrid, n: int, seed: int, checks):
+        _require_two_paths(n)
+        self.profile, self.grid, self.n, self.seed = profile, grid, n, seed
+        self.checks = [(build, tuple(args)) for build, args in checks]
+        self.built = [build(*args, grid) for build, args in self.checks]
+        self.members = [_Member(self, i) for i in range(len(self.checks))]
+        self.wall_time = None
+        self._reports = None
+
+    def report(self, index, build, args, n, seed, grid) -> IdentityReport:
+        """The report of check ``index``, which must be build(*args) at
+        (n, seed) and at the draw's grid (or grid None)."""
+        if ((build, args, n, seed) != (*self.checks[index], self.n, self.seed)
+                or grid not in (None, self.grid)):
+            raise ValueError("columns is the shared draw of another check")
+        if self._reports is None:
+            accs = [_Moments(sides, difference=True) for _, sides in self.built]
+            self.wall_time = _reduce_draw(self.profile, self.grid, self.n, self.seed,
+                                          [D for D, _ in self.built], accs)
+            self._reports = [_identity_report(args[0], acc, self.grid, self.seed)
+                             for (_, args), acc in zip(self.checks, accs)]
+        return self._reports[index]
+
+
+def _verify(build, args, n, seed, grid, columns) -> IdentityReport:
+    """The report of the identity check ``build(*args, grid)`` over n
+    paths of ``seed``: from ``columns``, a ``_SharedDraw`` member or an
+    (n, c) array of the check's columns, or from a draw of its own."""
+    _require_two_paths(n)
+    if isinstance(columns, _Member):
+        return columns.draw.report(columns.index, build, args, n, seed, grid)
+    profile, grid = _profile_and_grid(args[0], args[1:4], grid)
+    if columns is None:
+        return _SharedDraw(profile, grid, n, seed, [(build, args)]).report(0, build, args, n,
+                                                                           seed, grid)
+    D, sides = build(*args, grid)
+    if np.shape(columns) != (n, D.shape[1]):
+        raise ValueError("columns must be (n, c) = %r for this check's density matrix, got %r"
+                         % ((n, D.shape[1]), np.shape(columns)))
+    return _identity_report(args[0], _span_moments(columns, sides, difference=True), grid, seed)
 
 
 def _profile_and_grid(F: FunctionalSpec, elements, grid):
@@ -262,11 +376,11 @@ def mc_fsi(
         raise BadDomain("lambda must be a positive real, 0 < lambda < inf; got %r" % lambda_real)
     _require_two_paths(n, "mc_fsi")
     profile, grid = _profile_and_grid(F, [k], grid)
-    (cols,) = draw_columns(profile, grid, n, seed,
-                           [_densities([odot(u, k) for u in _linear_factors(F)], grid)])
-    t0 = time.perf_counter()
-    (moments,) = _span_moments(cols, lambda block: (_value_at(F, lam**-0.5 * block),))
-    return _report(F, moments, n, grid, seed, time.perf_counter() - t0)
+    acc = _Moments(lambda block: (_value_at(F, lam**-0.5 * block),))
+    _reduce_draw(profile, grid, n, seed,
+                 [_densities([odot(u, k) for u in _linear_factors(F)], grid)], [acc])
+    (moments,) = acc.moments()
+    return _report(F, moments, n, grid, seed, acc.wall_time)
 
 
 def verify_translation(
@@ -287,19 +401,12 @@ def verify_translation(
 
     ``columns``, when given, are the n paths' columns on
     ``identity_densities(F, theta, k1, k2, grid)`` as ``draw_columns``
-    makes them from (grid, n, seed); otherwise they are drawn here.  A
-    shape other than (n, c) of that matrix raises ValueError.  The same
-    holds for verify_parts and verify_cs_precursor.
+    makes them from (grid, n, seed); otherwise they are streamed here,
+    one block at a time.  A shape other than (n, c) of that matrix
+    raises ValueError.  The same holds for verify_parts and
+    verify_cs_precursor.
     """
-    grid, shift, theta_k2, pairing_a, cols = _identity_setup(F, theta, k1, k2, n, seed, grid,
-                                                             columns)
-    weight = float(np.exp(-0.5 * cm_inner(theta_k2, theta_k2) - pairing_a))
-
-    def sides(block):
-        v = block[:, :-1]
-        return _value_at(F, v + shift), weight * _value_at(F, v) * np.exp(block[:, -1])
-
-    return _identity_report(F, cols, grid, seed, sides)
+    return _verify(_translation, (F, theta, k1, k2), n, seed, grid, columns)
 
 
 def verify_parts(
@@ -320,8 +427,7 @@ def verify_parts(
     rho = float(rho)
     if not 0.0 < rho < math.inf:
         raise BadDomain("rho must be positive, 0 < rho < inf; got %r" % rho)
-    grid, cols, sides = _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns)
-    return _identity_report(F, cols, grid, seed, sides)
+    return _verify(_parts, (F, theta, k1, k2, rho), n, seed, grid, columns)
 
 
 def verify_cs_precursor(
@@ -347,25 +453,50 @@ def verify_cs_precursor(
     lam = float(lambda_real)
     if not 0.0 < lam < math.inf:
         raise BadDomain("lambda must be a positive real, 0 < lambda < inf; got %r" % lambda_real)
-    grid, cols, sides = _parts_engine(F, theta, k1, k2, lam**-0.5, n, seed, grid, columns)
-    root = lam**0.5
-    return _identity_report(F, cols, grid, seed, lambda block: [root * v for v in sides(block)])
+    return _verify(_cs_precursor, (F, theta, k1, k2, lam), n, seed, grid, columns)
 
 
-def _parts_engine(F, theta, k1, k2, rho, n, seed, grid, columns):
-    """The grid used, the columns and the per-path sides of integration
-    by parts at path scale rho, as a function of a block of the columns:
-    the variation of F at rho-scaled paths in direction
+def _translation(F, theta, k1, k2, grid):
+    """(D, sides) of the translation identity on grid: the density
+    matrix, and the shifted and the reweighted F as a function of a
+    block of D's columns."""
+    shift, theta_k2, pairing_a, D = _identity_setup(F, theta, k1, k2, grid)
+    weight = float(np.exp(-0.5 * cm_inner(theta_k2, theta_k2) - pairing_a))
+
+    def sides(block):
+        v = block[:, :-1]
+        return _value_at(F, v + shift), weight * _value_at(F, v) * np.exp(block[:, -1])
+
+    return D, sides
+
+
+def _parts(F, theta, k1, k2, rho, grid):
+    """(D, sides) of integration by parts at path scale rho on grid: the
+    density matrix, and as a function of a block of its columns the
+    variation of F at rho-scaled paths in direction
     rho Z_{k2}(theta (.) k1, .), and
     ((theta (.) k2, x)~ - (theta (.) k2, a)) F at the same paths."""
-    grid, d, _, pairing_a, cols = _identity_setup(F, theta, k1, k2, n, seed, grid, columns)
+    d, _, pairing_a, D = _identity_setup(F, theta, k1, k2, grid)
     direction = [rho * c for c in d]
 
     def sides(block):
         v = rho * block[:, :-1]
         return _variation_at(F, v, direction), (block[:, -1] - pairing_a) * _value_at(F, v)
 
-    return grid, cols, sides
+    return D, sides
+
+
+def _cs_precursor(F, theta, k1, k2, lam, grid):
+    """(D, sides) of the cs precursor at lambda: parts at rho =
+    lambda^{-1/2}, both sides times lambda^{1/2}."""
+    D, sides = _parts(F, theta, k1, k2, lam**-0.5, grid)
+    root = lam**0.5
+    return D, lambda block: [root * v for v in sides(block)]
+
+
+# Each identity's (D, sides) builder, by the name of its verify function.
+_SIDES = {"verify_translation": _translation, "verify_parts": _parts,
+          "verify_cs_precursor": _cs_precursor}
 
 
 def _require_two_paths(n, what="an identity check"):
@@ -376,24 +507,16 @@ def _require_two_paths(n, what="an identity check"):
                         % (what, n))
 
 
-def _identity_setup(F, theta, k1, k2, n, seed, grid, columns):
-    """What the translation and parts identities share: the grid used,
-    the exact scalars (u (.) k2, theta (.) k1) for the linear factors u
-    of F, theta (.) k2 and its pairing with a, and the columns
-    (u (.) k1, x)~ per factor followed by (theta (.) k2, x)~: the given
-    ``columns``, once their shape is checked, or a draw."""
-    _require_two_paths(n)
-    profile, grid = _profile_and_grid(F, [theta, k1, k2], grid)
+def _identity_setup(F, theta, k1, k2, grid):
+    """What the translation and parts identities share on grid: the
+    exact scalars (u (.) k2, theta (.) k1) for the linear factors u of
+    F, theta (.) k2 and its pairing with a, and the density matrix of
+    the columns (u (.) k1, x)~ per factor followed by
+    (theta (.) k2, x)~."""
     theta_k2 = odot(theta, k2)
     consts = _direction_scalars(F, k2, odot(theta, k1))
     pairing_a = inner_with_a(theta_k2)
-    if columns is None:
-        (columns,) = draw_columns(profile, grid, n, seed,
-                                  [identity_densities(F, theta, k1, k2, grid)])
-    elif np.shape(columns) != (n, len(consts) + 1):
-        raise ValueError("columns must be (n, c) = %r for this check's density matrix, got %r"
-                         % ((n, len(consts) + 1), np.shape(columns)))
-    return grid, consts, theta_k2, pairing_a, columns
+    return consts, theta_k2, pairing_a, identity_densities(F, theta, k1, k2, grid)
 
 
 # ---------------------------------------------------------------------------

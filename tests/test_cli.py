@@ -1146,29 +1146,114 @@ def test_one_draw_per_stream(tmp_path, capsys, monkeypatch, check_keys, flags, d
     assert code != 2 and calls == draws
 
 
-def test_checks_share_read_only_columns_per_equal_matrix(tmp_path, capsys, monkeypatch):
-    """Checks whose density matrices have equal bytes get one read-only
-    array; another matrix gets an array of its own."""
+def test_checks_share_one_projection_per_equal_matrix(tmp_path, capsys, monkeypatch):
+    """A group's stream projects each distinct density matrix once, and
+    each check's verify function gets its own member of that one draw."""
     import feynpath.montecarlo as mc
 
-    seen = []
+    seen, shapes = [], []
     for name in ("verify_translation", "verify_parts", "verify_cs_precursor"):
         def spy(*args, _original=getattr(mc, name), columns=None, **kwargs):
             seen.append(columns)
             return _original(*args, columns=columns, **kwargs)
 
         monkeypatch.setattr(mc, name, spy)
+    real = mc.stream_increments
+
+    def stream(*args, onto=None, **kwargs):
+        shapes.append([D.shape for D in onto])
+        return real(*args, onto=onto, **kwargs)
+
+    monkeypatch.setattr(mc, "stream_increments", stream)
     cfg = json.loads(STD_JSON.read_text())
     cfg.update(n_paths=300, grid_size=32)
     assert run(["verify", "--all", "--config", write_config(tmp_path, cfg),
                 "--output-dir", str(tmp_path / "o")]) != 2
     capsys.readouterr()
     # std.json: checks 2-4 project onto [1, t], checks 5-6 onto [1, t, t]
-    assert [c.shape for c in seen] == [(300, 2)] * 3 + [(300, 3)] * 2
-    assert seen[0] is seen[1] is seen[2] and seen[3] is seen[4] and seen[0] is not seen[3]
-    assert not any(c.flags.writeable for c in seen)
-    with pytest.raises(ValueError):
-        seen[0][0, 0] = 1.0
+    assert shapes == [[(32, 2), (32, 3)]]
+    assert [m.index for m in seen] == [0, 1, 2, 3, 4]
+    assert all(m.draw is seen[0].draw for m in seen)
+
+
+def test_verify_streams_once_per_group_and_calls_each_verify_once(tmp_path, capsys,
+                                                                  monkeypatch):
+    """verify --all starts one stream per group and calls each check's
+    mc.verify_* function once, with the functional and the path count
+    bound to the names F and n; it draws no columns array."""
+    import inspect
+
+    import feynpath.montecarlo as mc
+
+    calls = _count_draws(monkeypatch)
+    verified = []
+    for name in ("verify_translation", "verify_parts", "verify_cs_precursor"):
+        original = getattr(mc, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            bound = inspect.signature(_original).bind(*args, **kwargs).arguments
+            verified.append((_name, bound["n"], type(bound["F"]).__name__))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, name, spy)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("verify drew a columns array")
+
+    monkeypatch.setattr(mc, "draw_columns", no_draw)
+    cfg = json.loads(STD_JSON.read_text())
+    cfg.update(n_paths=300, grid_size=32)
+    cfg["checks"][4]["n_paths"] = 400  # parts-rho1 is a group of its own
+    assert run(["verify", "--all", "--config", write_config(tmp_path, cfg),
+                "--output-dir", str(tmp_path / "o")]) != 2
+    capsys.readouterr()
+    assert calls == [(300, 42), (400, 42)]
+    assert verified == [("verify_translation", 300, "CosLinear"),
+                        ("verify_translation", 300, "MonomialSpec"),
+                        ("verify_parts", 300, "MonomialSpec"),
+                        ("verify_cs_precursor", 300, "MonomialSpec"),
+                        ("verify_parts", 400, "MonomialSpec")]
+
+
+def test_an_infinite_sigma_ratio_fails_its_check_and_is_written(tmp_path, capsys, monkeypatch):
+    """A report with diff_se 0 and a discrepancy above rounding has an
+    infinite sigma_ratio: its ledger row reads inf and false, its check
+    JSON null and false, every other check is written, and verify exits 1."""
+    import dataclasses
+
+    import feynpath.montecarlo as mc
+
+    original = mc.verify_translation
+
+    def inexact(*args, **kwargs):
+        return dataclasses.replace(original(*args, **kwargs), discrepancy=1.0, diff_se=0.0)
+
+    monkeypatch.setattr(mc, "verify_translation", inexact)
+    out = tmp_path / "o"
+    code = run(["verify", "--all", "--config", str(STD_JSON), "--n", "200", "--grid", "32",
+                "--output-dir", str(out)])
+    capsys.readouterr()
+    assert code == 1
+    rows = (out / "ledger.csv").read_text().splitlines()[1:]
+    names = sorted(name for name in os.listdir(out) if name.startswith("check_"))
+    assert len(rows) == 7 and len(names) == 7
+    for row in rows:
+        fields = row.split(",")
+        if fields[0].startswith("translation-"):
+            assert fields[-2:] == ["inf", "false"]
+        else:
+            assert fields[-1] == "true"
+    for name in names:
+        result = json.loads((out / name).read_text())
+        if result["kind"] == "verify-translation":
+            assert result["sigma_ratio"] is None and result["pass"] is False
+            assert (result["discrepancy"], result["diff_se"]) == (1.0, 0.0)
+
+
+def test_other_non_finite_floats_are_still_refused():
+    for value in (float("inf"), float("nan"), {"sigma_ratio": float("-inf")}):
+        with pytest.raises(ConfigError, match="non-finite"):
+            _json_17g(value)
 
 
 def test_statistical_check_json_reports_its_draw(tmp_path, capsys):
@@ -1202,17 +1287,15 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def test_verify_peak_rss_grows_by_little_more_than_its_columns(tmp_path):
+def test_verify_peak_rss_is_flat_in_n(tmp_path):
     """From n = 2e4 to n = 4e5 the peak RSS of verify --all on std.json
-    grows by at most 1.3 times the growth of its drawn columns, 8 n
-    bytes per column of each distinct density matrix: the checks reduce
-    their sides one span of paths at a time, and each n-length per-path
-    array held beside the columns would add 8 n bytes more."""
+    grows by at most 2 MiB: each group streams its draw one block at a
+    time into its checks, so no n-row array exists.  The columns alone,
+    5 doubles a path, would add 14.5 MiB."""
     if not sys.platform.startswith("linux"):
         pytest.skip("ru_maxrss is in KiB on Linux only")
     import feynpath
 
-    columns = 5  # std.json draws onto [1, t] and [1, t, t] (see the column-sharing test above)
     src = os.path.dirname(os.path.dirname(feynpath.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     peak = {}
@@ -1222,7 +1305,7 @@ def test_verify_peak_rss_grows_by_little_more_than_its_columns(tmp_path):
                                "--n", str(n), "--output-dir", str(tmp_path / str(n))],
                               env=env, check=True, capture_output=True, text=True, timeout=300)
         peak[n] = 1024 * int(done.stdout)
-    assert peak[400_000] - peak[20_000] <= 1.3 * 8 * (400_000 - 20_000) * columns
+    assert peak[400_000] - peak[20_000] <= 2 * 2**20
 
 
 # Every command a run can take, in one process, then whether numpy.ma

@@ -30,6 +30,8 @@ from feynpath import (
 from feynpath.feynman import _direction_scalars, _linear_factors, _value_at, _variation_at
 from feynpath.montecarlo import (
     LEDGER_COLUMNS,
+    _SIDES,
+    _SharedDraw,
     _span_moments,
     append_ledger,
     draw_columns,
@@ -473,6 +475,82 @@ def test_equal_matrices_share_one_projection(ctx, monkeypatch):
     assert first.tobytes() == alone[0].tobytes() and second.tobytes() == alone[1].tobytes()
 
 
+# The checks of one streamed group: (verify function, its scalar, the
+# functional).  They cover every identity kind and both of std.json's
+# matrices, [1, t] (cos and m1) and [1, t, t] (m2).
+GROUP = [
+    (verify_translation, None, "cos"),
+    (verify_parts, 1.0, "m1"),
+    (verify_cs_precursor, 4.0, "m2"),
+    (verify_translation, None, "m2"),
+    (verify_parts, 2.0, "exp1j"),
+    (verify_cs_precursor, 4.0, "cos"),
+]
+
+
+@pytest.mark.parametrize("n", [2, CHUNK_PATHS, 2 * CHUNK_PATHS + 301])
+@pytest.mark.parametrize("order", ["given", "reversed"])
+def test_a_streamed_group_gives_the_reports_of_drawn_columns(ctx, n, order):
+    """Checks reduced together in one pass over a streamed draw, in
+    either order, get the reports that draw_columns' arrays give them
+    as columns=, and that each gets from a draw of its own, to the bit
+    apart from their wall times."""
+    profile, theta, k1, k2, grid = ctx
+    group = GROUP if order == "given" else GROUP[::-1]
+    calls = [(func, (FUNCTIONALS[kind](theta, k1, k2), theta, k1, k2)
+              + (() if scalar is None else (scalar,))) for func, scalar, kind in group]
+    shared = _SharedDraw(profile, grid, n, 13, [(_SIDES[func.__name__], args)
+                                                for func, args in calls])
+    streamed = [func(*args, n, 13, grid=grid, columns=member)
+                for (func, args), member in zip(calls, shared.members)]
+    densities = [identity_densities(*args[:4], grid) for _, args in calls]
+    assert len({D.tobytes() for D in densities}) == 2
+    assert isinstance(shared.wall_time, float) and shared.wall_time >= 0.0
+    for (func, args), cols, report in zip(calls, draw_columns(profile, grid, n, 13, densities),
+                                          streamed):
+        drawn = func(*args, n, 13, grid=grid, columns=cols)
+        alone = func(*args, n, 13, grid=grid)
+        want = _without_wall_times(drawn.to_dict())
+        assert _without_wall_times(report.to_dict()) == want == _without_wall_times(alone.to_dict())
+
+
+def test_a_shared_draw_member_gives_only_its_own_check(ctx, monkeypatch):
+    """A member of a shared draw is the report of the check it was built
+    for, at the draw's n and seed; for any other call it is a
+    ValueError.  The draw is streamed once, by the first report."""
+    profile, theta, k1, k2, grid = ctx
+    F = MonomialSpec(theta, (k1,))
+    shared = _SharedDraw(profile, grid, 50, 1, [(_SIDES["verify_parts"], (F, theta, k1, k2, 1.0))])
+    (member,) = shared.members
+    calls = _count_streams(monkeypatch)
+    first = verify_parts(F, theta, k1, k2, 1.0, 50, 1, grid=grid, columns=member)
+    assert verify_parts(F, theta, k1, k2, 1.0, 50, 1, columns=member) is first
+    assert calls == [50]
+    for other in (lambda: verify_parts(F, theta, k1, k2, 2.0, 50, 1, grid=grid, columns=member),
+                  lambda: verify_cs_precursor(F, theta, k1, k2, 1.0, 50, 1, columns=member),
+                  lambda: verify_parts(F, theta, k1, k2, 1.0, 51, 1, columns=member),
+                  lambda: verify_parts(F, theta, k1, k2, 1.0, 50, 2, columns=member),
+                  lambda: verify_parts(F, theta, k1, k2, 1.0, 50, 1, grid=TimeGrid(grid.nodes),
+                                       columns=member)):
+        with pytest.raises(ValueError, match="another check"):
+            other()
+    assert calls == [50]
+
+
+def _count_streams(monkeypatch):
+    """The n of every stream montecarlo draws from, in call order."""
+    import feynpath.montecarlo as mc
+
+    calls, real = [], mc.stream_increments
+
+    def spy(profile, grid, n_paths, seed, **kwargs):
+        calls.append(n_paths)
+        return real(profile, grid, n_paths, seed, **kwargs)
+
+    monkeypatch.setattr(mc, "stream_increments", spy)
+    return calls
+
+
 def _bits(moments):
     return [(np.float64(m.real).tobytes(), np.float64(m.imag).tobytes(), np.float64(se).tobytes())
             for m, se in moments]
@@ -495,7 +573,7 @@ def test_span_moments_agree_with_the_two_pass_oracle(n, kind):
     ulps, within one span, at its edge and across three spans."""
     lhs, rhs = _two_sides(n, kind, n)
     got = _span_moments(np.column_stack([lhs, rhs]), lambda block: (block[:, 0], block[:, 1]),
-                        difference=True)
+                        difference=True).moments()
     ulp = np.finfo(float).eps
     for (mean, se), vals in zip(got, (lhs, rhs, lhs - rhs)):
         want_mean, want_se = mean_se_two_pass(vals)
@@ -509,9 +587,10 @@ def test_span_moments_of_real_values_keep_the_bits_of_the_complex_route():
     part adds 0.0 to the mean's imaginary part and to M2."""
     n = 2 * CHUNK_PATHS + 301
     cols = np.column_stack(_two_sides(n, "real", 5))
-    real = _span_moments(cols, lambda block: (block[:, 0], block[:, 1]), difference=True)
+    real = _span_moments(cols, lambda block: (block[:, 0], block[:, 1]),
+                         difference=True).moments()
     as_complex = _span_moments(cols, lambda block: (block[:, 0] + 0j, block[:, 1] + 0j),
-                               difference=True)
+                               difference=True).moments()
     assert _bits(real) == _bits(as_complex)
     assert all(np.float64(m.imag).tobytes() == np.float64(0.0).tobytes() for m, _ in real)
 
