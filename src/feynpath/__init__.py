@@ -64,7 +64,6 @@ from .feynman import (
 from .montecarlo import (
     IdentityReport,
     MCReport,
-    draw_columns,
     identity_densities,
     mc_fsi,
     verify_cs_precursor,
@@ -107,7 +106,6 @@ __all__ = [
     "build_profile",
     "cameron_storvick_residual",
     "cm_inner",
-    "draw_columns",
     "feynman_monomial",
     "gaussian_moment",
     "identity_densities",

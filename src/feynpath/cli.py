@@ -623,9 +623,10 @@ def _run_shared(config: ExperimentConfig, members, key) -> dict:
     once, takes its member as ``columns=`` and returns its report; the
     first call runs the pass.  Each result gets a ``draw`` object: the
     seconds spent filling the draw's blocks and the names of the checks
-    it served.  An infinite sigma_ratio (diff_se 0, the discrepancy
-    above rounding) fails its check and is written as null, since JSON
-    has no infinity."""
+    it served.  A report's non-finite floats, from estimates that
+    overflow or an infinite sigma_ratio (diff_se 0, the discrepancy
+    above rounding), are written as null, since JSON has neither nan
+    nor infinity; such a check fails."""
     pname, grid_n, n, seed = key
     grid = config.grid(pname, grid_n)
     checks = [config.checks[i] for i in members]
@@ -641,11 +642,16 @@ def _run_shared(config: ExperimentConfig, members, key) -> dict:
     outcomes = {}
     for i, check, report in zip(members, checks, reports):
         result = {"name": check["name"], "kind": check["kind"], "n_paths": n, "seed": seed,
-                  "grid_size": grid_n, **report.to_dict(), "draw": draw}
-        if math.isinf(result["sigma_ratio"]):
-            result["sigma_ratio"] = None
+                  "grid_size": grid_n, **_finite_or_null(report.to_dict()), "draw": draw}
         outcomes[i] = (mc.identity_ledger_row(check["name"], config.config_hash, report), result)
     return outcomes
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float in its dicts replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _ledger_rows(path) -> list:

@@ -9,31 +9,28 @@ columns: ``_Moments`` takes the CHUNK_PATHS-row blocks in turn, reduces
 each block's values to (count, mean, M2), M2 the sum of |x - mean|^2,
 and merges the blocks in order by the update of Chan, Golub and
 LeVeque (Am. Stat. 37, 1983).  So a check holds no n-length per-path
-array, and its report depends only on the columns, not on their
-memory order or on how they reach it.
+array.
 
 A check sees the paths only through their stochastic-integral columns
 (x, D)~ on the check's density matrix D (``identity_densities``).
 Under the left-endpoint grid these are exactly N(D^T da, D^T diag(db)
-D), and ``draw_columns`` samples them from that law, r <= c normals a
-path for a matrix of c columns and rank r, without sampling a path
-(see ``paths.stream_increments``).  The law comes from the grid's
-increment moments, not from the closed-form Gaussian summary, so the
-Monte Carlo stays independent of the quadrature.  The draw is keyed by
-(profile, grid, n, seed), so checks with the same key can share one.
-``_SharedDraw`` reduces every check of such a group in one pass: it
-streams the draw onto the group's distinct matrices, equal shape and
-bytes counting as one, hands each block to every check's sides and
-running moments, and drops it, so no n-row array of columns or of
-normals exists at any n.  A ``verify_*`` function given a member of the
-group as ``columns=`` returns that check's report; with ``columns``
-None it streams a one-member group.  ``draw_columns`` instead holds the
-same columns as (n, c) arrays, which ``columns=`` also takes, with the
-same reports to the bit.  A matrix's columns depend only on (profile,
-grid, seed, D), so a shared draw gives every check the same columns, to
-the bit, as a draw of its own.  Checks on different matrices share
-normals, not paths: each check's columns have their exact law, but the
-joint law of two checks' columns is not that of one set of paths.
+D), and ``paths.stream_increments`` samples them from that law, r <= c
+normals a path for a matrix of c columns and rank r, without sampling a
+path.  The law comes from the grid's increment moments, not from the
+closed-form Gaussian summary, so the Monte Carlo stays independent of
+the quadrature.  The draw is keyed by (profile, grid, n, seed), so
+checks with the same key can share one.  ``_SharedDraw`` reduces every
+check of such a group in one pass: it streams the draw onto the group's
+distinct matrices, equal shape and bytes counting as one, hands each
+block to every check's sides and running moments, and drops it, so no
+n-row array of columns or of normals exists at any n.  A ``verify_*``
+function given a member of the group as ``columns=`` returns that
+check's report; with ``columns`` None it streams a one-member group.
+A matrix's columns depend only on (profile, grid, seed, D), so a shared
+draw gives every check the same columns, to the bit, as a draw of its
+own.  Checks on different matrices share normals, not paths: each
+check's columns have their exact law, but the joint law of two checks'
+columns is not that of one set of paths.
 
 Integrability of the compared functionals is a hypothesis of the
 identities, not something a sampler can certify; reports carry an
@@ -54,7 +51,7 @@ from .cameron_martin import (CMElement, SuppElement, _require_same_profile, cm_i
 from .errors import BadDomain
 from .feynman import (ExpLinear, FunctionalSpec, _direction_scalars, _linear_factors, _value_at,
                       _variation_at)
-from .paths import CHUNK_PATHS, TimeGrid, left_density, stream_increments
+from .paths import TimeGrid, left_density, stream_increments
 
 DEFAULT_SIGMA_THRESHOLD = 3.0
 _EXACT_TOL = 1e-12
@@ -180,73 +177,27 @@ class _Moments:
                 for re, im, sq in zip(mean[0], imag, self.m2)]
 
 
-def _span_moments(cols: np.ndarray, sides, difference: bool = False) -> _Moments:
-    """The ``_Moments`` of ``sides`` over the n rows of ``cols``: it is
-    handed each block ``cols[p0 : p0 + CHUNK_PATHS]``, a view, in order."""
-    acc = _Moments(sides, difference)
-    for p0 in range(0, len(cols), CHUNK_PATHS):
-        acc.add(cols[p0 : p0 + CHUNK_PATHS])
-    return acc
-
-
 def _densities(elements, grid: TimeGrid) -> np.ndarray:
     """(N, c): the left densities of c >= 0 elements, one a column."""
     return np.reshape([left_density(e, grid) for e in elements], (-1, grid.N)).T
 
 
-def _distinct(densities):
-    """(matrices, slots): the distinct matrices of ``densities``, equal
-    shape and bytes counting as one, in the order first seen, and the
-    position of each given matrix among them."""
+def _reduce_draw(profile, grid: TimeGrid, n: int, seed: int, densities, accs) -> float:
+    """Hand each block of the draw of n paths of (profile, grid, seed)
+    onto ``densities[i]`` to ``accs[i].add``, block by block, in the
+    order of ``accs``, and drop it; each distinct matrix, equal shape
+    and bytes counting as one, is projected once.  Returns the seconds
+    of the pass spent outside ``add``, which is filling the blocks."""
     mats = [np.asarray(D, dtype=float) for D in densities]
     keys = [(D.shape, D.tobytes()) for D in mats]
     distinct = dict(zip(keys, mats))
     slot = {key: i for i, key in enumerate(distinct)}
-    return list(distinct.values()), [slot[key] for key in keys]
-
-
-def _reduce_draw(profile, grid: TimeGrid, n: int, seed: int, densities, accs) -> float:
-    """Hand each block of the draw of n paths of (profile, grid, seed)
-    onto ``densities[i]`` to ``accs[i].add``, block by block, in the
-    order of ``accs``, and drop it; each distinct matrix is projected
-    once.  Returns the seconds of the pass spent outside ``add``, which
-    is filling the blocks."""
-    mats, slots = _distinct(densities)
+    slots = [slot[key] for key in keys]
     t0 = time.perf_counter()
-    for _, chunks in stream_increments(profile, grid, n, seed, onto=mats):
+    for _, chunks in stream_increments(profile, grid, n, seed, onto=list(distinct.values())):
         for acc, slot in zip(accs, slots):
             acc.add(chunks[slot])
     return time.perf_counter() - t0 - sum(acc.wall_time for acc in accs)
-
-
-def draw_columns(profile, grid: TimeGrid, n: int, seed: int, densities) -> list:
-    """The stochastic-integral columns of n paths of (profile, grid,
-    seed) on each (N, c_i) density matrix: one read-only (n, c_i) array
-    per matrix, in order, drawn from their exact grid law in one stream
-    (``stream_increments(..., onto=...)``).  The arrays are
-    column-major, as the stream's blocks are, so each block is copied
-    column by column and each column a check reads is contiguous; the
-    memory order changes no bit of a check's report.
-
-    Matrices of equal shape and bytes are drawn once, in the order they
-    are first seen, and get the same array object.  Each distinct
-    matrix's columns depend only on (profile, grid, seed, matrix), so
-    they are bit-identical to a draw onto that matrix alone, and the
-    first rows are those of a draw of more paths.  Distinct matrices
-    read the same normals, so their columns are not those of one set of
-    paths.
-
-    The identity checks do not call this: they stream the same blocks
-    (``_SharedDraw``), and hold none of these n-row arrays.  Given this
-    function's arrays as ``columns=``, they return the same reports."""
-    mats, slots = _distinct(densities)
-    out = [np.empty((n, D.shape[1]), order="F") for D in mats]
-    for p0, chunks in stream_increments(profile, grid, n, seed, onto=mats):
-        for cols, chunk in zip(out, chunks):
-            cols[p0 : p0 + chunk.shape[0]] = chunk
-    for cols in out:
-        cols.flags.writeable = False
-    return [out[slot] for slot in slots]
 
 
 def identity_densities(F: FunctionalSpec, theta: CMElement, k1: SuppElement, k2: SuppElement,
@@ -304,9 +255,8 @@ class _SharedDraw:
     the draw goes to every check's sides, in check order, and into that
     check's ``_Moments``, and is then dropped.  So no n-row array of
     columns or of normals exists, and each check keeps only (count,
-    mean, M2) per side.  The blocks are ``_span_moments``' spans, so
-    each report has the bits it gets from ``draw_columns``' arrays.
-    ``wall_time`` is then the seconds spent filling the blocks."""
+    mean, M2) per side.  ``wall_time`` is then the seconds spent
+    filling the blocks."""
 
     def __init__(self, profile, grid: TimeGrid, n: int, seed: int, checks):
         _require_two_paths(n)
@@ -334,20 +284,16 @@ class _SharedDraw:
 
 def _verify(build, args, n, seed, grid, columns) -> IdentityReport:
     """The report of the identity check ``build(*args, grid)`` over n
-    paths of ``seed``: from ``columns``, a ``_SharedDraw`` member or an
-    (n, c) array of the check's columns, or from a draw of its own."""
+    paths of ``seed``: from ``columns``, a ``_SharedDraw`` member, or
+    with ``columns`` None from a draw of its own."""
     _require_two_paths(n)
-    if isinstance(columns, _Member):
-        return columns.draw.report(columns.index, build, args, n, seed, grid)
-    profile, grid = _profile_and_grid(args[0], args[1:4], grid)
     if columns is None:
-        return _SharedDraw(profile, grid, n, seed, [(build, args)]).report(0, build, args, n,
-                                                                           seed, grid)
-    D, sides = build(*args, grid)
-    if np.shape(columns) != (n, D.shape[1]):
-        raise ValueError("columns must be (n, c) = %r for this check's density matrix, got %r"
-                         % ((n, D.shape[1]), np.shape(columns)))
-    return _identity_report(args[0], _span_moments(columns, sides, difference=True), grid, seed)
+        profile, grid = _profile_and_grid(args[0], args[1:4], grid)
+        columns = _SharedDraw(profile, grid, n, seed, [(build, args)]).members[0]
+    elif not isinstance(columns, _Member):
+        raise TypeError("columns must be None or a member of a shared draw, got %s"
+                        % type(columns).__name__)
+    return columns.draw.report(columns.index, build, args, n, seed, grid)
 
 
 def _profile_and_grid(F: FunctionalSpec, elements, grid):
@@ -392,18 +338,16 @@ def verify_translation(
     seed: int,
     grid: TimeGrid | None = None,
     *,
-    columns: np.ndarray | None = None,
+    columns: _Member | None = None,
 ) -> IdentityReport:
     """Translation identity: shifting Z_{k1}-paths by the deterministic
     path Z_{k2}(theta (.) k1, .) equals an exponentially reweighted
     expectation, with the densities' exact inner products in the weight.
-    Both sides share one ensemble.
+    Both sides share one ensemble, streamed one block at a time.
 
-    ``columns``, when given, are the n paths' columns on
-    ``identity_densities(F, theta, k1, k2, grid)`` as ``draw_columns``
-    makes them from (grid, n, seed); otherwise they are streamed here,
-    one block at a time.  A shape other than (n, c) of that matrix
-    raises ValueError.  The same holds for verify_parts and
+    ``columns``, when given, is this check's member of a shared draw
+    (``_SharedDraw``), built at the same (n, seed, grid); anything else
+    but None is a TypeError.  The same holds for verify_parts and
     verify_cs_precursor.
     """
     return _verify(_translation, (F, theta, k1, k2), n, seed, grid, columns)
@@ -419,7 +363,7 @@ def verify_parts(
     seed: int,
     grid: TimeGrid | None = None,
     *,
-    columns: np.ndarray | None = None,
+    columns: _Member | None = None,
 ) -> IdentityReport:
     """Integration-by-parts identity at path scale rho > 0: the mean of
     the first variation of F at rho-scaled Z_{k1}-paths (direction
@@ -440,7 +384,7 @@ def verify_cs_precursor(
     seed: int,
     grid: TimeGrid | None = None,
     *,
-    columns: np.ndarray | None = None,
+    columns: _Member | None = None,
 ) -> IdentityReport:
     """Real-lambda precursor of the Cameron-Storvick identity: the
     variation at lambda^{-1/2}-scaled paths (direction unscaled) against

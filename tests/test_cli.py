@@ -1180,7 +1180,7 @@ def test_verify_streams_once_per_group_and_calls_each_verify_once(tmp_path, caps
                                                                   monkeypatch):
     """verify --all starts one stream per group and calls each check's
     mc.verify_* function once, with the functional and the path count
-    bound to the names F and n; it draws no columns array."""
+    bound to the names F and n."""
     import inspect
 
     import feynpath.montecarlo as mc
@@ -1196,11 +1196,6 @@ def test_verify_streams_once_per_group_and_calls_each_verify_once(tmp_path, caps
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(mc, name, spy)
-
-    def no_draw(*args, **kwargs):
-        raise AssertionError("verify drew a columns array")
-
-    monkeypatch.setattr(mc, "draw_columns", no_draw)
     cfg = json.loads(STD_JSON.read_text())
     cfg.update(n_paths=300, grid_size=32)
     cfg["checks"][4]["n_paths"] = 400  # parts-rho1 is a group of its own
@@ -1248,6 +1243,36 @@ def test_an_infinite_sigma_ratio_fails_its_check_and_is_written(tmp_path, capsys
         if result["kind"] == "verify-translation":
             assert result["sigma_ratio"] is None and result["pass"] is False
             assert (result["discrepancy"], result["diff_se"]) == (1.0, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_estimates_that_overflow_fail_their_check_and_are_written(tmp_path, capsys):
+    """exp(800 (theta, x)~) overflows, so the translation check's lhs is
+    inf and its rhs, SEs, discrepancy and diff_se are nan: its ledger
+    row reads them and false, its check JSON has null for each and
+    false, the check sharing its draw is written as usual, and verify
+    exits 1, not 2."""
+    cfg = json.loads(STD_JSON.read_text())
+    cos, m1 = cfg["checks"][2:4]
+    m1.update(name="translation-exp800", functional={
+        "type": "exp_linear", "w0": "theta", "c": {"re": 800, "im": 0}, "allow_unbounded": True})
+    cfg["checks"] = [cos, m1]
+    out = tmp_path / "o"
+    code = run(["verify", "--all", "--config", write_config(tmp_path, cfg), "--n", "2000",
+                "--grid", "64", "--output-dir", str(out)])
+    capsys.readouterr()
+    assert code == 1
+    rows = [row.split(",") for row in (out / "ledger.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["translation-cos", "translation-exp800"]
+    assert rows[0][-1] == "true"
+    assert rows[1][5:] == ["inf", "0", "nan", "nan", "nan", "nan", "false"]
+    result = json.loads((out / "check_001_translation-exp800.json").read_text())
+    assert result["lhs"]["estimate"] == {"re": None, "im": 0}
+    assert result["rhs"]["estimate"] == {"re": None, "im": None}
+    assert [result[side]["std_error"] for side in ("lhs", "rhs")] == [None, None]
+    assert [result[key] for key in ("discrepancy", "diff_se", "sigma_ratio", "pass")] == [
+        None, None, None, False]
+    assert json.loads((out / "check_000_translation-cos.json").read_text())["pass"] is True
 
 
 def test_other_non_finite_floats_are_still_refused():

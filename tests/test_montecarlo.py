@@ -31,19 +31,19 @@ from feynpath.feynman import _direction_scalars, _linear_factors, _value_at, _va
 from feynpath.montecarlo import (
     LEDGER_COLUMNS,
     _SIDES,
+    _Moments,
     _SharedDraw,
-    _span_moments,
     append_ledger,
-    draw_columns,
     identity_densities,
     identity_ledger_row,
     ledger_row,
 )
 
+from feynpath import paths
 from feynpath.paths import CHUNK_PATHS
 
 from conftest import pp
-from oracles import mean_se_two_pass
+from oracles import exact_law_columns_loop, mean_se_two_pass
 
 
 N_SMALL = 8000
@@ -362,30 +362,71 @@ def _without_wall_times(d):
     return d
 
 
-IDENTITIES = {
-    "translation": lambda F, theta, k1, k2, n, seed, grid, **kw:
-        verify_translation(F, theta, k1, k2, n, seed, grid=grid, **kw),
-    "parts": lambda F, theta, k1, k2, n, seed, grid, **kw:
-        verify_parts(F, theta, k1, k2, 2.0, n, seed, grid=grid, **kw),
-    "cs": lambda F, theta, k1, k2, n, seed, grid, **kw:
-        verify_cs_precursor(F, theta, k1, k2, 4.0, n, seed, grid=grid, **kw),
+# Each identity's verify function and the scalar it is checked at.
+IDENTITY_CALLS = {
+    "translation": (verify_translation, ()),
+    "parts": (verify_parts, (2.0,)),
+    "cs": (verify_cs_precursor, (4.0,)),
 }
+IDENTITIES = {
+    identity: lambda F, theta, k1, k2, n, seed, grid, _func=func, _scalars=scalars, **kw:
+        _func(F, theta, k1, k2, *_scalars, n, seed, grid=grid, **kw)
+    for identity, (func, scalars) in IDENTITY_CALLS.items()
+}
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+@pytest.mark.parametrize("kind", sorted(FUNCTIONALS))
+def test_streamed_reports_agree_with_the_loop_reference(ctx, identity, kind):
+    """A check's streamed report agrees with its sides evaluated on the
+    loop reference's columns of the exact grid law, in row-major memory,
+    and reduced in two passes over all n paths: lhs, rhs, their standard
+    errors and diff_se to 4 ulp of themselves, the discrepancy to 4 ulp
+    of max(|lhs|, |rhs|).  An SE at rounding level, as the lhs SE of m1's
+    parts and cs, whose variation is constant, is held to 4 ulp of that
+    scale."""
+    profile, theta, k1, k2, grid = ctx
+    F = FUNCTIONALS[kind](theta, k1, k2)
+    func, scalars = IDENTITY_CALLS[identity]
+    n, seed = 2 * CHUNK_PATHS + 301, 13
+    report = IDENTITIES[identity](F, theta, k1, k2, n, seed, grid)
+
+    D, sides = _SIDES[func.__name__](F, theta, k1, k2, *scalars, grid)
+    da, db = paths.increment_moments(profile, grid)
+    mu, G = paths._column_law(da, np.sqrt(db), D)
+    lhs, rhs = sides(exact_law_columns_loop(mu, G, seed, n, CHUNK_PATHS))
+    (lhs_mean, lhs_se), (rhs_mean, rhs_se), (diff_mean, diff_se) = (
+        mean_se_two_pass(v) for v in (lhs, rhs, lhs - rhs))
+
+    tol = 4 * np.finfo(float).eps
+    scale = max(abs(lhs_mean), abs(rhs_mean))
+    assert abs(report.lhs.estimate - lhs_mean) <= tol * abs(lhs_mean)
+    assert abs(report.rhs.estimate - rhs_mean) <= tol * abs(rhs_mean)
+    for got, want in ((report.lhs.std_error, lhs_se), (report.rhs.std_error, rhs_se),
+                      (report.diff_se, diff_se)):
+        assert abs(got - want) <= tol * (want if want > tol * scale else scale)
+    assert abs(report.discrepancy - abs(diff_mean)) <= tol * scale
 
 
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))
 @pytest.mark.parametrize("kind", ["m2", "cos"])
 def test_given_columns_give_the_report_of_an_own_draw(ctx, identity, kind):
-    """Columns drawn onto the check's matrix, together with another
-    matrix, give the report the check gets when it draws alone."""
+    """The check's member of a draw shared with a check on another
+    matrix, given as columns=, gives the report the check gets when it
+    draws alone."""
     profile, theta, k1, k2, grid = ctx
     F = FUNCTIONALS[kind](theta, k1, k2)
+    func, scalars = IDENTITY_CALLS[identity]
+    other = FUNCTIONALS["m1" if kind == "m2" else "m2"](theta, k1, k2)
+    shared = _SharedDraw(profile, grid, 1001, 13,
+                         [(_SIDES["verify_parts"], (other, theta, k1, k2, 1.0)),
+                          (_SIDES[func.__name__], (F, theta, k1, k2, *scalars))])
+    assert (identity_densities(F, theta, k1, k2, grid).shape
+            != identity_densities(other, theta, k1, k2, grid).shape)
     check = IDENTITIES[identity]
-    dens = identity_densities(F, theta, k1, k2, grid)
-    other = np.ones((grid.N, 1))
-    columns, _ = draw_columns(profile, grid, 1001, 13, [dens, other])
-    shared = check(F, theta, k1, k2, 1001, 13, grid, columns=columns)
+    given = check(F, theta, k1, k2, 1001, 13, grid, columns=shared.members[1])
     alone = check(F, theta, k1, k2, 1001, 13, grid)
-    assert _without_wall_times(shared.to_dict()) == _without_wall_times(alone.to_dict())
+    assert _without_wall_times(given.to_dict()) == _without_wall_times(alone.to_dict())
 
 
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))
@@ -405,74 +446,15 @@ def test_default_grid_runs_through_every_breakpoint(ctx, identity, kind):
 
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))
 def test_columns_of_another_shape_are_refused(ctx, identity):
+    """columns= takes None or a member of a shared draw; anything else,
+    such as an array of the check's (n, c) columns or of another shape,
+    is a TypeError that says what is taken."""
     profile, theta, k1, k2, grid = ctx
     F = MonomialSpec(theta, (k1, k2))
     check = IDENTITIES[identity]
-    good = np.zeros((50, 3))
-    check(F, theta, k1, k2, 50, 1, grid, columns=good)
-    for bad in (np.zeros((50, 2)), np.zeros((49, 3)), np.zeros(150)):
-        with pytest.raises(ValueError, match="columns must be"):
+    for bad in (np.zeros((50, 3)), np.zeros((50, 2)), [[0.0] * 3] * 50, 0):
+        with pytest.raises(TypeError, match="columns must be None or a member of a shared draw"):
             check(F, theta, k1, k2, 50, 1, grid, columns=bad)
-
-
-def test_drawn_columns_are_read_only(ctx):
-    """Each array is read-only and column-major, so every column an
-    estimator reads is contiguous, in a draw onto one matrix or two."""
-    profile, theta, k1, k2, grid = ctx
-    dens = identity_densities(MonomialSpec(theta, (k1,)), theta, k1, k2, grid)
-    other = identity_densities(MonomialSpec(theta, (k1, k2)), theta, k1, k2, grid)
-    (cols,) = draw_columns(profile, grid, 300, 2, [dens])
-    assert cols.shape == (300, 2) and not cols.flags.writeable
-    with pytest.raises(ValueError):
-        cols[0, 0] = 1.0
-    for drawn in (cols, *draw_columns(profile, grid, CHUNK_PATHS + 301, 4, [dens, other])):
-        assert drawn.flags.f_contiguous and not drawn.flags.c_contiguous
-        assert not drawn.flags.writeable
-
-
-@pytest.mark.parametrize("identity", sorted(IDENTITIES))
-@pytest.mark.parametrize("kind", sorted(FUNCTIONALS))
-def test_reports_do_not_depend_on_the_columns_memory_order(ctx, identity, kind):
-    """The same columns in row-major and in column-major memory give
-    reports equal to the bit, apart from their wall times, over three
-    spans of paths."""
-    profile, theta, k1, k2, grid = ctx
-    F = FUNCTIONALS[kind](theta, k1, k2)
-    check = IDENTITIES[identity]
-    n = 2 * CHUNK_PATHS + 301
-    (cols,) = draw_columns(profile, grid, n, 13, [identity_densities(F, theta, k1, k2, grid)])
-    reports = []
-    for layout in (np.ascontiguousarray, np.asfortranarray):
-        columns = layout(cols)
-        assert columns.flags.c_contiguous != columns.flags.f_contiguous
-        report = check(F, theta, k1, k2, n, 13, grid, columns=columns)
-        reports.append(json.dumps(_without_wall_times(report.to_dict()), sort_keys=True))
-    assert reports[0] == reports[1]
-
-
-def test_equal_matrices_share_one_projection(ctx, monkeypatch):
-    """draw_columns projects each distinct matrix once, in one stream:
-    equal matrices get one read-only array, every array has the bits of
-    a draw onto its matrix alone."""
-    import feynpath.montecarlo as mc
-
-    profile, theta, k1, k2, grid = ctx
-    dens = identity_densities(MonomialSpec(theta, (k1,)), theta, k1, k2, grid)
-    other = identity_densities(MonomialSpec(theta, (k1, k2)), theta, k1, k2, grid)
-    n = CHUNK_PATHS + 301
-    alone = [draw_columns(profile, grid, n, 3, [D])[0] for D in (dens, other)]
-    real, calls = mc.stream_increments, []
-
-    def spy(*args, onto, **kwargs):
-        calls.append(len(onto))
-        return real(*args, onto=onto, **kwargs)
-
-    monkeypatch.setattr(mc, "stream_increments", spy)
-    first, second, third = draw_columns(profile, grid, n, 3, [dens, other, dens.copy()])
-    assert calls == [2]
-    assert first is third and first is not second
-    assert not first.flags.writeable and not second.flags.writeable
-    assert first.tobytes() == alone[0].tobytes() and second.tobytes() == alone[1].tobytes()
 
 
 # The checks of one streamed group: (verify function, its scalar, the
@@ -492,9 +474,8 @@ GROUP = [
 @pytest.mark.parametrize("order", ["given", "reversed"])
 def test_a_streamed_group_gives_the_reports_of_drawn_columns(ctx, n, order):
     """Checks reduced together in one pass over a streamed draw, in
-    either order, get the reports that draw_columns' arrays give them
-    as columns=, and that each gets from a draw of its own, to the bit
-    apart from their wall times."""
+    either order, get the reports that each gets from a draw of its
+    own, to the bit apart from their wall times."""
     profile, theta, k1, k2, grid = ctx
     group = GROUP if order == "given" else GROUP[::-1]
     calls = [(func, (FUNCTIONALS[kind](theta, k1, k2), theta, k1, k2)
@@ -506,12 +487,9 @@ def test_a_streamed_group_gives_the_reports_of_drawn_columns(ctx, n, order):
     densities = [identity_densities(*args[:4], grid) for _, args in calls]
     assert len({D.tobytes() for D in densities}) == 2
     assert isinstance(shared.wall_time, float) and shared.wall_time >= 0.0
-    for (func, args), cols, report in zip(calls, draw_columns(profile, grid, n, 13, densities),
-                                          streamed):
-        drawn = func(*args, n, 13, grid=grid, columns=cols)
+    for (func, args), report in zip(calls, streamed):
         alone = func(*args, n, 13, grid=grid)
-        want = _without_wall_times(drawn.to_dict())
-        assert _without_wall_times(report.to_dict()) == want == _without_wall_times(alone.to_dict())
+        assert _without_wall_times(report.to_dict()) == _without_wall_times(alone.to_dict())
 
 
 def test_a_shared_draw_member_gives_only_its_own_check(ctx, monkeypatch):
@@ -556,6 +534,15 @@ def _bits(moments):
             for m, se in moments]
 
 
+def _moments_over(cols, sides, difference=False):
+    """The ``_Moments`` of ``sides`` handed each CHUNK_PATHS-row view of
+    ``cols`` in order, as the blocks of a stream are."""
+    acc = _Moments(sides, difference)
+    for p0 in range(0, len(cols), CHUNK_PATHS):
+        acc.add(cols[p0 : p0 + CHUNK_PATHS])
+    return acc
+
+
 def _two_sides(n, kind, seed):
     rng = np.random.default_rng(seed)
     lhs = rng.standard_normal(n) * 3.0 + 0.7
@@ -572,7 +559,7 @@ def test_span_moments_agree_with_the_two_pass_oracle(n, kind):
     two-pass mean and standard error over the whole arrays to a few
     ulps, within one span, at its edge and across three spans."""
     lhs, rhs = _two_sides(n, kind, n)
-    got = _span_moments(np.column_stack([lhs, rhs]), lambda block: (block[:, 0], block[:, 1]),
+    got = _moments_over(np.column_stack([lhs, rhs]), lambda block: (block[:, 0], block[:, 1]),
                         difference=True).moments()
     ulp = np.finfo(float).eps
     for (mean, se), vals in zip(got, (lhs, rhs, lhs - rhs)):
@@ -587,9 +574,9 @@ def test_span_moments_of_real_values_keep_the_bits_of_the_complex_route():
     part adds 0.0 to the mean's imaginary part and to M2."""
     n = 2 * CHUNK_PATHS + 301
     cols = np.column_stack(_two_sides(n, "real", 5))
-    real = _span_moments(cols, lambda block: (block[:, 0], block[:, 1]),
+    real = _moments_over(cols, lambda block: (block[:, 0], block[:, 1]),
                          difference=True).moments()
-    as_complex = _span_moments(cols, lambda block: (block[:, 0] + 0j, block[:, 1] + 0j),
+    as_complex = _moments_over(cols, lambda block: (block[:, 0] + 0j, block[:, 1] + 0j),
                                difference=True).moments()
     assert _bits(real) == _bits(as_complex)
     assert all(np.float64(m.imag).tobytes() == np.float64(0.0).tobytes() for m, _ in real)
@@ -606,7 +593,7 @@ def test_span_moments_hand_sides_views_of_the_columns_in_order(n):
         blocks.append(block)
         return block[:, 0], block[:, 1]
 
-    _span_moments(cols, sides, difference=True)
+    _moments_over(cols, sides, difference=True)
     assert all(np.shares_memory(block, cols) and len(block) <= CHUNK_PATHS for block in blocks)
     np.testing.assert_array_equal(np.concatenate(blocks), cols)
 

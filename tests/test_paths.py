@@ -31,7 +31,6 @@ from feynpath import (
 )
 
 from feynpath import paths
-from feynpath.montecarlo import draw_columns
 from feynpath.paths import CHUNK_PATHS, _csv_rows, _scratch_rows
 
 from conftest import indicator_element, pp, random_poly, random_nonvanishing_poly
@@ -215,7 +214,7 @@ def test_drawn_columns_equal_the_loop_reference_bit_for_bit(standard, grid256, k
     da, db = paths.increment_moments(standard, grid256)
     mu, G = paths._column_law(da, np.sqrt(db), D)
     n = 2 * CHUNK_PATHS + 301
-    (cols,) = draw_columns(standard, grid256, n, 29, [D])
+    (cols,) = _stream_columns(standard, grid256, n, 29, [D])
     expected = exact_law_columns_loop(mu, G, 29, n, CHUNK_PATHS)
     assert cols.shape == expected.shape
     assert cols.tobytes(order="C") == expected.tobytes()

@@ -43,7 +43,6 @@ PUBLIC_API = [
     "build_profile",
     "cameron_storvick_residual",
     "cm_inner",
-    "draw_columns",
     "feynman_monomial",
     "gaussian_moment",
     "identity_densities",
