@@ -11,26 +11,27 @@ and merges the blocks in order by the update of Chan, Golub and
 LeVeque (Am. Stat. 37, 1983).  So a check holds no n-length per-path
 array.
 
-A check sees the paths only through their stochastic-integral columns
-(x, D)~ on the check's density matrix D (``identity_densities``).
-Under the left-endpoint grid these are exactly N(D^T da, D^T diag(db)
-D), and ``paths.stream_increments`` samples them from that law, r <= c
-normals a path for a matrix of c columns and rank r, without sampling a
-path.  The law comes from the grid's increment moments, not from the
-closed-form Gaussian summary, so the Monte Carlo stays independent of
-the quadrature.  The draw is keyed by (profile, grid, n, seed), so
-checks with the same key can share one.  ``_SharedDraw`` reduces every
-check of such a group in one pass: it streams the draw onto the group's
-distinct matrices, equal shape and bytes counting as one, hands each
-block to every check's sides and running moments, and drops it, so no
-n-row array of columns or of normals exists at any n.  A ``verify_*``
-function given a member of the group as ``columns=`` returns that
-check's report; with ``columns`` None it streams a one-member group.
-A matrix's columns depend only on (profile, grid, seed, D), so a shared
-draw gives every check the same columns, to the bit, as a draw of its
-own.  Checks on different matrices share normals, not paths: each
-check's columns have their exact law, but the joint law of two checks'
-columns is not that of one set of paths.
+A check sees the paths only through the stochastic-integral columns
+(x, D)~ of its elements, D their left densities
+(``identity_densities``).  Under the left-endpoint grid these are
+exactly N(D^T da, D^T diag(db) D), and ``paths.stream_increments``
+samples them from that law, r <= c normals a path for c columns of
+rank r, without sampling a path.  The law comes from the grid's
+increment moments, not from the closed-form Gaussian summary, so the
+Monte Carlo stays independent of the quadrature.  The draw is keyed by
+(profile, grid, n, seed), so checks with the same key can share one.
+``_SharedDraw`` reduces every check of such a group in one pass: it
+streams the draw onto one matrix, the left densities of the group's
+distinct elements, hands each block to every check, whose sides read
+their own columns of it, and drops it; so no n-row array of columns or
+of normals exists at any n.  The
+checks of a group read one set of paths: two checks' copies of one
+integral are the same numbers.  A ``verify_*`` function given a member
+of the group as ``columns=`` returns that check's report; with
+``columns`` None it streams a one-member group.  A check alone gets the
+columns it gets in its group, to the bit, when the group reads no
+column outside the check's own and first reads them in the check's
+order; otherwise it gets a draw of the same law, not the same numbers.
 
 Integrability of the compared functionals is a hypothesis of the
 identities, not something a sampler can certify; reports carry an
@@ -49,8 +50,8 @@ import numpy as np
 from .cameron_martin import (CMElement, SuppElement, _require_same_profile, cm_inner,
                              inner_with_a, odot)
 from .errors import BadDomain
-from .feynman import (ExpLinear, FunctionalSpec, _direction_scalars, _linear_factors, _value_at,
-                      _variation_at)
+from .feynman import (ExpLinear, FunctionalSpec, _direction_scalars, _distinct, _linear_factors,
+                      _value_at, _variation_at)
 from .paths import TimeGrid, left_density, stream_increments
 
 DEFAULT_SIGMA_THRESHOLD = 3.0
@@ -124,9 +125,9 @@ class IdentityReport:
 
 
 class _Moments:
-    """The running moments of each per-row array that ``sides(block)``
-    returns for the blocks handed to ``add``, and then of the first
-    minus the second when ``difference``.
+    """The running moments of each per-row array that ``sides`` returns
+    for the ``columns`` of the blocks handed to ``add``, and then of the
+    first minus the second when ``difference``.
 
     Each block's arrays are copied into one (k, rows) buffer, reduced
     to their block means (numpy's pairwise sums) and M2, the sum of
@@ -135,15 +136,15 @@ class _Moments:
     complex array is reduced as its real and imaginary parts, each as a
     real array is, and its M2 is the sum of the two parts' M2: real
     values give the bits of the same values with a zero imaginary part.
-    ``wall_time`` sums the seconds spent in ``add``."""
+    ``wall_time`` sums the seconds spent in ``add``, gathering included."""
 
-    def __init__(self, sides, difference: bool = False):
-        self.sides, self.difference = sides, difference
+    def __init__(self, sides, difference: bool, columns):
+        self.sides, self.difference, self.columns = sides, difference, columns
         self.count, self.wall_time = 0, 0.0
 
     def add(self, block):
         t0 = time.perf_counter()
-        vals = self.sides(block)
+        vals = self.sides(block[:, self.columns])
         rows = len(vals[0])
         if not self.count:  # the first block is the largest
             self.buf = np.empty((len(vals) + self.difference, rows), np.result_type(*vals))
@@ -177,35 +178,32 @@ class _Moments:
                 for re, im, sq in zip(mean[0], imag, self.m2)]
 
 
-def _densities(elements, grid: TimeGrid) -> np.ndarray:
-    """(N, c): the left densities of c >= 0 elements, one a column."""
-    return np.reshape([left_density(e, grid) for e in elements], (-1, grid.N)).T
-
-
-def _reduce_draw(profile, grid: TimeGrid, n: int, seed: int, densities, accs) -> float:
-    """Hand each block of the draw of n paths of (profile, grid, seed)
-    onto ``densities[i]`` to ``accs[i].add``, block by block, in the
-    order of ``accs``, and drop it; each distinct matrix, equal shape
-    and bytes counting as one, is projected once.  Returns the seconds
-    of the pass spent outside ``add``, which is filling the blocks."""
-    mats = [np.asarray(D, dtype=float) for D in densities]
-    keys = [(D.shape, D.tobytes()) for D in mats]
-    distinct = dict(zip(keys, mats))
-    slot = {key: i for i, key in enumerate(distinct)}
-    slots = [slot[key] for key in keys]
+def _reduce_draw(profile, grid: TimeGrid, n: int, seed: int, checks, difference: bool):
+    """The ``_Moments`` of each check (elements, sides) over the draw of
+    n paths of (profile, grid, seed), and the seconds of the pass spent
+    outside their ``add``, which is filling the blocks.  The draw is one
+    law over the left densities of the distinct elements, each evaluated
+    once, so the checks read one set of paths.  Each block goes to every
+    check in turn, which gathers its own columns, and is then dropped."""
+    distinct, slots = _distinct([e for elements, _ in checks for e in elements])
+    D = np.reshape([left_density(e, grid) for e in distinct], (-1, grid.N)).T
+    slots = iter(slots)
+    accs = [_Moments(sides, difference, [next(slots) for _ in elements])
+            for elements, sides in checks]
     t0 = time.perf_counter()
-    for _, chunks in stream_increments(profile, grid, n, seed, onto=list(distinct.values())):
-        for acc, slot in zip(accs, slots):
-            acc.add(chunks[slot])
-    return time.perf_counter() - t0 - sum(acc.wall_time for acc in accs)
+    for _, block in stream_increments(profile, grid, n, seed, onto=D):
+        for acc in accs:
+            acc.add(block)
+    return accs, time.perf_counter() - t0 - sum(acc.wall_time for acc in accs)
 
 
 def identity_densities(F: FunctionalSpec, theta: CMElement, k1: SuppElement, k2: SuppElement,
                        grid: TimeGrid) -> np.ndarray:
-    """The (N, c) matrix the translation, parts and cs-precursor checks
-    of F project onto: the left densities of u (.) k1 for the linear
-    factors u of F, then of theta (.) k2."""
-    return _densities([odot(u, k1) for u in _linear_factors(F)] + [odot(theta, k2)], grid)
+    """The (N, c) left densities of the columns the translation, parts
+    and cs-precursor checks of F read: u (.) k1 for the linear factors u
+    of F, then theta (.) k2."""
+    elements = [odot(u, k1) for u in _linear_factors(F)] + [odot(theta, k2)]
+    return np.reshape([left_density(e, grid) for e in elements], (-1, grid.N)).T
 
 
 def _functional_assumptions(F: FunctionalSpec) -> tuple[str, ...]:
@@ -249,10 +247,11 @@ class _SharedDraw:
     """The identity checks of one draw, keyed by (profile, grid, n,
     seed), reduced in one pass over it.
 
-    Each check is (build, args): ``build(*args, grid)`` returns its
-    density matrix and its ``sides``, and ``members[i]`` stands for
-    check i.  The first report asked for runs the pass: each block of
-    the draw goes to every check's sides, in check order, and into that
+    Each check is (build, args): ``build(*args)`` returns the elements
+    of its columns and its ``sides``, and ``members[i]`` stands for
+    check i.  The first report asked for runs the pass (``_reduce_draw``):
+    each block of the draw, one law over the distinct columns of all the
+    checks, goes to every check's sides, in check order, and into that
     check's ``_Moments``, and is then dropped.  So no n-row array of
     columns or of normals exists, and each check keeps only (count,
     mean, M2) per side.  ``wall_time`` is then the seconds spent
@@ -262,7 +261,7 @@ class _SharedDraw:
         _require_two_paths(n)
         self.profile, self.grid, self.n, self.seed = profile, grid, n, seed
         self.checks = [(build, tuple(args)) for build, args in checks]
-        self.built = [build(*args, grid) for build, args in self.checks]
+        self.built = [build(*args) for build, args in self.checks]
         self.members = [_Member(self, i) for i in range(len(self.checks))]
         self.wall_time = None
         self._reports = None
@@ -274,16 +273,15 @@ class _SharedDraw:
                 or grid not in (None, self.grid)):
             raise ValueError("columns is the shared draw of another check")
         if self._reports is None:
-            accs = [_Moments(sides, difference=True) for _, sides in self.built]
-            self.wall_time = _reduce_draw(self.profile, self.grid, self.n, self.seed,
-                                          [D for D, _ in self.built], accs)
+            accs, self.wall_time = _reduce_draw(self.profile, self.grid, self.n, self.seed,
+                                                self.built, difference=True)
             self._reports = [_identity_report(args[0], acc, self.grid, self.seed)
                              for (_, args), acc in zip(self.checks, accs)]
         return self._reports[index]
 
 
 def _verify(build, args, n, seed, grid, columns) -> IdentityReport:
-    """The report of the identity check ``build(*args, grid)`` over n
+    """The report of the identity check ``build(*args)`` on grid over n
     paths of ``seed``: from ``columns``, a ``_SharedDraw`` member, or
     with ``columns`` None from a draw of its own."""
     _require_two_paths(n)
@@ -322,9 +320,10 @@ def mc_fsi(
         raise BadDomain("lambda must be a positive real, 0 < lambda < inf; got %r" % lambda_real)
     _require_two_paths(n, "mc_fsi")
     profile, grid = _profile_and_grid(F, [k], grid)
-    acc = _Moments(lambda block: (_value_at(F, lam**-0.5 * block),))
-    _reduce_draw(profile, grid, n, seed,
-                 [_densities([odot(u, k) for u in _linear_factors(F)], grid)], [acc])
+    (acc,), _ = _reduce_draw(profile, grid, n, seed,
+                             [([odot(u, k) for u in _linear_factors(F)],
+                               lambda block: (_value_at(F, lam**-0.5 * block),))],
+                             difference=False)
     (moments,) = acc.moments()
     return _report(F, moments, n, grid, seed, acc.wall_time)
 
@@ -400,45 +399,45 @@ def verify_cs_precursor(
     return _verify(_cs_precursor, (F, theta, k1, k2, lam), n, seed, grid, columns)
 
 
-def _translation(F, theta, k1, k2, grid):
-    """(D, sides) of the translation identity on grid: the density
-    matrix, and the shifted and the reweighted F as a function of a
-    block of D's columns."""
-    shift, theta_k2, pairing_a, D = _identity_setup(F, theta, k1, k2, grid)
+def _translation(F, theta, k1, k2):
+    """(elements, sides) of the translation identity: the elements of
+    its columns, and the shifted and the reweighted F as a function of a
+    block of those columns."""
+    shift, theta_k2, pairing_a, elements = _identity_setup(F, theta, k1, k2)
     weight = float(np.exp(-0.5 * cm_inner(theta_k2, theta_k2) - pairing_a))
 
     def sides(block):
         v = block[:, :-1]
         return _value_at(F, v + shift), weight * _value_at(F, v) * np.exp(block[:, -1])
 
-    return D, sides
+    return elements, sides
 
 
-def _parts(F, theta, k1, k2, rho, grid):
-    """(D, sides) of integration by parts at path scale rho on grid: the
-    density matrix, and as a function of a block of its columns the
-    variation of F at rho-scaled paths in direction
+def _parts(F, theta, k1, k2, rho):
+    """(elements, sides) of integration by parts at path scale rho: the
+    elements of its columns, and as a function of a block of those
+    columns the variation of F at rho-scaled paths in direction
     rho Z_{k2}(theta (.) k1, .), and
     ((theta (.) k2, x)~ - (theta (.) k2, a)) F at the same paths."""
-    d, _, pairing_a, D = _identity_setup(F, theta, k1, k2, grid)
+    d, _, pairing_a, elements = _identity_setup(F, theta, k1, k2)
     direction = [rho * c for c in d]
 
     def sides(block):
         v = rho * block[:, :-1]
         return _variation_at(F, v, direction), (block[:, -1] - pairing_a) * _value_at(F, v)
 
-    return D, sides
+    return elements, sides
 
 
-def _cs_precursor(F, theta, k1, k2, lam, grid):
-    """(D, sides) of the cs precursor at lambda: parts at rho =
+def _cs_precursor(F, theta, k1, k2, lam):
+    """(elements, sides) of the cs precursor at lambda: parts at rho =
     lambda^{-1/2}, both sides times lambda^{1/2}."""
-    D, sides = _parts(F, theta, k1, k2, lam**-0.5, grid)
+    elements, sides = _parts(F, theta, k1, k2, lam**-0.5)
     root = lam**0.5
-    return D, lambda block: [root * v for v in sides(block)]
+    return elements, lambda block: [root * v for v in sides(block)]
 
 
-# Each identity's (D, sides) builder, by the name of its verify function.
+# Each identity's (elements, sides) builder, by the name of its verify function.
 _SIDES = {"verify_translation": _translation, "verify_parts": _parts,
           "verify_cs_precursor": _cs_precursor}
 
@@ -451,16 +450,16 @@ def _require_two_paths(n, what="an identity check"):
                         % (what, n))
 
 
-def _identity_setup(F, theta, k1, k2, grid):
-    """What the translation and parts identities share on grid: the
-    exact scalars (u (.) k2, theta (.) k1) for the linear factors u of
-    F, theta (.) k2 and its pairing with a, and the density matrix of
-    the columns (u (.) k1, x)~ per factor followed by
-    (theta (.) k2, x)~."""
+def _identity_setup(F, theta, k1, k2):
+    """What the translation and parts identities share: the exact
+    scalars (u (.) k2, theta (.) k1) for the linear factors u of F,
+    theta (.) k2 and its pairing with a, and the elements of the
+    columns, u (.) k1 per factor followed by theta (.) k2, as in
+    ``identity_densities``."""
     theta_k2 = odot(theta, k2)
     consts = _direction_scalars(F, k2, odot(theta, k1))
     pairing_a = inner_with_a(theta_k2)
-    return consts, theta_k2, pairing_a, identity_densities(F, theta, k1, k2, grid)
+    return consts, theta_k2, pairing_a, [odot(u, k1) for u in _linear_factors(F)] + [theta_k2]
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ each sampled by the task that writes it (binary, at its offset in the
 file) or formats it (CSV).  The writers always sample the recipe; they
 never read ``values``.
 
-The stream ``onto`` density matrices samples no paths: the columns
-(x, D)~ are drawn from their exact law under the left-endpoint grid,
-N(D^T da, D^T diag(db) D), a few normals a path, each dimension from a
-Philox stream of its own keyed by (seed, block) (see _column_law and
-_projected_blocks).  Its counters and those of the path rows lie in
+The stream ``onto`` a density matrix D samples no paths: its columns
+(x, D)~ are drawn from their one exact law under the left-endpoint
+grid, N(D^T da, D^T diag(db) D), a few normals a path, each dimension
+from a Philox stream of its own keyed by (seed, block) (see _column_law
+and _projected_blocks).  Its counters and those of the path rows lie in
 regions of their own, so the two families share no normals.
 
 A materialized ensemble, each streamed block and each writer worker's
@@ -593,20 +593,19 @@ def stream_increments(profile: ProfilePair, grid: TimeGrid, n_paths: int, seed: 
     chunks are computed on a thread pool with one worker per usable CPU;
     at most one per worker is computed ahead of the consumer.
 
-    With ``onto``, a non-empty tuple or list of (N, c_i) matrices of
-    left densities, the chunks are (first_path_index, tuple of columns)
-    instead: for each matrix D, one fresh (rows, c_i) array of the
-    stochastic integrals (x, D)~, in column-major order, drawn from
-    their exact law under the left-endpoint grid, N(D^T da, D^T diag(db)
-    D), not from paths.  The law is factored once per matrix as
-    mu + z G^T, with G of c_i rows and r_i <= c_i columns, its numerical
-    rank (see _column_law), so a path costs r_i normals, not N.  Each
+    With ``onto``, one (N, c) matrix D of left densities, the chunks
+    are (first_path_index, columns) instead: one fresh (rows, c) array
+    of the stochastic integrals (x, D)~, in column-major order, drawn
+    from their joint exact law under the left-endpoint grid,
+    N(D^T da, D^T diag(db) D), not from paths.  The law is factored once
+    as mu + z G^T, with G of c rows and r <= c columns, its numerical
+    rank (see _column_law), so a path costs r normals, not N.  Each
     column is built in place, mu_i + z_0 G_i0 + z_1 G_i1 + ... in that
     order.  Dimension j of CHUNK_PATHS block b is drawn from the Philox
-    stream keyed by (seed, b) at counter j << 192, and every matrix
-    reads dimensions 0, 1, ...: the matrices share normals, not paths,
-    and each matrix's columns are bit-identical to a stream onto that
-    matrix alone.  The first n rows equal those of a longer stream.
+    stream keyed by (seed, b) at counter j << 192.  The columns of one
+    matrix are those of one set of paths; a column's bits depend on the
+    whole of D, not on that column alone.  The first n rows equal those
+    of a longer stream.
     """
     da, sdb = _checked_moments(profile, grid, n_paths, seed)
     if onto is not None:
@@ -701,27 +700,26 @@ def _pivoted_cholesky(S):
     return G
 
 
-def _projected_blocks(da, sdb, n_paths, seed, onto):
+def _projected_blocks(da, sdb, n_paths, seed, D):
     """Yield (p0, columns) per block, in block order: one fresh (rows,
-    c_i) array per matrix of onto, mu + z G^T of its _column_law, in
+    c) array, mu + z G^T of the _column_law of the matrix D, in
     column-major order.
 
     Row p of dimension j is normal p of the block's stream of dimension
     j, and each value is mu_i + z_0 G_i0 + z_1 G_i1 + ... in that
     order, elementwise; so a row's bits depend only on its own normals
-    and the matrix.  Each column is built in place, one contiguous row
-    of a (c_i, rows) array, and the block is its transpose; a column
-    whose row of G is zero is exactly mu_i.  A draw of at most r * n
-    normals needs no pool."""
-    if not isinstance(onto, (tuple, list)) or not onto:
-        raise ValueError("onto must be a non-empty tuple or list of (N, c) matrices")
-    mats = [np.asarray(D, dtype=float) for D in onto]
-    if any(D.ndim != 2 or D.shape[0] != sdb.size for D in mats):
-        raise ValueError("each matrix of onto must be (N, c) over the grid intervals")
-    # Per matrix, per column: mu_i and its row of G, empty when that row is zero.
-    laws = [[(m, g if g.any() else g[:0]) for m, g in zip(*_column_law(da, sdb, D))]
-            for D in mats]
-    dims = max((g.size for law in laws for _, g in law), default=0)
+    and D.  Each column is built in place, one contiguous row of a (c,
+    rows) array, and the block is its transpose; a column whose row of
+    G is zero is exactly mu_i.  A draw of at most r * n normals needs
+    no pool."""
+    if isinstance(D, (tuple, list)):
+        raise ValueError("onto must be one (N, c) matrix, not a %s" % type(D).__name__)
+    D = np.asarray(D, dtype=float)
+    if D.ndim != 2 or D.shape[0] != sdb.size:
+        raise ValueError("onto must be an (N, c) matrix over the grid intervals")
+    # Per column: mu_i and its row of G, empty when that row is zero.
+    law = [(m, g if g.any() else g[:0]) for m, g in zip(*_column_law(da, sdb, D))]
+    dims = max((g.size for _, g in law), default=0)
     z = np.empty((dims, min(CHUNK_PATHS, n_paths)))
     term = np.empty(z.shape[1])
     for block, p0 in enumerate(range(0, n_paths, CHUNK_PATHS)):
@@ -729,15 +727,12 @@ def _projected_blocks(da, sdb, n_paths, seed, onto):
         zs, t = z[:, :rows], term[:rows]
         for j in range(dims):
             _philox(seed, block, j).standard_normal(out=zs[j])
-        chunks = []
-        for law in laws:
-            cols = np.empty((len(law), rows))
-            for col, (m, g) in zip(cols, law):
-                col.fill(m)
-                for zj, gj in zip(zs, g):
-                    col += np.multiply(zj, gj, out=t)
-            chunks.append(cols.T)
-        yield p0, tuple(chunks)
+        cols = np.empty((len(law), rows))
+        for col, (m, g) in zip(cols, law):
+            col.fill(m)
+            for zj, gj in zip(zs, g):
+                col += np.multiply(zj, gj, out=t)
+        yield p0, cols.T
 
 
 def _scratch_rows(n_steps):

@@ -1147,11 +1147,12 @@ def test_one_draw_per_stream(tmp_path, capsys, monkeypatch, check_keys, flags, d
 
 
 def test_checks_share_one_projection_per_equal_matrix(tmp_path, capsys, monkeypatch):
-    """A group's stream projects each distinct density matrix once, and
-    each check's verify function gets its own member of that one draw."""
+    """A group's stream projects once, onto one matrix of the distinct
+    left densities of all its checks, and each check's verify function
+    gets its own member of that one draw."""
     import feynpath.montecarlo as mc
 
-    seen, shapes = [], []
+    seen, mats = [], []
     for name in ("verify_translation", "verify_parts", "verify_cs_precursor"):
         def spy(*args, _original=getattr(mc, name), columns=None, **kwargs):
             seen.append(columns)
@@ -1161,7 +1162,7 @@ def test_checks_share_one_projection_per_equal_matrix(tmp_path, capsys, monkeypa
     real = mc.stream_increments
 
     def stream(*args, onto=None, **kwargs):
-        shapes.append([D.shape for D in onto])
+        mats.append((args[1].nodes[:-1], onto))  # the grid's left endpoints, the matrix
         return real(*args, onto=onto, **kwargs)
 
     monkeypatch.setattr(mc, "stream_increments", stream)
@@ -1170,8 +1171,9 @@ def test_checks_share_one_projection_per_equal_matrix(tmp_path, capsys, monkeypa
     assert run(["verify", "--all", "--config", write_config(tmp_path, cfg),
                 "--output-dir", str(tmp_path / "o")]) != 2
     capsys.readouterr()
-    # std.json: checks 2-4 project onto [1, t], checks 5-6 onto [1, t, t]
-    assert shapes == [[(32, 2), (32, 3)]]
+    # std.json: checks 2-4 read [1, t], checks 5-6 [1, t, t]: two distinct columns
+    ((t, D),) = mats
+    assert D.shape == (32, 2) and np.array_equal(D, np.column_stack([np.ones_like(t), t]))
     assert [m.index for m in seen] == [0, 1, 2, 3, 4]
     assert all(m.draw is seen[0].draw for m in seen)
 
@@ -1331,6 +1333,25 @@ def test_verify_peak_rss_is_flat_in_n(tmp_path):
                               env=env, check=True, capture_output=True, text=True, timeout=300)
         peak[n] = 1024 * int(done.stdout)
     assert peak[400_000] - peak[20_000] <= 2 * 2**20
+
+
+def test_verify_holds_no_density_matrix_per_check(tmp_path, capsys):
+    """The tracemalloc peak of verify --all on std.json at grid 65536 is
+    under 12 MiB: each group's draw holds one matrix of its 2 distinct
+    left densities (1 MiB), and no check holds an N x c matrix of its
+    own.  With a matrix per check it was 16.8 MiB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = run(["verify", "--all", "--config", str(STD_JSON), "--n", "8192", "--grid", "65536",
+                    "--seed", "7", "--output-dir", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 12 * 2**20
 
 
 # Every command a run can take, in one process, then whether numpy.ma

@@ -12,6 +12,7 @@ from feynpath import (
     IdentityReport,
     MCReport,
     MonomialSpec,
+    SuppElement,
     TimeGrid,
     UnsupportedFunctional,
     analytic_fsi_monomial,
@@ -391,7 +392,8 @@ def test_streamed_reports_agree_with_the_loop_reference(ctx, identity, kind):
     n, seed = 2 * CHUNK_PATHS + 301, 13
     report = IDENTITIES[identity](F, theta, k1, k2, n, seed, grid)
 
-    D, sides = _SIDES[func.__name__](F, theta, k1, k2, *scalars, grid)
+    _, sides = _SIDES[func.__name__](F, theta, k1, k2, *scalars)
+    D = identity_densities(F, theta, k1, k2, grid)
     da, db = paths.increment_moments(profile, grid)
     mu, G = paths._column_law(da, np.sqrt(db), D)
     lhs, rhs = sides(exact_law_columns_loop(mu, G, seed, n, CHUNK_PATHS))
@@ -492,6 +494,62 @@ def test_a_streamed_group_gives_the_reports_of_drawn_columns(ctx, n, order):
         assert _without_wall_times(report.to_dict()) == _without_wall_times(alone.to_dict())
 
 
+def _spied(build, seen):
+    """``build`` whose sides append a copy of each block they get to
+    ``seen``."""
+
+    def spy_build(*args):
+        elements, sides = build(*args)
+
+        def spy(block):
+            seen.append(block.copy())
+            return sides(block)
+
+        return elements, spy
+
+    return spy_build
+
+
+def test_the_checks_of_a_draw_read_one_set_of_paths(ctx):
+    """Two checks of one draw on the columns [1, t] and [t^2, t] read one
+    set of paths: their copies of (t, x)~ are bit-equal in every block,
+    and each check still gets its own columns, [1, t] and [t^2, t]."""
+    profile, theta, k1, k2, grid = ctx
+    t_squared = SuppElement(pp([0.0, 0.0, 1.0]), profile)
+    n = 2 * CHUNK_PATHS + 301
+    first, second = [], []
+    shared = _SharedDraw(profile, grid, n, 13, [
+        (_spied(_SIDES["verify_translation"], first), (MonomialSpec(theta, (k1,)), theta, k1, k2)),
+        (_spied(_SIDES["verify_parts"], second),
+         (MonomialSpec(theta, (t_squared,)), theta, k1, k2, 1.0)),
+    ])
+    shared.report(0, *shared.checks[0], n, 13, grid)  # the first report runs the pass
+    assert [len(b) for b in first] == [len(b) for b in second] == [CHUNK_PATHS, CHUNK_PATHS, 301]
+    for a, b in zip(first, second):
+        assert a.shape == b.shape == (len(a), 2)
+        assert a[:, 1].tobytes() == b[:, 1].tobytes()  # (t, x)~
+        assert not np.array_equal(a[:, 0], b[:, 0])
+
+
+@pytest.mark.parametrize("n", [2, 2 * CHUNK_PATHS + 301])
+def test_a_check_gets_its_group_row_alone_when_the_group_reads_only_its_columns(ctx, n):
+    """A check whose group reads no column outside its own, here
+    [t^2, t], gets the report it gets when it draws alone, to the bit
+    apart from its wall times, for every identity."""
+    profile, theta, k1, k2, grid = ctx
+    t_squared = SuppElement(pp([0.0, 0.0, 1.0]), profile)
+    F = MonomialSpec(theta, (t_squared, k2))  # [t^2, t, t]
+    calls = [(verify_translation, (F, theta, k1, k2)),
+             (verify_parts, (MonomialSpec(theta, (t_squared,)), theta, k1, k2, 2.0)),  # [t^2, t]
+             (verify_cs_precursor, (F, theta, k1, k2, 4.0))]
+    shared = _SharedDraw(profile, grid, n, 13, [(_SIDES[func.__name__], args)
+                                                for func, args in calls])
+    for (func, args), member in zip(calls, shared.members):
+        report = func(*args, n, 13, grid=grid, columns=member)
+        alone = func(*args, n, 13, grid=grid)
+        assert _without_wall_times(report.to_dict()) == _without_wall_times(alone.to_dict())
+
+
 def test_a_shared_draw_member_gives_only_its_own_check(ctx, monkeypatch):
     """A member of a shared draw is the report of the check it was built
     for, at the draw's n and seed; for any other call it is a
@@ -535,9 +593,10 @@ def _bits(moments):
 
 
 def _moments_over(cols, sides, difference=False):
-    """The ``_Moments`` of ``sides`` handed each CHUNK_PATHS-row view of
-    ``cols`` in order, as the blocks of a stream are."""
-    acc = _Moments(sides, difference)
+    """The ``_Moments`` of ``sides`` on every column, handed each
+    CHUNK_PATHS-row view of ``cols`` in order, as the blocks of a stream
+    are."""
+    acc = _Moments(sides, difference, slice(None))
     for p0 in range(0, len(cols), CHUNK_PATHS):
         acc.add(cols[p0 : p0 + CHUNK_PATHS])
     return acc

@@ -166,12 +166,14 @@ def _law_matrices(grid):
     }
 
 
-def _stream_columns(profile, grid, n, seed, mats):
-    chunks = list(stream_increments(profile, grid, n, seed, onto=list(mats)))
+def _stream_columns(profile, grid, n, seed, D):
+    """The (n, c) columns of one stream onto the matrix D, after
+    checking its blocks' starts, shapes and column-major order."""
+    chunks = list(stream_increments(profile, grid, n, seed, onto=D))
     assert [p0 for p0, _ in chunks] == list(range(0, n, CHUNK_PATHS))
-    assert all(isinstance(cols, tuple) and len(cols) == len(mats) for _, cols in chunks)
-    assert all(c.flags.f_contiguous for _, cols in chunks for c in cols)
-    return [np.concatenate([cols[j] for _, cols in chunks]) for j in range(len(mats))]
+    assert all(cols.shape == (min(CHUNK_PATHS, n - p0), D.shape[1]) and cols.flags.f_contiguous
+               for p0, cols in chunks)
+    return np.concatenate([cols for _, cols in chunks])
 
 
 @pytest.mark.parametrize("kind", ["regular", "singular", "near-dependent", "zero-column"])
@@ -192,7 +194,7 @@ def test_projected_stream_draws_the_exact_grid_law(standard, grid256, kind):
     assert np.max(np.abs(G @ G.T - cov)) <= 1e-12 * np.max(np.abs(cov))
 
     n = 2 * CHUNK_PATHS + 301
-    (cols,) = _stream_columns(standard, grid256, n, 31, [D])
+    cols = _stream_columns(standard, grid256, n, 31, D)
     assert cols.shape == (n, D.shape[1])
     for i in range(D.shape[1]):
         for j in range(i):
@@ -214,7 +216,7 @@ def test_drawn_columns_equal_the_loop_reference_bit_for_bit(standard, grid256, k
     da, db = paths.increment_moments(standard, grid256)
     mu, G = paths._column_law(da, np.sqrt(db), D)
     n = 2 * CHUNK_PATHS + 301
-    (cols,) = _stream_columns(standard, grid256, n, 29, [D])
+    cols = _stream_columns(standard, grid256, n, 29, D)
     expected = exact_law_columns_loop(mu, G, 29, n, CHUNK_PATHS)
     assert cols.shape == expected.shape
     assert cols.tobytes(order="C") == expected.tobytes()
@@ -222,10 +224,10 @@ def test_drawn_columns_equal_the_loop_reference_bit_for_bit(standard, grid256, k
 
 @pytest.mark.parametrize("n", [1, CHUNK_PATHS + 1])
 def test_projected_stream_keeps_the_first_rows_of_a_longer_stream(standard, grid256, n):
-    mats = list(_law_matrices(grid256).values())
-    short = _stream_columns(standard, grid256, n, 17, mats)
-    long = _stream_columns(standard, grid256, 2 * CHUNK_PATHS + 301, 17, mats)
-    assert all(s.tobytes() == l[:n].tobytes() for s, l in zip(short, long))
+    for D in _law_matrices(grid256).values():
+        short = _stream_columns(standard, grid256, n, 17, D)
+        long = _stream_columns(standard, grid256, 2 * CHUNK_PATHS + 301, 17, D)
+        assert short.tobytes() == long[:n].tobytes()
 
 
 def test_projected_stream_matches_the_exact_moments(standard, grid256):
@@ -236,7 +238,7 @@ def test_projected_stream_matches_the_exact_moments(standard, grid256):
     da, db = paths.increment_moments(standard, grid256)
     scaled = np.sqrt(db)[:, None] * D
     mu, cov = da @ D, scaled.T @ scaled
-    (cols,) = _stream_columns(standard, grid256, n, 5, [D])
+    cols = _stream_columns(standard, grid256, n, 5, D)
     assert np.all(np.abs(cols.mean(axis=0) - mu) <= 5 * np.sqrt(np.diag(cov) / n))
     centered = cols - mu
     sample_cov = centered.T @ centered / n
@@ -253,8 +255,8 @@ def test_projected_stream_runs_without_the_pool_for_any_worker_count(standard, g
     dens = _density_columns(grid256)
 
     def stream():
-        return np.concatenate([c for _, (c,) in stream_increments(standard, grid256, n, 23,
-                                                                  onto=(dens,))])
+        return np.concatenate([c for _, c in stream_increments(standard, grid256, n, 23,
+                                                               onto=dens)])
 
     public = stream()
 
@@ -270,38 +272,16 @@ def test_projected_stream_runs_without_the_pool_for_any_worker_count(standard, g
 
 
 def test_projected_stream_rejects_misshaped_densities(standard, grid256):
+    """onto takes one (N, c) matrix: a list or tuple of matrices is
+    refused as such, even of one matrix of the right shape, and so is a
+    matrix of another shape."""
     dens = np.ones((grid256.N, 2))
-    # a bare matrix is refused as such, even one of the right shape
-    with pytest.raises(ValueError, match="tuple or list"):
-        next(stream_increments(standard, grid256, 10, 1, onto=dens))
-    for onto in ((), [], (np.ones((grid256.N + 1, 2)),), (dens, np.ones(grid256.N))):
-        with pytest.raises(ValueError):
-            next(stream_increments(standard, grid256, 10, 1, onto=onto))
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_one_stream_onto_several_matrices_equals_a_stream_per_matrix(standard, grid256,
-                                                                     monkeypatch, workers):
-    """Each matrix of a shared stream gets the bits of its own stream."""
-    monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
-    n = 2 * CHUNK_PATHS + 301  # a multiple of neither the scratch rows nor CHUNK_PATHS
-    assert n % _scratch_rows(grid256.N) and n % CHUNK_PATHS
-    dens = _density_columns(grid256)
-    mats = (dens[:, :2].copy(), dens)
-
-    def stream(onto):
-        return list(stream_increments(standard, grid256, n, 29, onto=onto))
-
-    shared = stream(mats)
-    assert [p0 for p0, _ in shared] == list(range(0, n, CHUNK_PATHS))
-    assert all(isinstance(cols, tuple) and len(cols) == 2 for _, cols in shared)
-    for j, d in enumerate(mats):
-        alone = np.concatenate([c for _, (c,) in stream([d])])
-        together = np.concatenate([cols[j] for _, cols in shared])
-        assert together.shape == alone.shape and together.tobytes() == alone.tobytes()
-    listed = [cols for _, cols in stream(list(mats))]
-    assert all(a.tobytes() == b.tobytes()
-               for got, (_, want) in zip(listed, shared) for a, b in zip(got, want))
+    for several in ((dens,), [dens], (dens, dens), (), []):
+        with pytest.raises(ValueError, match="one \\(N, c\\) matrix, not a (tuple|list)"):
+            next(stream_increments(standard, grid256, 10, 1, onto=several))
+    for bad in (np.ones((grid256.N + 1, 2)), np.ones(grid256.N), np.ones((1, grid256.N, 2))):
+        with pytest.raises(ValueError, match="over the grid intervals"):
+            next(stream_increments(standard, grid256, 10, 1, onto=bad))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
