@@ -64,7 +64,6 @@ from .feynman import (
 from .montecarlo import (
     IdentityReport,
     MCReport,
-    identity_densities,
     mc_fsi,
     verify_cs_precursor,
     verify_parts,
@@ -108,7 +107,6 @@ __all__ = [
     "cm_inner",
     "feynman_monomial",
     "gaussian_moment",
-    "identity_densities",
     "identity_element",
     "inner_with_a",
     "mc_fsi",

@@ -261,6 +261,11 @@ _CHECK_KEYS = {
     "verify-recurrence": (("theta", "ks", "q"), ()),
 }
 _CHECK_COMMON = ("kind", "name", "n_paths", "seed", "grid_size")
+# Each identity kind's montecarlo verify function, by name.  Its scalar
+# parameter, if it has one, is the required key after functional, theta,
+# k1 and k2, and its argument after theirs.
+_IDENTITY_RUNNERS = {"verify-translation": "verify_translation", "verify-parts": "verify_parts",
+                     "verify-cs": "verify_cs_precursor"}
 _CHECK_FLOATS = ("q", "rho", "lambda")
 _CHECK_COUNTS = ("n_paths", "grid_size")
 
@@ -279,11 +284,12 @@ def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
     as (reference, tolerance), its default name filled in and its
     ``functional`` parsed.  Its element names stay, and what they resolve
     to is kept for the runners: a closed-form check's ``spec``, and an
-    identity check's ``args`` (functional, theta, k1, k2) and the name
-    of its theta's ``profile``.  For ``simulate``, its profile, output
-    file and format are resolved.  Errors name a key as ``where`` + key:
-    ``checks[3].`` for a config check, ``--`` for the flags of the
-    simulate command."""
+    identity check's ``call``, the name of its ``mc.verify_*`` function
+    and the arguments before n it takes (functional, theta, k1, k2 and
+    rho or lambda), and the name of its theta's ``profile``.  For
+    ``simulate``, its profile, output file and format are resolved.
+    Errors name a key as ``where`` + key: ``checks[3].`` for a config
+    check, ``--`` for the flags of the simulate command."""
     label = where.rstrip(".")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("%s: expected an object with a 'kind'" % label)
@@ -317,7 +323,8 @@ def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
             return check
         k1, k2 = (_resolved(where + key, config.supp, check[key]) for key in ("k1", "k2"))
         F = _parse_functional(check["functional"], where + "functional", config)
-        check.update(functional=F, args=(F, theta, k1, k2),
+        args = (F, theta, k1, k2, *(check[key] for key in required[4:]))
+        check.update(functional=F, call=(_IDENTITY_RUNNERS[kind], args),
                      profile=config.elements[check["theta"]][1])
         _require_theta_profile(config, check, obj["functional"], where)
         return check
@@ -325,9 +332,7 @@ def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
     # The profile defaults to the config's first.  The output is a bare
     # file name inside the output directory, and its suffix, .csv or .bin
     # in any case, sets the format.
-    pname = check.get("profile") or next(iter(config.profiles), None)
-    if not isinstance(pname, str) or pname not in config.profiles:
-        raise ConfigError("%sprofile: unknown profile %r" % (where, pname))
+    pname = _resolved(where + "profile", _profile_name, config, check.get("profile"))
     fmt = check.get("format", "csv")
     if fmt not in ("csv", "bin"):
         raise ConfigError("%sformat must be 'csv' or 'bin', got %r" % (where, fmt))
@@ -340,6 +345,16 @@ def _parse_check(config: ExperimentConfig, obj, where, index=0) -> dict:
         raise ConfigError("%sformat %r disagrees with out %r" % (where, fmt, out))
     check.update(profile=pname, out=out, format=suffix[1:])
     return check
+
+
+def _profile_name(config: ExperimentConfig, name):
+    """``name``, by default the config's first profile, once the config
+    is seen to have it."""
+    name = name or next(iter(config.profiles), None)
+    if not isinstance(name, str) or name not in config.profiles:
+        raise ConfigError("unknown profile %r" % (name,) if config.profiles
+                          else "the config has no profile")
+    return name
 
 
 def _require_theta_profile(config: ExperimentConfig, check, functional, where):
@@ -421,17 +436,6 @@ def _check_scalars(config: ExperimentConfig, check: dict, overrides: dict):
                  for key in ("n_paths", "seed", "grid_size"))
 
 
-# Each identity kind's montecarlo function, by name, and the check key of
-# its scalar parameter, if it has one.  The function is looked up on
-# ``mc`` at each call, so a wrapper put there (a tracer, a test's spy) is
-# the one called.
-_IDENTITY_RUNNERS = {
-    "verify-translation": ("verify_translation", None),
-    "verify-parts": ("verify_parts", "rho"),
-    "verify-cs": ("verify_cs_precursor", "lambda"),
-}
-
-
 def run_check(config: ExperimentConfig, index: int, check: dict, overrides: dict, out_dir):
     """Run check ``index``, a simulate or closed-form (``feynman``,
     ``verify-recurrence``) check as ``load_config`` normalized it (which
@@ -500,10 +504,7 @@ def _cmd_validate_profile(args) -> int:
     raw = _read_json(args.path)
     if isinstance(raw, dict) and "profiles" in raw:
         config = load_config(args.path)
-        name = args.profile or next(iter(config.profiles))
-        if name not in config.profiles:
-            raise ConfigError("unknown profile %r" % name)
-        profile = config.profiles[name]
+        profile = config.profiles[_profile_name(config, args.profile)]
     else:
         if args.profile is not None:
             raise ConfigError("--profile %r: %s is a bare profile, not a config"
@@ -597,7 +598,7 @@ def _run_checks(config: ExperimentConfig, indices, overrides: dict, out_dir) -> 
     groups: dict = {}
     for i in indices:
         check = config.checks[i]
-        if check["kind"] in _IDENTITY_RUNNERS:
+        if "call" in check:
             n, seed, grid_n = _check_scalars(config, check, overrides)
             _resolved("checks[%d]" % i, mc._require_two_paths, n)
             key = (check["profile"], grid_n, n, seed)
@@ -618,10 +619,12 @@ def _run_shared(config: ExperimentConfig, members, key) -> dict:
     """{index: (ledger row, result dict)} of the identity checks
     ``members`` of one stream ``key``, from one pass over one draw: the
     only runner of the identity checks.  ``mc._SharedDraw`` streams the
-    draw one block at a time into every member's sides, so no n-row
-    array is held, and each check's ``mc.verify_*`` function, called
-    once, takes its member as ``columns=`` and returns its report; the
-    first call runs the pass.  Each result gets a ``draw`` object: the
+    draw of every check's ``call`` one block at a time into their sides,
+    so no n-row array is held, and each check's ``mc.verify_*``
+    function, called once, takes the draw as ``columns=`` and returns
+    its report; the first call runs the pass.  The function is looked
+    up on ``mc`` at each call, so a wrapper put there (a tracer, a
+    test's spy) is the one called.  Each result gets a ``draw`` object: the
     seconds spent filling the draw's blocks and the names of the checks
     it served.  A report's non-finite floats, from estimates that
     overflow or an infinite sigma_ratio (diff_se 0, the discrepancy
@@ -630,14 +633,9 @@ def _run_shared(config: ExperimentConfig, members, key) -> dict:
     pname, grid_n, n, seed = key
     grid = config.grid(pname, grid_n)
     checks = [config.checks[i] for i in members]
-    calls = []
-    for check in checks:
-        func, param = _IDENTITY_RUNNERS[check["kind"]]
-        calls.append((func, (*check["args"], *(() if param is None else (check[param],)))))
-    shared = mc._SharedDraw(config.profiles[pname], grid, n, seed,
-                            [(mc._SIDES[func], args) for func, args in calls])
-    reports = [getattr(mc, func)(*args, n, seed, grid=grid, columns=member)
-               for (func, args), member in zip(calls, shared.members)]
+    shared = mc._SharedDraw(config.profiles[pname], grid, n, seed, [c["call"] for c in checks])
+    reports = [getattr(mc, func)(*args, n, seed, grid=grid, columns=shared)
+               for func, args in (c["call"] for c in checks)]
     draw = {"wall_time": shared.wall_time, "shared_by": [c["name"] for c in checks]}
     outcomes = {}
     for i, check, report in zip(members, checks, reports):
@@ -733,9 +731,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("feynman", help="closed-form monomial Feynman integral")
     p.add_argument("--config", required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--monomial", help="m=<degree>, selecting elements k1..km")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--monomial", help="m=<degree>, selecting elements k1..km")
     p.add_argument("--theta", help="element name for theta (default 'theta')")
-    p.add_argument("--ks", help="comma-separated element names")
+    which.add_argument("--ks", help="comma-separated element names")
     p.set_defaults(func=_cmd_feynman)
 
     p = sub.add_parser("verify", help="run configured checks and append the ledger")

@@ -12,25 +12,25 @@ LeVeque (Am. Stat. 37, 1983).  So a check holds no n-length per-path
 array.
 
 A check sees the paths only through the stochastic-integral columns
-(x, D)~ of its elements, D their left densities
-(``identity_densities``).  Under the left-endpoint grid these are
-exactly N(D^T da, D^T diag(db) D), and ``paths.stream_increments``
-samples them from that law, r <= c normals a path for c columns of
-rank r, without sampling a path.  The law comes from the grid's
-increment moments, not from the closed-form Gaussian summary, so the
-Monte Carlo stays independent of the quadrature.  The draw is keyed by
-(profile, grid, n, seed), so checks with the same key can share one.
-``_SharedDraw`` reduces every check of such a group in one pass: it
-streams the draw onto one matrix, the left densities of the group's
-distinct elements, hands each block to every check, whose sides read
-their own columns of it, and drops it; so no n-row array of columns or
-of normals exists at any n.  The
-checks of a group read one set of paths: two checks' copies of one
-integral are the same numbers.  A ``verify_*`` function given a member
-of the group as ``columns=`` returns that check's report; with
-``columns`` None it streams a one-member group.  A check alone gets the
-columns it gets in its group, to the bit, when the group reads no
-column outside the check's own and first reads them in the check's
+(x, D)~ of its elements, D their left densities (``left_density``).
+Under the left-endpoint grid these are exactly N(D^T da, D^T diag(db) D),
+and ``paths.stream_increments`` samples them from that law, r <= c
+normals a path for c columns of rank r, without sampling a path.  The
+law comes from the grid's increment moments, not from the closed-form
+Gaussian summary, so the Monte Carlo stays independent of the
+quadrature.  The draw is keyed by (profile, grid, n, seed), so checks
+with the same key can share one.  ``_SharedDraw`` reduces every check
+of such a group in one pass: it streams the draw onto one matrix, the
+left densities of the group's distinct elements, hands each block to
+every check, whose sides read their own columns of it, and drops it; so
+no n-row array of columns or of normals exists at any n.  The checks of
+a group read one set of paths: two checks' copies of one integral are
+the same numbers.  A check is named by its verify function's name and
+its arguments.  A ``verify_*`` function given the group's draw as
+``columns=`` returns the report of its own check in it; with
+``columns`` None it streams a group of that one check.  A check alone
+gets the columns it gets in its group, to the bit, when the group reads
+no column outside the check's own and first reads them in the check's
 order; otherwise it gets a draw of the same law, not the same numbers.
 
 Integrability of the compared functionals is a hypothesis of the
@@ -126,8 +126,8 @@ class IdentityReport:
 
 class _Moments:
     """The running moments of each per-row array that ``sides`` returns
-    for the ``columns`` of the blocks handed to ``add``, and then of the
-    first minus the second when ``difference``.
+    for the ``columns`` of the blocks handed to ``add``, and, when it
+    returns two, an identity's LHS and RHS, of the first minus the second.
 
     Each block's arrays are copied into one (k, rows) buffer, reduced
     to their block means (numpy's pairwise sums) and M2, the sum of
@@ -138,8 +138,8 @@ class _Moments:
     values give the bits of the same values with a zero imaginary part.
     ``wall_time`` sums the seconds spent in ``add``, gathering included."""
 
-    def __init__(self, sides, difference: bool, columns):
-        self.sides, self.difference, self.columns = sides, difference, columns
+    def __init__(self, sides, columns):
+        self.sides, self.columns = sides, columns
         self.count, self.wall_time = 0, 0.0
 
     def add(self, block):
@@ -147,12 +147,12 @@ class _Moments:
         vals = self.sides(block[:, self.columns])
         rows = len(vals[0])
         if not self.count:  # the first block is the largest
-            self.buf = np.empty((len(vals) + self.difference, rows), np.result_type(*vals))
+            self.buf = np.empty((len(vals) + (len(vals) == 2), rows), np.result_type(*vals))
         span = self.buf[:, :rows]
         for row, v in zip(span, vals):
             row[...] = v
-        if self.difference:
-            np.subtract(span[0], span[1], out=span[-1])
+        if len(span) == 3:
+            np.subtract(span[0], span[1], out=span[2])
         parts = (span.real, span.imag) if np.iscomplexobj(span) else (span,)
         span_mean = np.array([np.add.reduce(part, axis=1) for part in parts]) / rows
         span_m2 = 0.0
@@ -178,7 +178,7 @@ class _Moments:
                 for re, im, sq in zip(mean[0], imag, self.m2)]
 
 
-def _reduce_draw(profile, grid: TimeGrid, n: int, seed: int, checks, difference: bool):
+def _reduce_draw(profile, grid: TimeGrid, n: int, seed: int, checks):
     """The ``_Moments`` of each check (elements, sides) over the draw of
     n paths of (profile, grid, seed), and the seconds of the pass spent
     outside their ``add``, which is filling the blocks.  The draw is one
@@ -188,22 +188,12 @@ def _reduce_draw(profile, grid: TimeGrid, n: int, seed: int, checks, difference:
     distinct, slots = _distinct([e for elements, _ in checks for e in elements])
     D = np.reshape([left_density(e, grid) for e in distinct], (-1, grid.N)).T
     slots = iter(slots)
-    accs = [_Moments(sides, difference, [next(slots) for _ in elements])
-            for elements, sides in checks]
+    accs = [_Moments(sides, [next(slots) for _ in elements]) for elements, sides in checks]
     t0 = time.perf_counter()
     for _, block in stream_increments(profile, grid, n, seed, onto=D):
         for acc in accs:
             acc.add(block)
     return accs, time.perf_counter() - t0 - sum(acc.wall_time for acc in accs)
-
-
-def identity_densities(F: FunctionalSpec, theta: CMElement, k1: SuppElement, k2: SuppElement,
-                       grid: TimeGrid) -> np.ndarray:
-    """The (N, c) left densities of the columns the translation, parts
-    and cs-precursor checks of F read: u (.) k1 for the linear factors u
-    of F, then theta (.) k2."""
-    elements = [odot(u, k1) for u in _linear_factors(F)] + [odot(theta, k2)]
-    return np.reshape([left_density(e, grid) for e in elements], (-1, grid.N)).T
 
 
 def _functional_assumptions(F: FunctionalSpec) -> tuple[str, ...]:
@@ -234,64 +224,55 @@ def _identity_report(F, acc: _Moments, grid, seed):
     return IdentityReport(lhs=lhs, rhs=rhs, discrepancy=abs(diff_mean), diff_se=diff_se)
 
 
-@dataclass(frozen=True)
-class _Member:
-    """Check ``index`` of a ``_SharedDraw``, as a ``verify_*`` function
-    takes it for ``columns=``."""
-
-    draw: "_SharedDraw"
-    index: int
-
-
 class _SharedDraw:
     """The identity checks of one draw, keyed by (profile, grid, n,
     seed), reduced in one pass over it.
 
-    Each check is (build, args): ``build(*args)`` returns the elements
-    of its columns and its ``sides``, and ``members[i]`` stands for
-    check i.  The first report asked for runs the pass (``_reduce_draw``):
-    each block of the draw, one law over the distinct columns of all the
-    checks, goes to every check's sides, in check order, and into that
-    check's ``_Moments``, and is then dropped.  So no n-row array of
-    columns or of normals exists, and each check keeps only (count,
-    mean, M2) per side.  ``wall_time`` is then the seconds spent
-    filling the blocks."""
+    Each check is (name, args): the name of its verify function and the
+    arguments before n it takes, from which ``_SIDES[name](*args)``
+    builds the elements of its columns and its ``sides``.  A
+    ``verify_*`` function given the draw as ``columns=`` asks ``report``
+    for its check.  The first report asked for runs the pass
+    (``_reduce_draw``): each block of the draw, one law over the
+    distinct columns of all the checks, goes to every check's sides, in
+    check order, and into that check's ``_Moments``, and is then
+    dropped.  So no n-row array of columns or of normals exists, and
+    each check keeps only (count, mean, M2) per side.  ``wall_time`` is
+    then the seconds spent filling the blocks."""
 
     def __init__(self, profile, grid: TimeGrid, n: int, seed: int, checks):
-        _require_two_paths(n)
         self.profile, self.grid, self.n, self.seed = profile, grid, n, seed
-        self.checks = [(build, tuple(args)) for build, args in checks]
-        self.built = [build(*args) for build, args in self.checks]
-        self.members = [_Member(self, i) for i in range(len(self.checks))]
+        self.checks = [(name, tuple(args)) for name, args in checks]
         self.wall_time = None
         self._reports = None
 
-    def report(self, index, build, args, n, seed, grid) -> IdentityReport:
-        """The report of check ``index``, which must be build(*args) at
-        (n, seed) and at the draw's grid (or grid None)."""
-        if ((build, args, n, seed) != (*self.checks[index], self.n, self.seed)
+    def report(self, name, args, n, seed, grid) -> IdentityReport:
+        """The report of check (name, args), which must be one of the
+        draw's, at its n and seed and at its grid (or grid None)."""
+        check = (name, args)
+        if (check not in self.checks or (n, seed) != (self.n, self.seed)
                 or grid not in (None, self.grid)):
             raise ValueError("columns is the shared draw of another check")
         if self._reports is None:
-            accs, self.wall_time = _reduce_draw(self.profile, self.grid, self.n, self.seed,
-                                                self.built, difference=True)
+            accs, self.wall_time = _reduce_draw(
+                self.profile, self.grid, self.n, self.seed,
+                [_SIDES[name](*args) for name, args in self.checks])
             self._reports = [_identity_report(args[0], acc, self.grid, self.seed)
                              for (_, args), acc in zip(self.checks, accs)]
-        return self._reports[index]
+        return self._reports[self.checks.index(check)]
 
 
-def _verify(build, args, n, seed, grid, columns) -> IdentityReport:
-    """The report of the identity check ``build(*args)`` on grid over n
-    paths of ``seed``: from ``columns``, a ``_SharedDraw`` member, or
-    with ``columns`` None from a draw of its own."""
+def _verify(name, args, n, seed, grid, columns) -> IdentityReport:
+    """The report of the identity check (name, args) on grid over n
+    paths of ``seed``: from ``columns``, a ``_SharedDraw`` holding it,
+    or with ``columns`` None from a draw of its own."""
     _require_two_paths(n)
     if columns is None:
         profile, grid = _profile_and_grid(args[0], args[1:4], grid)
-        columns = _SharedDraw(profile, grid, n, seed, [(build, args)]).members[0]
-    elif not isinstance(columns, _Member):
-        raise TypeError("columns must be None or a member of a shared draw, got %s"
-                        % type(columns).__name__)
-    return columns.draw.report(columns.index, build, args, n, seed, grid)
+        columns = _SharedDraw(profile, grid, n, seed, [(name, args)])
+    elif not isinstance(columns, _SharedDraw):
+        raise TypeError("columns must be None or a shared draw, got %s" % type(columns).__name__)
+    return columns.report(name, args, n, seed, grid)
 
 
 def _profile_and_grid(F: FunctionalSpec, elements, grid):
@@ -322,8 +303,7 @@ def mc_fsi(
     profile, grid = _profile_and_grid(F, [k], grid)
     (acc,), _ = _reduce_draw(profile, grid, n, seed,
                              [([odot(u, k) for u in _linear_factors(F)],
-                               lambda block: (_value_at(F, lam**-0.5 * block),))],
-                             difference=False)
+                               lambda block: (_value_at(F, lam**-0.5 * block),))])
     (moments,) = acc.moments()
     return _report(F, moments, n, grid, seed, acc.wall_time)
 
@@ -337,19 +317,19 @@ def verify_translation(
     seed: int,
     grid: TimeGrid | None = None,
     *,
-    columns: _Member | None = None,
+    columns: _SharedDraw | None = None,
 ) -> IdentityReport:
     """Translation identity: shifting Z_{k1}-paths by the deterministic
     path Z_{k2}(theta (.) k1, .) equals an exponentially reweighted
     expectation, with the densities' exact inner products in the weight.
     Both sides share one ensemble, streamed one block at a time.
 
-    ``columns``, when given, is this check's member of a shared draw
-    (``_SharedDraw``), built at the same (n, seed, grid); anything else
+    ``columns``, when given, is a shared draw (``_SharedDraw``) that
+    holds this check, built at the same (n, seed, grid); anything else
     but None is a TypeError.  The same holds for verify_parts and
     verify_cs_precursor.
     """
-    return _verify(_translation, (F, theta, k1, k2), n, seed, grid, columns)
+    return _verify("verify_translation", (F, theta, k1, k2), n, seed, grid, columns)
 
 
 def verify_parts(
@@ -362,7 +342,7 @@ def verify_parts(
     seed: int,
     grid: TimeGrid | None = None,
     *,
-    columns: _Member | None = None,
+    columns: _SharedDraw | None = None,
 ) -> IdentityReport:
     """Integration-by-parts identity at path scale rho > 0: the mean of
     the first variation of F at rho-scaled Z_{k1}-paths (direction
@@ -370,7 +350,7 @@ def verify_parts(
     rho = float(rho)
     if not 0.0 < rho < math.inf:
         raise BadDomain("rho must be positive, 0 < rho < inf; got %r" % rho)
-    return _verify(_parts, (F, theta, k1, k2, rho), n, seed, grid, columns)
+    return _verify("verify_parts", (F, theta, k1, k2, rho), n, seed, grid, columns)
 
 
 def verify_cs_precursor(
@@ -383,7 +363,7 @@ def verify_cs_precursor(
     seed: int,
     grid: TimeGrid | None = None,
     *,
-    columns: _Member | None = None,
+    columns: _SharedDraw | None = None,
 ) -> IdentityReport:
     """Real-lambda precursor of the Cameron-Storvick identity: the
     variation at lambda^{-1/2}-scaled paths (direction unscaled) against
@@ -396,7 +376,7 @@ def verify_cs_precursor(
     lam = float(lambda_real)
     if not 0.0 < lam < math.inf:
         raise BadDomain("lambda must be a positive real, 0 < lambda < inf; got %r" % lambda_real)
-    return _verify(_cs_precursor, (F, theta, k1, k2, lam), n, seed, grid, columns)
+    return _verify("verify_cs_precursor", (F, theta, k1, k2, lam), n, seed, grid, columns)
 
 
 def _translation(F, theta, k1, k2):
@@ -454,8 +434,7 @@ def _identity_setup(F, theta, k1, k2):
     """What the translation and parts identities share: the exact
     scalars (u (.) k2, theta (.) k1) for the linear factors u of F,
     theta (.) k2 and its pairing with a, and the elements of the
-    columns, u (.) k1 per factor followed by theta (.) k2, as in
-    ``identity_densities``."""
+    columns, u (.) k1 per factor followed by theta (.) k2."""
     theta_k2 = odot(theta, k2)
     consts = _direction_scalars(F, k2, odot(theta, k1))
     pairing_a = inner_with_a(theta_k2)

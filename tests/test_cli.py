@@ -238,6 +238,16 @@ def test_feynman_subcommand_explicit_ks(tmp_path, capsys):
     json.loads(capsys.readouterr().out)
 
 
+def test_feynman_ks_and_monomial_cannot_be_given_together(tmp_path, capsys):
+    """--ks and --monomial both pick the elements, so giving both exits
+    2 and prints no value, where --monomial was once silently dropped."""
+    path = write_config(tmp_path, std_config())
+    code = run(["feynman", "--config", path, "--q", "1", "--ks", "k1", "--monomial", "m=2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_verify_all_passes_and_is_deterministic(tmp_path, capsys):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
@@ -933,6 +943,23 @@ def test_validate_profile_rejects_profile_flag_on_a_bare_profile(tmp_path, capsy
     assert captured.err.startswith("error: --profile 'nosuch': ")
 
 
+@pytest.mark.parametrize("command", ["validate-profile", "simulate"])
+def test_a_config_without_profiles_is_one_error_line(tmp_path, capsys, command):
+    """A config whose profiles are {} has no profile to default to:
+    validate-profile and simulate without --profile exit 2 with one
+    error line that says so."""
+    path = write_config(tmp_path, {"seed": 1, "profiles": {}, "elements": {}, "checks": []})
+    if command == "simulate":
+        argv = [command, "--config", path, "--out", str(tmp_path / "paths.csv")]
+    else:
+        argv = [command, path]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "the config has no profile" in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 @pytest.mark.parametrize(
     "functional",
     [{"type": "cos_linear", "w0": "theta"}, {"type": "exp_linear", "w0": "theta",
@@ -1149,7 +1176,8 @@ def test_one_draw_per_stream(tmp_path, capsys, monkeypatch, check_keys, flags, d
 def test_checks_share_one_projection_per_equal_matrix(tmp_path, capsys, monkeypatch):
     """A group's stream projects once, onto one matrix of the distinct
     left densities of all its checks, and each check's verify function
-    gets its own member of that one draw."""
+    gets that one draw, which holds the group's checks by their verify
+    functions' names, in config order."""
     import feynpath.montecarlo as mc
 
     seen, mats = [], []
@@ -1174,8 +1202,10 @@ def test_checks_share_one_projection_per_equal_matrix(tmp_path, capsys, monkeypa
     # std.json: checks 2-4 read [1, t], checks 5-6 [1, t, t]: two distinct columns
     ((t, D),) = mats
     assert D.shape == (32, 2) and np.array_equal(D, np.column_stack([np.ones_like(t), t]))
-    assert [m.index for m in seen] == [0, 1, 2, 3, 4]
-    assert all(m.draw is seen[0].draw for m in seen)
+    assert len(seen) == 5 and all(draw is seen[0] for draw in seen)
+    assert [name for name, _ in seen[0].checks] == [
+        "verify_translation", "verify_translation", "verify_parts", "verify_parts",
+        "verify_cs_precursor"]
 
 
 def test_verify_streams_once_per_group_and_calls_each_verify_once(tmp_path, capsys,

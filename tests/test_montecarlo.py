@@ -35,7 +35,6 @@ from feynpath.montecarlo import (
     _Moments,
     _SharedDraw,
     append_ledger,
-    identity_densities,
     identity_ledger_row,
     ledger_row,
 )
@@ -376,6 +375,13 @@ IDENTITIES = {
 }
 
 
+def _densities(name, args, grid):
+    """The (N, c) left densities of the columns of check (name, args),
+    from its builder's elements, as ``_reduce_draw`` evaluates them."""
+    elements, _ = _SIDES[name](*args)
+    return np.reshape([paths.left_density(e, grid) for e in elements], (-1, grid.N)).T
+
+
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))
 @pytest.mark.parametrize("kind", sorted(FUNCTIONALS))
 def test_streamed_reports_agree_with_the_loop_reference(ctx, identity, kind):
@@ -393,7 +399,7 @@ def test_streamed_reports_agree_with_the_loop_reference(ctx, identity, kind):
     report = IDENTITIES[identity](F, theta, k1, k2, n, seed, grid)
 
     _, sides = _SIDES[func.__name__](F, theta, k1, k2, *scalars)
-    D = identity_densities(F, theta, k1, k2, grid)
+    D = _densities(func.__name__, (F, theta, k1, k2, *scalars), grid)
     da, db = paths.increment_moments(profile, grid)
     mu, G = paths._column_law(da, np.sqrt(db), D)
     lhs, rhs = sides(exact_law_columns_loop(mu, G, seed, n, CHUNK_PATHS))
@@ -413,20 +419,18 @@ def test_streamed_reports_agree_with_the_loop_reference(ctx, identity, kind):
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))
 @pytest.mark.parametrize("kind", ["m2", "cos"])
 def test_given_columns_give_the_report_of_an_own_draw(ctx, identity, kind):
-    """The check's member of a draw shared with a check on another
-    matrix, given as columns=, gives the report the check gets when it
-    draws alone."""
+    """A draw shared with a check on another matrix, given as columns=,
+    gives the report the check gets when it draws alone."""
     profile, theta, k1, k2, grid = ctx
     F = FUNCTIONALS[kind](theta, k1, k2)
     func, scalars = IDENTITY_CALLS[identity]
     other = FUNCTIONALS["m1" if kind == "m2" else "m2"](theta, k1, k2)
-    shared = _SharedDraw(profile, grid, 1001, 13,
-                         [(_SIDES["verify_parts"], (other, theta, k1, k2, 1.0)),
-                          (_SIDES[func.__name__], (F, theta, k1, k2, *scalars))])
-    assert (identity_densities(F, theta, k1, k2, grid).shape
-            != identity_densities(other, theta, k1, k2, grid).shape)
+    checks = [("verify_parts", (other, theta, k1, k2, 1.0)),
+              (func.__name__, (F, theta, k1, k2, *scalars))]
+    shared = _SharedDraw(profile, grid, 1001, 13, checks)
+    assert _densities(*checks[0], grid).shape != _densities(*checks[1], grid).shape
     check = IDENTITIES[identity]
-    given = check(F, theta, k1, k2, 1001, 13, grid, columns=shared.members[1])
+    given = check(F, theta, k1, k2, 1001, 13, grid, columns=shared)
     alone = check(F, theta, k1, k2, 1001, 13, grid)
     assert _without_wall_times(given.to_dict()) == _without_wall_times(alone.to_dict())
 
@@ -448,14 +452,14 @@ def test_default_grid_runs_through_every_breakpoint(ctx, identity, kind):
 
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))
 def test_columns_of_another_shape_are_refused(ctx, identity):
-    """columns= takes None or a member of a shared draw; anything else,
-    such as an array of the check's (n, c) columns or of another shape,
-    is a TypeError that says what is taken."""
+    """columns= takes None or a shared draw; anything else, such as an
+    array of the check's (n, c) columns or of another shape, is a
+    TypeError that says what is taken."""
     profile, theta, k1, k2, grid = ctx
     F = MonomialSpec(theta, (k1, k2))
     check = IDENTITIES[identity]
     for bad in (np.zeros((50, 3)), np.zeros((50, 2)), [[0.0] * 3] * 50, 0):
-        with pytest.raises(TypeError, match="columns must be None or a member of a shared draw"):
+        with pytest.raises(TypeError, match="columns must be None or a shared draw"):
             check(F, theta, k1, k2, 50, 1, grid, columns=bad)
 
 
@@ -482,11 +486,9 @@ def test_a_streamed_group_gives_the_reports_of_drawn_columns(ctx, n, order):
     group = GROUP if order == "given" else GROUP[::-1]
     calls = [(func, (FUNCTIONALS[kind](theta, k1, k2), theta, k1, k2)
               + (() if scalar is None else (scalar,))) for func, scalar, kind in group]
-    shared = _SharedDraw(profile, grid, n, 13, [(_SIDES[func.__name__], args)
-                                                for func, args in calls])
-    streamed = [func(*args, n, 13, grid=grid, columns=member)
-                for (func, args), member in zip(calls, shared.members)]
-    densities = [identity_densities(*args[:4], grid) for _, args in calls]
+    shared = _SharedDraw(profile, grid, n, 13, [(func.__name__, args) for func, args in calls])
+    streamed = [func(*args, n, 13, grid=grid, columns=shared) for func, args in calls]
+    densities = [_densities(func.__name__, args, grid) for func, args in calls]
     assert len({D.tobytes() for D in densities}) == 2
     assert isinstance(shared.wall_time, float) and shared.wall_time >= 0.0
     for (func, args), report in zip(calls, streamed):
@@ -494,9 +496,10 @@ def test_a_streamed_group_gives_the_reports_of_drawn_columns(ctx, n, order):
         assert _without_wall_times(report.to_dict()) == _without_wall_times(alone.to_dict())
 
 
-def _spied(build, seen):
-    """``build`` whose sides append a copy of each block they get to
-    ``seen``."""
+def _spied(monkeypatch, name):
+    """The list to which the sides that ``_SIDES[name]`` builds, from
+    now on, append a copy of each block they get."""
+    build, seen = _SIDES[name], []
 
     def spy_build(*args):
         elements, sides = build(*args)
@@ -507,23 +510,23 @@ def _spied(build, seen):
 
         return elements, spy
 
-    return spy_build
+    monkeypatch.setitem(_SIDES, name, spy_build)
+    return seen
 
 
-def test_the_checks_of_a_draw_read_one_set_of_paths(ctx):
+def test_the_checks_of_a_draw_read_one_set_of_paths(ctx, monkeypatch):
     """Two checks of one draw on the columns [1, t] and [t^2, t] read one
     set of paths: their copies of (t, x)~ are bit-equal in every block,
     and each check still gets its own columns, [1, t] and [t^2, t]."""
     profile, theta, k1, k2, grid = ctx
     t_squared = SuppElement(pp([0.0, 0.0, 1.0]), profile)
     n = 2 * CHUNK_PATHS + 301
-    first, second = [], []
+    first, second = _spied(monkeypatch, "verify_translation"), _spied(monkeypatch, "verify_parts")
     shared = _SharedDraw(profile, grid, n, 13, [
-        (_spied(_SIDES["verify_translation"], first), (MonomialSpec(theta, (k1,)), theta, k1, k2)),
-        (_spied(_SIDES["verify_parts"], second),
-         (MonomialSpec(theta, (t_squared,)), theta, k1, k2, 1.0)),
+        ("verify_translation", (MonomialSpec(theta, (k1,)), theta, k1, k2)),
+        ("verify_parts", (MonomialSpec(theta, (t_squared,)), theta, k1, k2, 1.0)),
     ])
-    shared.report(0, *shared.checks[0], n, 13, grid)  # the first report runs the pass
+    shared.report(*shared.checks[0], n, 13, grid)  # the first report runs the pass
     assert [len(b) for b in first] == [len(b) for b in second] == [CHUNK_PATHS, CHUNK_PATHS, 301]
     for a, b in zip(first, second):
         assert a.shape == b.shape == (len(a), 2)
@@ -542,32 +545,31 @@ def test_a_check_gets_its_group_row_alone_when_the_group_reads_only_its_columns(
     calls = [(verify_translation, (F, theta, k1, k2)),
              (verify_parts, (MonomialSpec(theta, (t_squared,)), theta, k1, k2, 2.0)),  # [t^2, t]
              (verify_cs_precursor, (F, theta, k1, k2, 4.0))]
-    shared = _SharedDraw(profile, grid, n, 13, [(_SIDES[func.__name__], args)
-                                                for func, args in calls])
-    for (func, args), member in zip(calls, shared.members):
-        report = func(*args, n, 13, grid=grid, columns=member)
+    shared = _SharedDraw(profile, grid, n, 13, [(func.__name__, args) for func, args in calls])
+    for func, args in calls:
+        report = func(*args, n, 13, grid=grid, columns=shared)
         alone = func(*args, n, 13, grid=grid)
         assert _without_wall_times(report.to_dict()) == _without_wall_times(alone.to_dict())
 
 
 def test_a_shared_draw_member_gives_only_its_own_check(ctx, monkeypatch):
-    """A member of a shared draw is the report of the check it was built
-    for, at the draw's n and seed; for any other call it is a
-    ValueError.  The draw is streamed once, by the first report."""
+    """A shared draw gives the report of a check it holds, found by its
+    verify function's name and arguments, at the draw's n and seed; for
+    any other call it is a ValueError.  The draw is streamed once, by
+    the first report."""
     profile, theta, k1, k2, grid = ctx
     F = MonomialSpec(theta, (k1,))
-    shared = _SharedDraw(profile, grid, 50, 1, [(_SIDES["verify_parts"], (F, theta, k1, k2, 1.0))])
-    (member,) = shared.members
+    shared = _SharedDraw(profile, grid, 50, 1, [("verify_parts", (F, theta, k1, k2, 1.0))])
     calls = _count_streams(monkeypatch)
-    first = verify_parts(F, theta, k1, k2, 1.0, 50, 1, grid=grid, columns=member)
-    assert verify_parts(F, theta, k1, k2, 1.0, 50, 1, columns=member) is first
+    first = verify_parts(F, theta, k1, k2, 1.0, 50, 1, grid=grid, columns=shared)
+    assert verify_parts(F, theta, k1, k2, 1.0, 50, 1, columns=shared) is first
     assert calls == [50]
-    for other in (lambda: verify_parts(F, theta, k1, k2, 2.0, 50, 1, grid=grid, columns=member),
-                  lambda: verify_cs_precursor(F, theta, k1, k2, 1.0, 50, 1, columns=member),
-                  lambda: verify_parts(F, theta, k1, k2, 1.0, 51, 1, columns=member),
-                  lambda: verify_parts(F, theta, k1, k2, 1.0, 50, 2, columns=member),
+    for other in (lambda: verify_parts(F, theta, k1, k2, 2.0, 50, 1, grid=grid, columns=shared),
+                  lambda: verify_cs_precursor(F, theta, k1, k2, 1.0, 50, 1, columns=shared),
+                  lambda: verify_parts(F, theta, k1, k2, 1.0, 51, 1, columns=shared),
+                  lambda: verify_parts(F, theta, k1, k2, 1.0, 50, 2, columns=shared),
                   lambda: verify_parts(F, theta, k1, k2, 1.0, 50, 1, grid=TimeGrid(grid.nodes),
-                                       columns=member)):
+                                       columns=shared)):
         with pytest.raises(ValueError, match="another check"):
             other()
     assert calls == [50]
@@ -592,11 +594,11 @@ def _bits(moments):
             for m, se in moments]
 
 
-def _moments_over(cols, sides, difference=False):
+def _moments_over(cols, sides):
     """The ``_Moments`` of ``sides`` on every column, handed each
     CHUNK_PATHS-row view of ``cols`` in order, as the blocks of a stream
     are."""
-    acc = _Moments(sides, difference, slice(None))
+    acc = _Moments(sides, slice(None))
     for p0 in range(0, len(cols), CHUNK_PATHS):
         acc.add(cols[p0 : p0 + CHUNK_PATHS])
     return acc
@@ -618,8 +620,8 @@ def test_span_moments_agree_with_the_two_pass_oracle(n, kind):
     two-pass mean and standard error over the whole arrays to a few
     ulps, within one span, at its edge and across three spans."""
     lhs, rhs = _two_sides(n, kind, n)
-    got = _moments_over(np.column_stack([lhs, rhs]), lambda block: (block[:, 0], block[:, 1]),
-                        difference=True).moments()
+    got = _moments_over(np.column_stack([lhs, rhs]),
+                        lambda block: (block[:, 0], block[:, 1])).moments()
     ulp = np.finfo(float).eps
     for (mean, se), vals in zip(got, (lhs, rhs, lhs - rhs)):
         want_mean, want_se = mean_se_two_pass(vals)
@@ -633,10 +635,8 @@ def test_span_moments_of_real_values_keep_the_bits_of_the_complex_route():
     part adds 0.0 to the mean's imaginary part and to M2."""
     n = 2 * CHUNK_PATHS + 301
     cols = np.column_stack(_two_sides(n, "real", 5))
-    real = _moments_over(cols, lambda block: (block[:, 0], block[:, 1]),
-                         difference=True).moments()
-    as_complex = _moments_over(cols, lambda block: (block[:, 0] + 0j, block[:, 1] + 0j),
-                               difference=True).moments()
+    real = _moments_over(cols, lambda block: (block[:, 0], block[:, 1])).moments()
+    as_complex = _moments_over(cols, lambda block: (block[:, 0] + 0j, block[:, 1] + 0j)).moments()
     assert _bits(real) == _bits(as_complex)
     assert all(np.float64(m.imag).tobytes() == np.float64(0.0).tobytes() for m, _ in real)
 
@@ -652,7 +652,7 @@ def test_span_moments_hand_sides_views_of_the_columns_in_order(n):
         blocks.append(block)
         return block[:, 0], block[:, 1]
 
-    _moments_over(cols, sides, difference=True)
+    _moments_over(cols, sides)
     assert all(np.shares_memory(block, cols) and len(block) <= CHUNK_PATHS for block in blocks)
     np.testing.assert_array_equal(np.concatenate(blocks), cols)
 

@@ -45,7 +45,6 @@ PUBLIC_API = [
     "cm_inner",
     "feynman_monomial",
     "gaussian_moment",
-    "identity_densities",
     "identity_element",
     "inner_with_a",
     "mc_fsi",
